@@ -47,7 +47,6 @@ from .simulator import (
     RunResult,
     SimulationError,
     cost,
-    peak_memory,
     ring_all_gather,
     ring_reduce_scatter,
     run,

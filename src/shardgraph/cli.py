@@ -192,7 +192,13 @@ def _value_to_json(v):
 
 def cmd_cost(args) -> int:
     m = _load_module(args.module)
-    report = cost(m, _cost_model(args))
+    cm = _cost_model(args)
+    try:
+        decisions = profitability.plan(m, cm)
+    except Exception as e:  # surface the failing pass per the CLI contract
+        print(f"[analyze] {e}", file=sys.stderr)
+        return 2
+    report = cost(m, cm, profitability.update_member_ids(decisions))
     _emit_json(report.to_dict(), args.json)
     return 0
 
@@ -323,10 +329,11 @@ def cmd_compare(args) -> int:
         report["max_abs_diff"] = max_abs
         report["max_rel_diff"] = max_rel
 
-    base_cost = cost(m, cm)
-    main_cost = cost(main, cm)
-    shard_cost = cost(result.shard_program, cm)
-    unshard_cost = cost(result.unshard_program, cm)
+    members = profitability.update_member_ids(decisions)
+    base_cost = cost(m, cm, members)
+    main_cost = cost(main, cm, members)
+    shard_cost = cost(result.shard_program, cm, members)
+    unshard_cost = cost(result.unshard_program, cm, members)
     boundary = (shard_cost.total_step_time + unshard_cost.total_step_time) / amortize
     trans_time = main_cost.total_step_time + boundary
     speedup = base_cost.total_step_time / trans_time if trans_time else 1.0

@@ -5,13 +5,28 @@ rounds exchanging `piece_bytes` per round per replica costs
 `rounds * (alpha + piece_bytes / link_bandwidth)`. Compute is memory-bound:
 an operator costs (bytes read + bytes written) / mem_bandwidth. No overlap of
 compute and communication is modeled; phase times add up.
+
+`collective_phases` and `all_reduce_phases` are the one ring schedule. The
+planner prices the collectives it considers with them; `instruction_phases`
+applies them to a collective instruction, for `simulator.cost` and for the
+counters of the collectives a simulator run executes.
+
+All-reduce bytes follow the ring convention of Thakur et al. (MPICH, 2005):
+2(G-1) rounds of D/G bytes, where D is the flat physical size of the
+operands. The simulator folds an all-reduce's values in the exposed-format
+order of a reduce-scatter plus all-gather (padded pieces), so that a
+decomposed all-reduce is bitwise equal to the original; it still counts bytes
+as the ring moves them, in flat D/G pieces, because an all-reduce never
+exposes its internal sharding and need not pad it. Reduce-scatters and
+all-gathers do expose their format, so their pieces are the format's padded
+shard bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ir import ReplicaGroups, Shape, Topology, physical_bytes
+from .ir import Instruction, Module, ReplicaGroups, Shape, Topology, physical_bytes
 from .sharding import ShardingSpec, choose_spec
 
 
@@ -53,42 +68,30 @@ class Phase:
     piece_bytes: float
 
 
-def _is_full_mesh_group(topology: Topology, group: ReplicaGroups) -> bool:
-    return (
-        group.is_all
-        and topology.kind == "mesh"
-        and topology.rows > 1
-        and topology.cols > 1
-    )
-
-
 def collective_phases(
-    op: str,  # "reduce_scatter" | "all_gather" | "all_reduce"
+    op: str,  # "reduce_scatter" | "all_gather"
     shape: Shape,
     topology: Topology,
     group: ReplicaGroups,
     spec: ShardingSpec | None = None,
     tile=(8, 128),
 ) -> list[Phase]:
-    """Ring phases for one collective on one tensor.
+    """Ring phases for one reduce-scatter or all-gather on one tensor.
 
-    Reduce-scatter and all-gather alone take G-1 rounds per phase, with piece
-    size equal to the sharding format's physical shard bytes (piece boundaries
-    must match the exposed format, so its padding is transferred too). A plain
-    all-reduce never exposes its internal sharding and moves flat D/G pieces.
-    On a full mesh the algorithm is two-phase: rows exchange superpieces (one
-    per column), then columns exchange the final shards.
+    Each takes G-1 rounds per phase, with piece size equal to the sharding
+    format's physical shard bytes (piece boundaries must match the exposed
+    format, so its padding is transferred too). On a full mesh the algorithm
+    is two-phase: rows exchange superpieces (one per column), then columns
+    exchange the final shards.
     """
     g = group.group_size(topology.n)
     if g == 1:
         return []
-    if op == "all_reduce":
-        return batched_all_reduce_phases(physical_bytes(shape, tile), topology, group)
     if spec is None:
         spec = choose_spec(shape, g, tile, group)
     shard_bytes = physical_bytes(Shape(spec.shard_dims, shape.etype), tile)
 
-    if _is_full_mesh_group(topology, group):
+    if topology.two_phase(group):
         m, r = topology.cols, topology.rows
         scatter = [Phase(m - 1, shard_bytes * r), Phase(r - 1, shard_bytes)]
     else:
@@ -102,19 +105,31 @@ def collective_phases(
     raise ValueError(f"unknown collective {op}")
 
 
-def batched_all_reduce_phases(
-    total_bytes: float, topology: Topology, group: ReplicaGroups
-) -> list[Phase]:
-    """A variadic all-reduce treats its operands as one concatenated buffer;
-    internal shards are partitions of the concatenation."""
+def all_reduce_phases(total_bytes: float, topology: Topology, group: ReplicaGroups) -> list[Phase]:
+    """Ring phases for an all-reduce of `total_bytes`. It treats its operands
+    (one, or several when variadic) as one concatenated buffer and never
+    exposes its internal sharding, so it moves flat D/G pieces."""
     g = group.group_size(topology.n)
     if g == 1:
         return []
     piece = total_bytes / g
-    if _is_full_mesh_group(topology, group):
+    if topology.two_phase(group):
         m, r = topology.cols, topology.rows
         return [Phase(m - 1, piece * r), Phase(r - 1, piece), Phase(r - 1, piece), Phase(m - 1, piece * r)]
     return [Phase(g - 1, piece), Phase(g - 1, piece)]
+
+
+def instruction_phases(instr: Instruction, m: Module) -> list[Phase]:
+    """Ring phases of one execution of a collective instruction: an all-reduce
+    (one operand or variadic) or a reduce-scatter, all-gather or unshard
+    fusion."""
+    if instr.opcode == "all-reduce":
+        total = sum(physical_bytes(o.shape, m.tile) for o in instr.operands)
+        return all_reduce_phases(total, m.topology, instr.groups)
+    spec: ShardingSpec = instr.spec
+    if instr.kind == "reduce_scatter":
+        return collective_phases("reduce_scatter", instr.operands[0].shape, m.topology, spec.group, spec, m.tile)
+    return collective_phases("all_gather", instr.shape, m.topology, spec.group, spec, m.tile)
 
 
 @dataclass

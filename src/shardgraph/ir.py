@@ -259,6 +259,12 @@ class Topology:
             tuple(tuple(j + i * self.cols for i in range(self.rows)) for j in range(self.cols))
         )
 
+    def two_phase(self, group: ReplicaGroups) -> bool:
+        """Whether collectives over `group` run the two-phase mesh algorithm
+        (rows, then columns). Only `groups=all` on a true 2-D mesh does; an
+        explicit group listing every replica runs as one ring in list order."""
+        return group.is_all and self.kind == "mesh" and self.rows > 1 and self.cols > 1
+
     def __str__(self) -> str:
         if self.kind == "ring":
             return "ring"

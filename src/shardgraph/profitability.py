@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .costmodel import CostModel, collective_phases
+from .costmodel import CostModel, all_reduce_phases, collective_phases
 from .ir import (
     ALL_REPLICAS,
     Computation,
@@ -360,10 +360,6 @@ def estimate_branch_frequency(cond: Instruction, loop: Instruction) -> Fraction 
     return freq
 
 
-def conditional_frequency(cond: Instruction, comp: Computation) -> Fraction | None:
-    return predicate_mod_frequency(cond.operands[0])
-
-
 # --------------------------------------------------------------------------- #
 # Decisions
 # --------------------------------------------------------------------------- #
@@ -530,14 +526,11 @@ def evaluate(
     # gather comes out free; pad-heavy formats pay their padding here.
     ag_time = time_of(collective_phases("all_gather", shape, m.topology, groups, spec, m.tile))
     rs_time = time_of(collective_phases("reduce_scatter", shape, m.topology, groups, spec, m.tile))
-    ar_time = time_of(collective_phases("all_reduce", shape, m.topology, ALL_REPLICAS, tile=m.tile))
+    ar_time = time_of(all_reduce_phases(physical_bytes(shape, m.tile), m.topology, ALL_REPLICAS))
     if not groups.is_all:
         # partial sharding adds a cross-group all-reduce on the shard
         shard_bytes = physical_bytes(Shape(spec.shard_dims, shape.etype), m.tile)
-        cross = collective_phases(
-            "all_reduce", Shape(spec.shard_dims, shape.etype), m.topology, m.topology.col_groups(), tile=m.tile
-        )
-        rs_time += time_of(cross)
+        rs_time += time_of(all_reduce_phases(shard_bytes, m.topology, m.topology.col_groups()))
     cost_sec = rs_time + sum(site.weight * ag_time for site in ag_sites) - ar_time
 
     shard = (
@@ -554,7 +547,7 @@ def evaluate(
         cluster=cluster,
         shard=shard,
         groups=groups,
-        spec=spec if shard else spec,
+        spec=spec,
         benefit_sec=benefit,
         cost_sec=cost_sec,
         update_bytes=update_bytes,
@@ -573,14 +566,8 @@ def plan(m: Module, cm: CostModel | None = None, steps: int | None = None) -> li
     return [evaluate(c, m, cm, steps=steps, loop=loop) for c in clusters]
 
 
-def weight_update_instruction_ids(m: Module) -> set[str]:
-    """Instruction ids whose compute time counts as weight update (cluster
-    members around each anchor, the anchor excluded)."""
-    try:
-        decisions = plan(m)
-    except Exception:
-        return set()
-    out: set[str] = set()
-    for d in decisions:
-        out.update(i.id for i in d.cluster.update_members)
-    return out
+def update_member_ids(decisions: list[ShardingDecision]) -> set[str]:
+    """Ids of the instructions whose compute counts as weight update: every
+    cluster's members, the anchor all-reduce excluded, sharded or kept. The
+    transform keeps these ids, so the set applies to its output too."""
+    return {i.id for d in decisions for i in d.cluster.update_members}

@@ -128,7 +128,7 @@ class _Analysis:
         root = self.run_computation(instr.fused, list(operand_verdicts))
         if _contains_impure(instr.fused):
             return _uniform(instr.shape, False)
-        return root if not isinstance(instr.shape, TupleShape) else root
+        return root
 
     def loop(self, instr: Instruction, entry: Verdict) -> Verdict:
         state = entry if isinstance(entry, tuple) else (bool(entry),)

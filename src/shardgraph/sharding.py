@@ -357,17 +357,16 @@ def shard_id_of(replica: int, topology: Topology, group: ReplicaGroups) -> int:
     """Position of `replica` in its group's logical ring.
 
     The shard a replica keeps is the one the ring algorithm leaves in place,
-    so shard assignment follows the network topology. On a full-mesh group the
-    two-phase algorithm leaves replica (row r, col c) holding shard c*R + r.
+    so shard assignment follows the network topology. Where the two-phase mesh
+    algorithm runs (`Topology.two_phase`), it leaves replica (row r, col c)
+    holding shard c*R + r.
     """
-    n = topology.n
+    if topology.two_phase(group):
+        r, c = divmod(replica, topology.cols)
+        return c * topology.rows + r
     if group.is_all:
-        if topology.kind == "mesh" and topology.rows > 1 and topology.cols > 1:
-            r, c = divmod(replica, topology.cols)
-            return c * topology.rows + r
         return replica
-    g = group.group_of(replica, n)
-    return g.index(replica)
+    return group.group_of(replica, topology.n).index(replica)
 
 
 def emit_shard_rank(
@@ -391,12 +390,12 @@ def emit_shard_rank(
         return gb.emit("add", scalar(S32), (a, b))
 
     rows, cols = topology.rows, topology.cols
+    if topology.two_phase(group):
+        # (rid mod cols) * rows + rid div cols
+        q = div(rid, const(cols))
+        rem = sub(rid, mul(q, const(cols)))
+        return add(mul(rem, const(rows)), q)
     if group.is_all:
-        if topology.kind == "mesh" and rows > 1 and cols > 1:
-            # (rid mod cols) * rows + rid div cols
-            q = div(rid, const(cols))
-            rem = sub(rid, mul(q, const(cols)))
-            return add(mul(rem, const(rows)), q)
         return rid
     groups = group.resolve(topology.n)
     if groups == topology.row_groups().groups:

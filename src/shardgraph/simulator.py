@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costmodel import (
-    CollectiveCost,
-    CostModel,
-    batched_all_reduce_phases,
-    collective_cost,
-    collective_phases,
-)
+from .costmodel import CollectiveCost, CostModel, Phase, collective_cost, instruction_phases
 from .ir import (
     Computation,
     ElementType,
@@ -37,7 +31,7 @@ from .ir import (
     reduce_identity,
     round_up,
 )
-from .memory import Manifest, MemoryReport, memory_plan, step_computation
+from .profitability import DEFAULT_TRIP_COUNT, loop_trip_count, predicate_mod_frequency
 from .sharding import Bitcast, ShardingSpec, TrivialReshape, choose_spec, shard_id_of
 
 
@@ -164,14 +158,16 @@ def invert_steps_array(arr: np.ndarray, spec: ShardingSpec, etype: ElementType, 
 
 @dataclass
 class CollectiveStats:
-    messages: int = 0
-    bytes_sent: int = 0  # per-replica, per-link payload total
-    rounds: int = 0
+    """Ring rounds and per-replica, per-link bytes of the collectives a run
+    executed, counted with the cost model's schedule."""
 
-    def record_phase(self, rounds: int, piece_bytes: int):
-        self.rounds += rounds
-        self.messages += rounds
-        self.bytes_sent += rounds * piece_bytes
+    rounds: int = 0
+    bytes_sent: float = 0.0
+
+    def record(self, phases: list[Phase]):
+        for p in phases:
+            self.rounds += p.rounds
+            self.bytes_sent += p.rounds * p.piece_bytes
 
 
 def _combine(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
@@ -202,34 +198,22 @@ def _rs_values(
     arrays: list[np.ndarray],
     spec: ShardingSpec,
     topology: Topology,
-    group: tuple[int, ...],
     kind: str,
     etype: ElementType,
-    tile,
-    stats: CollectiveStats | None,
 ) -> list[np.ndarray]:
     """Reduce-scatter across one group: arrays are the formatted+padded full
     tensors in group order; returns each member's fully-reduced shard."""
-    g = len(group)
+    g = len(arrays)
     s = spec.shard_count
     if s != g:
         raise SimulationError(f"spec shard count {s} != group size {g}")
     pieces = [np.split(a, s, axis=spec.shard_dim) for a in arrays]
-    shard_bytes = physical_bytes(Shape(spec.shard_dims, etype), tile)
-    two_phase = (
-        topology.kind == "mesh"
-        and topology.rows > 1
-        and topology.cols > 1
-        and len(group) == topology.n
-    )
     out: list[np.ndarray | None] = [None] * g
-    if not two_phase:
+    if not topology.two_phase(spec.group):
         # Single ring: member at position p keeps piece p, accumulated in ring
         # order starting from its successor.
         for p in range(g):
             out[p] = _ring_fold([pieces[q][p] for q in range(g)], p, kind, etype)
-        if stats is not None:
-            stats.record_phase(g - 1, shard_bytes)
         return out
     # Two-phase mesh: rows exchange superpieces (R consecutive shards), then
     # columns exchange single shards. Replica (i, j) ends with shard j*R + i.
@@ -250,9 +234,6 @@ def _rs_values(
             out[col[i]] = _ring_fold(
                 [row_partial[r][piece_idx] for r in col], i, kind, etype
             )
-    if stats is not None:
-        stats.record_phase(cols - 1, shard_bytes * rows)
-        stats.record_phase(rows - 1, shard_bytes)
     return out
 
 
@@ -261,32 +242,13 @@ def _gathered_full(
     spec: ShardingSpec,
     topology: Topology,
     group: tuple[int, ...],
-    etype: ElementType,
-    tile,
-    stats: CollectiveStats | None,
 ) -> np.ndarray:
     """All-gather across one group: `shards` in group order, each the shard
     matching its owner's ring position; returns the post-steps full tensor."""
-    g = len(group)
-    ordered = [None] * g
+    ordered = [None] * len(group)
     for pos, replica in enumerate(group):
-        sid = shard_id_of(replica, topology, spec.group)
-        ordered[sid] = shards[pos]
-    full = np.concatenate(ordered, axis=spec.shard_dim)
-    shard_bytes = physical_bytes(Shape(spec.shard_dims, etype), tile)
-    if stats is not None:
-        two_phase = (
-            topology.kind == "mesh"
-            and topology.rows > 1
-            and topology.cols > 1
-            and g == topology.n
-        )
-        if two_phase:
-            stats.record_phase(topology.rows - 1, shard_bytes)
-            stats.record_phase(topology.cols - 1, shard_bytes * topology.rows)
-        else:
-            stats.record_phase(g - 1, shard_bytes)
-    return full
+        ordered[shard_id_of(replica, topology, spec.group)] = shards[pos]
+    return np.concatenate(ordered, axis=spec.shard_dim)
 
 
 def ring_reduce_scatter(
@@ -296,7 +258,6 @@ def ring_reduce_scatter(
     kind: str = "add",
     etype: ElementType = ElementType.F32,
     tile=(8, 128),
-    stats: CollectiveStats | None = None,
 ) -> list[np.ndarray]:
     """Per-replica shards of the reduction of `values` (one array per replica,
     all of the spec's source shape). Piece boundaries equal the spec's shard
@@ -315,7 +276,7 @@ def ring_reduce_scatter(
         arrays = [
             apply_steps_array(np.asarray(values[r]), spec, etype, tile, fill) for r in group
         ]
-        shards = _rs_values(arrays, spec, topology, group, kind, etype, tile, stats)
+        shards = _rs_values(arrays, spec, topology, kind, etype)
         for pos, r in enumerate(group):
             # _rs_values leaves each member's own shard (shard_id_of(r)) at
             # its group position.
@@ -329,14 +290,13 @@ def ring_all_gather(
     topology: Topology,
     etype: ElementType = ElementType.F32,
     tile=(8, 128),
-    stats: CollectiveStats | None = None,
 ) -> list[np.ndarray]:
     """Reconstruct the full (source-shape) tensor on every replica from
     per-replica shards: concatenation by shard id, then reverse formatting."""
     n = topology.n
     out: list[np.ndarray | None] = [None] * n
     for group in spec.group.resolve(n):
-        full = _gathered_full([np.asarray(shards[r]) for r in group], spec, topology, group, etype, tile, stats)
+        full = _gathered_full([np.asarray(shards[r]) for r in group], spec, topology, group)
         restored = invert_steps_array(full, spec, etype, tile)
         for r in group:
             out[r] = restored
@@ -365,12 +325,14 @@ def _contains(comp: Computation, pred) -> bool:
     return False
 
 
-def _has_collective(comp: Computation) -> bool:
-    return _contains(
-        comp,
-        lambda i: i.opcode == "all-reduce"
-        or (i.opcode == "fusion" and i.kind in ("reduce_scatter", "all_gather", "unshard")),
+def _is_collective(instr: Instruction) -> bool:
+    return instr.opcode == "all-reduce" or (
+        instr.opcode == "fusion" and instr.kind in ("reduce_scatter", "all_gather", "unshard")
     )
+
+
+def _has_collective(comp: Computation) -> bool:
+    return _contains(comp, _is_collective)
 
 
 class Simulator:
@@ -380,13 +342,11 @@ class Simulator:
         seed: int = 0,
         max_while_iterations: int = 10**6,
         on_value=None,
-        replica_parallel: bool = False,
     ):
         self.m = m
         self.seed = seed
         self.max_while = max_while_iterations
         self.on_value = on_value  # callback(instr, replicas, values) for analysis oracles
-        self.replica_parallel = replica_parallel
         self.stats = CollectiveStats()
         self.outfeeds: list[list] = [[] for _ in range(m.replica_count)]
         self._rng_counters: dict[str, int] = {}
@@ -404,35 +364,8 @@ class Simulator:
             per_replica = self._per_replica_values(p, val)
             for r in range(n):
                 args[r].append(per_replica[r])
-        if (
-            self.replica_parallel
-            and n > 1
-            and self.on_value is None
-            and not _has_collective(self.m.entry)
-        ):
-            roots = self._run_replicas_parallel(args)
-        else:
-            roots = self._run_computation(self.m.entry, args, list(range(n)))
+        roots = self._run_computation(self.m.entry, args, list(range(n)))
         return RunResult(outputs=roots, outfeeds=self.outfeeds, stats=self.stats)
-
-    def _run_replicas_parallel(self, args: list[list]) -> list:
-        """Collective-free programs can run one thread per replica; the
-        rendezvous contract makes the result identical to lockstep order."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        n = self.m.replica_count
-
-        def one(r: int):
-            sub = Simulator(self.m, self.seed, self.max_while)
-            # single-replica view: same module, replica id fixed
-            out = sub._run_computation(self.m.entry, [args[r]], [r])
-            return out[0], sub.outfeeds[r]
-
-        with ThreadPoolExecutor(max_workers=min(n, 8)) as pool:
-            results = list(pool.map(one, range(n)))
-        for r, (_, log) in enumerate(results):
-            self.outfeeds[r] = log
-        return [v for v, _ in results]
 
     def _per_replica_values(self, p: Instruction, val) -> list:
         n = self.m.replica_count
@@ -687,6 +620,7 @@ class Simulator:
 
     def _op_all_reduce(self, instr, env, args, replicas):
         self._require_full_groups(instr, instr.groups, replicas)
+        self.stats.record(instruction_phases(instr, self.m))
         n = self.m.replica_count
         pos = {r: k for k, r in enumerate(replicas)}
         results_per_operand = []
@@ -697,12 +631,9 @@ class Simulator:
             for r in replicas:
                 full[r] = vals[pos[r]]
             spec = choose_spec(shape, instr.groups.group_size(n), self.m.tile, instr.groups)
-            shards = ring_reduce_scatter(
-                full, spec, self.m.topology, instr.kind, shape.etype, self.m.tile, self.stats
-            )
-            gathered = ring_all_gather(
-                shards, spec, self.m.topology, shape.etype, self.m.tile, self.stats
-            )
+            # values fold in the exposed RS+AG order; bytes were counted above
+            shards = ring_reduce_scatter(full, spec, self.m.topology, instr.kind, shape.etype, self.m.tile)
+            gathered = ring_all_gather(shards, spec, self.m.topology, shape.etype, self.m.tile)
             results_per_operand.append([coerce(gathered[r], shape) for r in replicas])
         if len(instr.operands) == 1:
             return results_per_operand[0]
@@ -717,6 +648,7 @@ class Simulator:
             return self._run_computation(instr.fused, fargs, replicas)
         spec: ShardingSpec = instr.spec
         self._require_full_groups(instr, spec.group, replicas)
+        self.stats.record(instruction_phases(instr, self.m))
         n = self.m.replica_count
         pos = {r: k for k, r in enumerate(replicas)}
         src_shape = instr.operands[0].shape
@@ -727,22 +659,12 @@ class Simulator:
             full[r] = vals[pos[r]]
         if kind == "reduce_scatter":
             rk = _fusion_reduce_kind(instr)
-            shards = ring_reduce_scatter(
-                full, spec, self.m.topology, rk, etype, self.m.tile, self.stats
-            )
+            shards = ring_reduce_scatter(full, spec, self.m.topology, rk, etype, self.m.tile)
             return [coerce(shards[r], instr.shape) for r in replicas]
         # all_gather / unshard: ring gather, then the fused reverse formatting.
         out = [None] * n
         for group in spec.group.resolve(n):
-            gathered = _gathered_full(
-                [np.asarray(full[r]) for r in group],
-                spec,
-                self.m.topology,
-                group,
-                etype,
-                self.m.tile,
-                self.stats,
-            )
+            gathered = _gathered_full([np.asarray(full[r]) for r in group], spec, self.m.topology, group)
             for r in group:
                 if r in pos:
                     out[r] = gathered
@@ -896,66 +818,44 @@ class CostReport:
         }
 
 
-def cost(m: Module, cm: CostModel | None = None, update_members: set[str] | None = None) -> CostReport:
+def cost(
+    m: Module, cm: CostModel | None = None, update_members: set[str] | frozenset[str] = frozenset()
+) -> CostReport:
     """Model the per-step time of a module: memory-bound compute plus ring
     collective phases, loop bodies scaled by the trip count when it is a
-    compile-time constant. `update_members` marks instructions whose compute
-    time is attributed to weight update (when omitted, the weight-update
-    clusters are discovered automatically on modules with all-reduces)."""
-    from . import profitability as _profit
-
+    compile-time constant. `update_members` holds the ids of the instructions
+    whose compute time is attributed to weight update; callers take them from
+    the sharding decisions with `profitability.update_member_ids`."""
     cm = cm or CostModel()
     report = CostReport()
-    if update_members is None:
-        update_members = _profit.weight_update_instruction_ids(m)
 
     def walk(comp: Computation, weight: float):
         for instr in comp.instructions:
             op = instr.opcode
             if op == "while":
-                trips = _profit.loop_trip_count(instr)
-                trips = trips if trips is not None else _profit.DEFAULT_TRIP_COUNT
+                trips = loop_trip_count(instr)
+                trips = trips if trips is not None else DEFAULT_TRIP_COUNT
                 report.trip_count = max(report.trip_count, trips)
                 walk(instr.cond, weight * trips)
                 walk(instr.body, weight * trips)
                 continue
             if op == "conditional":
-                freq = _profit.conditional_frequency(instr, comp)
+                freq = predicate_mod_frequency(instr.operands[0])
                 f = float(freq) if freq is not None else 1.0
                 walk(instr.branches[0], weight * f)
                 walk(instr.branches[1], weight * max(0.0, 1.0 - f) if freq is not None else weight)
                 report.compute_time += weight * cm.compute_time(_op_bytes(instr, m.tile))
                 continue
-            if op == "all-reduce":
-                groups = instr.groups
+            if _is_collective(instr):
+                groups = instr.groups if op == "all-reduce" else instr.spec.group
                 gsize = groups.group_size(m.replica_count)
-                if len(instr.operands) > 1:
-                    total = sum(physical_bytes(o.shape, m.tile) for o in instr.operands)
-                    phases = batched_all_reduce_phases(total, m.topology, groups)
-                else:
-                    phases = collective_phases(
-                        "all_reduce", instr.operands[0].shape, m.topology, groups, tile=m.tile
-                    )
-                cc = collective_cost(instr.id, "all-reduce", phases, cm, gsize)
+                name = "all-reduce" if op == "all-reduce" else instr.kind
+                cc = collective_cost(instr.id, name, instruction_phases(instr, m), cm, gsize)
                 cc.executions = weight
                 report.collectives.append(cc)
                 report.collective_time += cc.modeled_time * weight
-                continue
-            if op == "fusion" and instr.kind in ("reduce_scatter", "all_gather", "unshard"):
-                spec: ShardingSpec = instr.spec
-                cop = "reduce_scatter" if instr.kind == "reduce_scatter" else "all_gather"
-                shape = instr.operands[0].shape if cop == "reduce_scatter" else instr.shape
-                phases = collective_phases(cop, shape, m.topology, spec.group, spec, m.tile)
-                gsize = spec.group.group_size(m.replica_count)
-                cc = collective_cost(instr.id, instr.kind, phases, cm, gsize)
-                cc.executions = weight
-                report.collectives.append(cc)
-                report.collective_time += cc.modeled_time * weight
-                t = weight * cm.compute_time(_op_bytes(instr, m.tile))
-                report.compute_time += t
-                if instr.id in update_members:
-                    report.weight_update_compute += t
-                continue
+                if op == "all-reduce":
+                    continue  # fusions also pay the memory-bound time of their formatting
             t = weight * cm.compute_time(_op_bytes(instr, m.tile))
             report.compute_time += t
             if instr.id in update_members:
@@ -964,12 +864,3 @@ def cost(m: Module, cm: CostModel | None = None, update_members: set[str] | None
     walk(m.entry, 1.0)
     report.latency_bound = any(c.latency_bound for c in report.collectives)
     return report
-
-
-def peak_memory(m: Module, manifest: Manifest | None = None, full_shapes: dict | None = None) -> MemoryReport:
-    """Peak live bytes of the step computation. Without a manifest every
-    buffer is accounted through the live-range analysis."""
-    comp = step_computation(m)
-    manifest = manifest or Manifest()
-    full_shapes = full_shapes or {}
-    return memory_plan(comp, manifest, full_shapes, m.tile)

@@ -96,20 +96,24 @@ def rebuild_module(m: Module, rewriter=None) -> Module:
     clone). Computations are rebuilt callees-first."""
     comp_map: dict[str, Computation] = {}
     for comp in m.computations():
-        gb = GraphBuilder(comp.name)
-        mapping: dict[str, Instruction] = {}
-        for instr in comp.instructions:
-            new = rewriter(instr, gb, mapping, comp_map) if rewriter else None
-            if new is None:
-                new = _clone_instruction(instr, gb, mapping, comp_map)
-            mapping[instr.id] = new
-        comp_map[comp.name] = Computation(comp.name, gb.instructions, mapping[comp.root.id])
+        comp_map[comp.name] = _rebuild_computation(comp, comp_map, rewriter)
     return Module(
         entry=comp_map[m.entry.name],
         replica_count=m.replica_count,
         topology=m.topology,
         tile=m.tile,
     )
+
+
+def _rebuild_computation(comp: Computation, comp_map: dict[str, Computation], rewriter=None) -> Computation:
+    gb = GraphBuilder(comp.name)
+    mapping: dict[str, Instruction] = {}
+    for instr in comp.instructions:
+        new = rewriter(instr, gb, mapping, comp_map) if rewriter else None
+        if new is None:
+            new = _clone_instruction(instr, gb, mapping, comp_map)
+        mapping[instr.id] = new
+    return Computation(comp.name, gb.instructions, mapping[comp.root.id])
 
 
 # --------------------------------------------------------------------------- #
@@ -1058,7 +1062,7 @@ def batch_collectives(m: Module) -> Module:
                 batches.append([c])
         merged = {b[0].id: b for b in batches if len(b) > 1}
         if not merged:
-            return _plain_clone(comp, comp_map)
+            return _rebuild_computation(comp, comp_map)
 
         member_to_batch: dict[str, str] = {}
         for lead, batch in merged.items():
@@ -1124,14 +1128,6 @@ def batch_collectives(m: Module) -> Module:
     out = Module(comp_map[m.entry.name], m.replica_count, m.topology, m.tile)
     check(out)
     return out
-
-
-def _plain_clone(comp: Computation, comp_map: dict[str, Computation]) -> Computation:
-    gb = GraphBuilder(comp.name)
-    mapping: dict[str, Instruction] = {}
-    for instr in comp.instructions:
-        mapping[instr.id] = _clone_instruction(instr, gb, mapping, comp_map)
-    return Computation(comp.name, gb.instructions, mapping[comp.root.id])
 
 
 # --------------------------------------------------------------------------- #

@@ -276,7 +276,7 @@ def test_criterion_6_cost_trends():
         main = transform.batch_collectives(
             transform.demote_allgather_precision(res.main)
         )
-        base_cost = cost(m)
+        base_cost = cost(m, update_members=profitability.update_member_ids(decisions))
         main_cost = cost(main)
         boundary = (
             cost(res.shard_program).total_step_time

@@ -201,3 +201,48 @@ def test_compare_tolerance_breach_nonzero_exit(tmp_path):
     # with matched rings the diff is exactly zero, so even -0.0 tolerance trips
     # only when a real difference exists; check the normal path too
     assert main(["compare", str(path), "--seed", "2"]) == 0
+
+
+def test_compare_explicit_full_group_on_mesh(tmp_path):
+    # groups={{0,1,2,3}} runs as one ring on a 2x2 mesh; the transformed
+    # program's groups=all collectives run two-phase, so only the summation
+    # order differs
+    path = tmp_path / "m.ir"
+    assert main(["gen", "mlp", "--layers", "1", "--dim", "64", "--topology", "2x2",
+                 "--steps", "0", "--out", str(path)]) == 0
+    text = path.read_text()
+    assert "groups=all" in text
+    path.write_text(text.replace("groups=all", "groups={{0,1,2,3}}"))
+    assert main(["compare", str(path), "--seed", "0"]) == 0
+
+
+def test_compare_reports_kept_update_members(tmp_path):
+    # nothing is sharded over a 2-step loop, so the transformed step does the
+    # same weight-update work as the baseline
+    path = tmp_path / "m.ir"
+    assert main(["gen", "mlp", "--layers", "1", "--dim", "16", "--replicas", "4",
+                 "--steps", "2", "--out", str(path)]) == 0
+    report = tmp_path / "r.json"
+    assert main(["compare", str(path), "--seed", "1", "--json", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["decisions"] and all(d["decision"] == "keep" for d in data["decisions"])
+    base = data["baseline_cost"]["weight_update_compute"]
+    assert base > 0
+    assert data["transformed_cost"]["weight_update_compute"] == base
+
+
+def test_cost_reports_update_share(mlp_ir, tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["cost", str(mlp_ir), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["weight_update_share"] > 0
+
+
+def test_cost_planner_failure_is_one_line(mlp_ir, monkeypatch, capsys):
+    from shardgraph import profitability
+
+    def fail(*args, **kwargs):
+        raise ValueError("no plan")
+
+    monkeypatch.setattr(profitability, "plan", fail)
+    assert main(["cost", str(mlp_ir)]) == 2
+    assert capsys.readouterr().err.strip() == "[analyze] no plan"

@@ -243,4 +243,4 @@ def test_unshard_with_one_shard_is_pure_reformatting():
     sh = build_unshard_ops(spec, x, gb, kind="unshard")
     m = Module(gb.finish(sh), 1, ring_topology(1))
     res = run(m, {"x": np.ones((4, 4), np.float32)})
-    assert res.stats.messages == 0
+    assert res.stats.rounds == 0

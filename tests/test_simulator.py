@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import bitwise_same
-from shardgraph.costmodel import CostModel
-from shardgraph.generators import gen_module
+from conftest import bitwise_same, chain_inputs, training_inputs
+from shardgraph import profitability, transform
+from shardgraph.costmodel import CostModel, Phase, collective_phases
+from shardgraph.generators import MODELS, WeightDef, build_training_module, gen_module, preset
 from shardgraph.ir import (
     ALL_REPLICAS,
     F16R,
@@ -20,12 +21,10 @@ from shardgraph.ir import (
     ring_topology,
     scalar,
 )
-from shardgraph.sharding import choose_spec
+from shardgraph.sharding import build_reduce_scatter, build_unshard_ops, choose_spec
 from shardgraph.simulator import (
-    CollectiveStats,
     PerReplica,
     SimulationError,
-    Simulator,
     bitcast_array,
     cost,
     ring_all_gather,
@@ -39,6 +38,21 @@ from shardgraph.textfmt import parse_module
 
 def module_of(comp, n, topology=None):
     return Module(comp, n, topology or ring_topology(n))
+
+
+def run_one_collective(op: str, spec, topology):
+    """Run a module whose only collective is one reduce-scatter or all-gather
+    fusion over `spec`, on all-ones inputs."""
+    gb = GraphBuilder("main")
+    if op == "reduce_scatter":
+        x = gb.parameter(0, spec.source_shape(F32), "x")
+        rid = gb.emit("replica-id", scalar(S32))
+        out = build_reduce_scatter(spec, x, rid, gb, topology)
+    else:
+        x = gb.parameter(0, spec.shard_shape(F32), "x")
+        out = build_unshard_ops(spec, x, gb, kind="all_gather")
+    m = Module(gb.finish(out), topology.n, topology)
+    return run(m, {"x": np.ones(x.shape.dims, np.float32)})
 
 
 class TestBasicSemantics:
@@ -156,21 +170,6 @@ class TestDeterminism:
         # per-replica draws differ
         assert not bitwise_same(a.outputs[0], a.outputs[1])
 
-    def test_replica_parallel_mode_matches_lockstep(self):
-        gb = GraphBuilder("main")
-        x = gb.parameter(0, Shape((16,), F32), "x")
-        r = gb.emit("rng", Shape((16,), F32), id="r")
-        rid = gb.emit("replica-id", scalar(S32), id="rid")
-        fid = gb.emit("convert", scalar(F32), (rid,))
-        rb = gb.broadcast_scalar(fid, Shape((16,), F32))
-        out = gb.emit("add", Shape((16,), F32), (gb.emit("mul", Shape((16,), F32), (x, r)), rb))
-        m = module_of(gb.finish(out), 4)
-        ins = {"x": PerReplica([np.full(16, i, np.float32) for i in range(4)])}
-        lock = run(m, ins, seed=5)
-        par = Simulator(m, seed=5, replica_parallel=True).run(ins)
-        for a, b in zip(lock.outputs, par.outputs):
-            assert bitwise_same(a, b)
-
 
 class TestRingCollectives:
     def test_reduce_scatter_one_element_per_shard(self):
@@ -275,29 +274,93 @@ class TestRingCollectives:
 
     def test_conservation_counter_matches_formula(self):
         # single-phase: rounds = G-1, bytes = rounds * shard physical bytes
-        spec = choose_spec(Shape((16, 4), F32), 4)
-        stats = CollectiveStats()
-        vals = [np.ones((16, 4), np.float32) for _ in range(4)]
-        ring_reduce_scatter(vals, spec, ring_topology(4), stats=stats)
+        shape, topo = Shape((16, 4), F32), ring_topology(4)
+        spec = choose_spec(shape, 4)
         shard_bytes = physical_bytes(Shape(spec.shard_dims, F32))
-        assert stats.rounds == 3
-        assert stats.bytes_sent == 3 * shard_bytes
-        stats2 = CollectiveStats()
-        shards = ring_reduce_scatter(vals, spec, ring_topology(4))
-        ring_all_gather(shards, spec, ring_topology(4), stats=stats2)
-        assert stats2.rounds == 3
-        assert stats2.bytes_sent == 3 * shard_bytes
+        for op in ("reduce_scatter", "all_gather"):
+            assert collective_phases(op, shape, topo, ALL_REPLICAS, spec) == [Phase(3, shard_bytes)]
+            stats = run_one_collective(op, spec, topo).stats
+            assert stats.rounds == 3
+            assert stats.bytes_sent == 3 * shard_bytes
 
     def test_conservation_two_phase_mesh(self):
-        topo = mesh_topology(2, 2)
-        spec = choose_spec(Shape((8, 4), F32), 4)
-        stats = CollectiveStats()
-        vals = [np.ones((8, 4), np.float32) for _ in range(4)]
-        ring_reduce_scatter(vals, spec, topo, stats=stats)
+        shape, topo = Shape((8, 4), F32), mesh_topology(2, 2)
+        spec = choose_spec(shape, 4)
         shard_bytes = physical_bytes(Shape(spec.shard_dims, F32))
         # row phase: (C-1) rounds of R*shard, column phase: (R-1) rounds of shard
+        scatter = [Phase(1, 2 * shard_bytes), Phase(1, shard_bytes)]
+        assert collective_phases("reduce_scatter", shape, topo, ALL_REPLICAS, spec) == scatter
+        assert collective_phases("all_gather", shape, topo, ALL_REPLICAS, spec) == scatter[::-1]
+        stats = run_one_collective("reduce_scatter", spec, topo).stats
         assert stats.rounds == (2 - 1) + (2 - 1)
         assert stats.bytes_sent == 1 * 2 * shard_bytes + 1 * shard_bytes
+
+    def test_explicit_full_group_on_mesh_is_one_ring(self):
+        # groups={{0,1,2,3}} on a 2x2 mesh is one ring in list order, not the
+        # two-phase algorithm that only groups=all runs
+        topo = mesh_topology(2, 2)
+        gb = GraphBuilder("main")
+        g = gb.parameter(0, Shape((8, 4), F32), "g")
+        explicit = ReplicaGroups(((0, 1, 2, 3),))
+        ar = gb.emit("all-reduce", Shape((8, 4), F32), (g,), kind="add", groups=explicit)
+        m = Module(gb.finish(ar), 4, topo)
+        rng = np.random.default_rng(3)
+        vals = [rng.integers(-50, 50, size=(8, 4)).astype(np.float32) for _ in range(4)]
+        res = run(m, {"g": PerReplica(vals)})
+        expect = np.sum(np.stack(vals), axis=0)
+        for out in res.outputs:
+            assert np.array_equal(out, expect)
+        [c] = cost(m).collectives
+        assert res.stats.rounds == c.rounds == 2 * (4 - 1)
+        assert res.stats.bytes_sent == c.bytes_per_replica
+
+
+def small_preset(model: str, topology):
+    """The preset's optimizer, precision and weight ranks with every dim
+    divided by 32 (at least 2), a counted 2-step loop and no outfeed."""
+    cfg = preset(model, layers=2)
+
+    def small(d):
+        return max(d // 32, 2)
+
+    cfg.weights = [
+        WeightDef(w.dims[:-2] + (small(w.dims[-2]), small(w.out_dim)), small(w.in_dim), small(w.out_dim))
+        for w in cfg.weights
+    ]
+    cfg.batch, cfg.steps, cfg.topology, cfg.replicas = 4, 2, topology, topology.n
+    return build_training_module(cfg)
+
+
+class TestCountersMatchModel:
+    """Every collective the simulator executes is counted with the cost
+    model's ring schedule, so a run's counters equal the modeled ones."""
+
+    @staticmethod
+    def check(m, inputs):
+        res = run(m, inputs, seed=1)
+        modeled = cost(m)
+        assert res.stats.rounds == modeled.total_rounds
+        assert res.stats.bytes_sent == sum(c.bytes_per_replica * c.executions for c in modeled.collectives)
+        return res
+
+    def test_presets_baseline_and_transformed(self):
+        batched = partial = False
+        for model in MODELS:
+            for topo in (ring_topology(4), mesh_topology(2, 2)):
+                m = small_preset(model, topo)
+                base = self.check(m, training_inputs(m, 0))
+                assert base.stats.rounds > 0
+                decisions = profitability.plan(m, steps=2)
+                for d in decisions:
+                    d.shard = True  # keep the planner's groups: row-local on the mesh
+                partial |= any(not d.groups.is_all for d in decisions)
+                res = transform.apply(m, decisions, steps_hint=2)
+                main = transform.batch_collectives(transform.demote_allgather_precision(res.main))
+                batched |= any(i.opcode == "all-reduce" and len(i.operands) > 1 for i in main.all_instructions())
+                sh = self.check(res.shard_program, training_inputs(m, 0))
+                mo = self.check(main, chain_inputs(main, sh.outputs))
+                self.check(res.unshard_program, chain_inputs(res.unshard_program, mo.outputs))
+        assert batched and partial
 
 
 class TestReducedPrecision:
