@@ -23,7 +23,7 @@ from .ir import (
     topo_order,
 )
 from .textfmt import ParseError, parse_module, print_module
-from .verify import Diagnostic, check, verify, verify_ok
+from .verify import Diagnostic, check, verify
 from .sharding import (
     Bitcast,
     Pad,

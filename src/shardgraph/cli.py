@@ -5,6 +5,9 @@ program split to a directory), `simulate`, `cost`, `compare` (end-to-end
 baseline vs. transformed diff of outputs, modeled cost and peak memory), and
 `gen` (synthetic training modules). SHARDGRAPH_SEED provides the seed when
 --seed is not given.
+
+A user error (unreadable or malformed input file, bad argument, invalid cost
+model) prints one `[stage] message` line to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -22,8 +25,16 @@ from .costmodel import CostModel
 from .ir import Module, Topology, TupleShape, mesh_topology, ring_topology
 from .redundancy import analyze
 from .simulator import PerReplica, cost, run
-from .textfmt import parse_module, print_module
+from .textfmt import ParseError, parse_module, print_module
 from .verify import verify
+
+
+class CLIError(Exception):
+    """A user error; `main` prints `[stage] message` and exits 2."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(message)
+        self.stage = stage
 
 
 def _seed(args) -> int:
@@ -32,19 +43,37 @@ def _seed(args) -> int:
     return int(os.environ.get("SHARDGRAPH_SEED", "0"))
 
 
-def _parse_topology(text: str, n: int) -> Topology:
+def _parse_topology(text: str, n: int | None) -> Topology:
+    """`ring` of `n` replicas, or an `RxC` (or `meshRxC`) mesh, which must
+    have `n` replicas unless `n` is None."""
     if text == "ring":
         return ring_topology(n)
     body = text[4:] if text.startswith("mesh") else text
-    r, c = body.lower().split("x")
-    topo = mesh_topology(int(r), int(c))
-    if topo.n != n:
-        raise SystemExit(f"topology {text} has {topo.n} replicas, expected {n}")
+    try:
+        r, c = (int(x) for x in body.lower().split("x"))
+    except ValueError:
+        raise CLIError("args", f"topology {text!r} is neither 'ring' nor RxC, e.g. 2x4") from None
+    if r < 1 or c < 1:
+        raise CLIError("args", f"topology {text!r} needs at least one row and one column")
+    topo = mesh_topology(r, c)
+    if n is not None and topo.n != n:
+        raise CLIError("args", f"topology {text} has {topo.n} replicas, expected {n}")
     return topo
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise CLIError("read", f"{path}: {e.strerror or e}") from None
+
+
 def _load_module(path: str) -> Module:
-    return parse_module(Path(path).read_text())
+    text = _read_text(path)
+    try:
+        return parse_module(text)
+    except ParseError as e:
+        raise CLIError("parse", f"{path}:{e}") from None
 
 
 def _override_topology(m: Module, args) -> Module:
@@ -74,9 +103,16 @@ def _json_default(o):
 
 
 def _cost_model(args) -> CostModel:
-    if getattr(args, "cost_model", None):
-        return CostModel.from_dict(json.loads(Path(args.cost_model).read_text()))
-    return CostModel()
+    path = getattr(args, "cost_model", None)
+    if not path:
+        return CostModel()
+    try:
+        raw = json.loads(_read_text(path))
+        if not isinstance(raw, dict):
+            raise ValueError("expected a JSON object")
+        return CostModel.from_dict(raw)
+    except (ValueError, TypeError) as e:  # bad JSON, bad field, or the model's own checks
+        raise CLIError("cost-model", f"{path}: {e}") from None
 
 
 # --------------------------------------------------------------------------- #
@@ -122,11 +158,14 @@ def cmd_transform(args) -> int:
 
 
 def _inputs_from_file(m: Module, path: str) -> dict:
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(_read_text(path))
+    except ValueError as e:
+        raise CLIError("inputs", f"{path}: {e}") from None
     inputs = {}
     for p in m.entry.parameters:
-        if p.id not in raw:
-            raise SystemExit(f"inputs file missing parameter {p.id!r}")
+        if not isinstance(raw, dict) or p.id not in raw:
+            raise CLIError("inputs", f"{path}: missing parameter {p.id!r}")
         entry = raw[p.id]
         if isinstance(entry, dict) and "per_replica" in entry:
             inputs[p.id] = PerReplica(entry["per_replica"])
@@ -146,7 +185,7 @@ def random_inputs(m: Module, seed: int, aux_names: set[str] | None = None) -> di
     inputs = {}
     for p in m.entry.parameters:
         if isinstance(p.shape, TupleShape):
-            raise SystemExit(f"tuple-shaped entry parameter {p.id} needs an inputs file")
+            raise CLIError("inputs", f"tuple-shaped entry parameter {p.id} needs an inputs file")
 
         def draw():
             if p.shape.etype.value == "s32":
@@ -206,12 +245,9 @@ def cmd_cost(args) -> int:
 def cmd_gen(args) -> int:
     topo = None
     if args.topology:
-        if args.replicas is None and args.topology != "ring":
-            body = args.topology[4:] if args.topology.startswith("mesh") else args.topology
-            r, c = body.lower().split("x")
-            topo = mesh_topology(int(r), int(c))
-        else:
-            topo = _parse_topology(args.topology, args.replicas or 8)
+        # without --replicas a mesh sets the replica count and a ring has 8
+        n = args.replicas or (8 if args.topology == "ring" else None)
+        topo = _parse_topology(args.topology, n)
     m = generators.gen_module(
         args.model,
         replicas=args.replicas,
@@ -465,6 +501,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except CLIError as e:
+        print(f"[{e.stage}] {e}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 0
 

@@ -67,12 +67,6 @@ class Shape:
             n *= d
         return n
 
-    def with_dims(self, dims) -> Shape:
-        return Shape(tuple(dims), self.etype)
-
-    def with_etype(self, etype: ElementType) -> Shape:
-        return Shape(self.dims, etype)
-
     def __str__(self) -> str:
         return f"{self.etype.value}[{','.join(str(d) for d in self.dims)}]"
 
@@ -531,9 +525,6 @@ class GraphBuilder:
         else:
             payload = tuple(float(v) for v in value)
         return self.emit("constant", Shape(tuple(dims), etype), id=id, value=payload)
-
-    def binary(self, op: str, a: Instruction, b: Instruction, id: str | None = None) -> Instruction:
-        return self.emit(op, a.shape, (a, b), id=id)
 
     def broadcast_scalar(self, s: Instruction, shape: Shape, id: str | None = None) -> Instruction:
         return self.emit("broadcast", shape, (s,), id=id, dims=())

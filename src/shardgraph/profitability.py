@@ -1,6 +1,6 @@
 """Weight-update cluster discovery and sharding profitability.
 
-Each full-group all-reduce anchors one cluster: the redundant elementwise
+Each `groups=all` all-reduce anchors one cluster: the redundant elementwise
 update operators reachable from it, plus the loop-state slots they read and
 write. Everything that needs the full tensor (forward-pass consumers, program
 outputs, outfeeds) lands on the frontier and becomes an all-gather site.
@@ -10,6 +10,11 @@ inputs and outputs scaled by (1 - 1/S); the cost is the modeled time of the
 all-gathers weighted by how often they run. One every-step all-gather per
 cluster is free: decomposing the anchor all-reduce into reduce-scatter plus
 all-gather already pays for it.
+
+This module makes every sharding decision: whether a cluster shards (a
+cluster whose loop state cannot stay sharded is kept, see `state_veto`), and
+within which groups (`select_groups`: all replicas, or the rows of a mesh).
+`transform.apply` emits exactly the decisions it is given.
 """
 
 from __future__ import annotations
@@ -92,7 +97,12 @@ def enclosing_loop(m: Module, comp: Computation) -> Instruction | None:
 
 
 def find_clusters(comp: Computation, rmap: RedundancyMap, m: Module) -> list[Cluster]:
-    """One cluster per full-group single-tensor all-reduce in `comp`.
+    """One cluster per `groups=all` single-tensor all-reduce in `comp`.
+
+    An anchor that lists its group explicitly is left alone, even when the
+    group holds every replica: on a mesh it runs as one ring, while the
+    rewrite emits `groups=all` collectives that run two-phase, so the sums
+    would come out in a different order.
 
     Growth walks users and operands of members; it stops at non-redundant
     instructions, unsupported opcodes, the computation root and side effects,
@@ -114,7 +124,7 @@ def find_clusters(comp: Computation, rmap: RedundancyMap, m: Module) -> list[Clu
     for anchor in comp.instructions:
         if anchor.opcode != "all-reduce" or len(anchor.operands) != 1:
             continue
-        if not (anchor.groups.is_all or len(anchor.groups.groups) == 1):
+        if not anchor.groups.is_all:
             continue
         if not isinstance(anchor.shape, Shape) or anchor.shape.rank == 0:
             continue
@@ -424,6 +434,32 @@ def select_groups(shape: Shape, m: Module, threshold: int = PARTIAL_SHARDING_THR
     return ALL_REPLICAS
 
 
+def _slots_read(comp: Computation) -> set[int]:
+    params = comp.parameters
+    if len(params) != 1:
+        return set()
+    p = params[0]
+    return {
+        i.index
+        for i in comp.instructions
+        if i.opcode == "get-tuple-element" and i.operands[0] is p
+    }
+
+
+def state_veto(cluster: Cluster, loop: Instruction | None) -> str | None:
+    """Why the cluster's loop state cannot stay sharded across iterations, or
+    None when it can. Every state slot the update reads must be written back
+    by the update, and the loop condition, which would see a shard of it,
+    must not read it."""
+    cond_slots = _slots_read(loop.cond) if loop is not None else set()
+    for slot, (_, paired) in sorted(cluster.state_slots.items()):
+        if not paired:
+            return f"state slot {slot} is not written back by the update"
+        if slot in cond_slots:
+            return f"state slot {slot} is read by the loop condition"
+    return None
+
+
 def cluster_io_bytes(cluster: Cluster, m: Module) -> int:
     """Combined physical bytes of the update subgraph's inputs and outputs.
 
@@ -481,7 +517,10 @@ def evaluate(
     """Decide whether to shard one cluster. Benefit is the saved update
     traffic; cost is the weighted time of the all-gathers sharding makes
     necessary, minus the one every-step gather the decomposed all-reduce
-    already pays for. Ties keep the cluster unsharded."""
+    already pays for. Ties keep the cluster unsharded, and so do the vetoes:
+    an unconditioned outfeed of a member, or loop state that cannot stay
+    sharded (`state_veto`; `loop` is the loop whose body holds the cluster).
+    A vetoed decision's reason names the veto."""
     cm = cm or CostModel()
     n = m.replica_count
     shape = Shape(cluster.dims, cluster.etype)
@@ -512,6 +551,7 @@ def evaluate(
             ag_sites.append(AgSite(f.member.id, "branch", freq))
         # loop-output uses of paired slots stay sharded; gathering moves to
         # the unsharding program
+    veto = veto or state_veto(cluster, loop)
     for tensor in in_loop_tensors:
         ag_sites.append(AgSite(tensor, "in-loop", 1.0))
     for slot, (gte, paired) in sorted(cluster.state_slots.items()):

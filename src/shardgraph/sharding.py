@@ -119,19 +119,6 @@ class ShardingSpec:
     def pad_steps(self) -> tuple[Pad, ...]:
         return tuple(s for s in self.steps if isinstance(s, Pad))
 
-    def padded_bytes(self, etype: ElementType, tile=DEFAULT_TILE) -> int:
-        """Physical bytes added by explicit Pad steps."""
-        dims = self.source_dims
-        total = 0
-        for step in self.steps:
-            new = apply_step_dims(dims, step)
-            if isinstance(step, Pad):
-                total += physical_bytes(Shape(new, etype), tile) - physical_bytes(
-                    Shape(dims, etype), tile
-                )
-            dims = new
-        return total
-
     def waste_bytes(self, etype: ElementType, tile=DEFAULT_TILE) -> int:
         """Total physical padding across all shards relative to the source
         buffer: explicit Pad bytes plus tile padding the slicing introduces

@@ -308,6 +308,15 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(msg, tok.line, tok.col)
 
+    def expect_number(self, conv=int):
+        """The next token as a number; lexed numbers such as `1e` or `1.5` in
+        an integer position are parse errors."""
+        t = self.expect("number")
+        try:
+            return conv(t.text)
+        except ValueError:
+            self.error(f"bad number {t.text!r}", t)
+
     def expect(self, kind: str) -> _Token:
         t = self.peek()
         if t.kind != kind:
@@ -350,8 +359,7 @@ class _Parser:
         dims = []
         if self.peek().kind != "]":
             while True:
-                d = self.expect("number")
-                dims.append(int(d.text))
+                dims.append(self.expect_number())
                 if not self.accept(","):
                     break
         self.expect("]")
@@ -362,7 +370,7 @@ class _Parser:
         out = []
         if self.peek().kind != "]":
             while True:
-                out.append(int(self.expect("number").text))
+                out.append(self.expect_number())
                 if not self.accept(","):
                     break
         self.expect("]")
@@ -378,7 +386,7 @@ class _Parser:
             self.expect("{")
             g = []
             while True:
-                g.append(int(self.expect("number").text))
+                g.append(self.expect_number())
                 if not self.accept(","):
                     break
             self.expect("}")
@@ -396,8 +404,7 @@ class _Parser:
         if t.kind == "word" and t.text in ("inf", "nan"):
             self.next()
             return float(t.text)
-        t = self.expect("number")
-        return float(t.text)
+        return self.expect_number(float)
 
     # -- module --------------------------------------------------------------
 
@@ -405,21 +412,21 @@ class _Parser:
         self.expect_word("module")
         self.expect_word("N")
         self.expect("=")
-        n = int(self.expect("number").text)
+        n = self.expect_number()
         self.expect_word("topology")
         self.expect("=")
         t = self.expect("word")
         if t.text == "ring":
             topo = Topology("ring", 1, n)
         elif t.text == "mesh":
-            topo = Topology("mesh", *self._parse_grid(t))
+            topo = Topology("mesh", *self._parse_grid())
         else:
             self.error(f"unknown topology {t.text!r}", t)
         tile = DEFAULT_TILE
         if self.peek().kind == "word" and self.peek().text == "tile":
-            tok = self.next()
+            self.next()
             self.expect("=")
-            tile = self._parse_grid(tok)
+            tile = self._parse_grid()
         self.expect("{")
 
         comps: dict[str, Computation] = {}
@@ -443,22 +450,17 @@ class _Parser:
             entry = list(comps.values())[-1]
         return Module(entry=entry, replica_count=n, topology=topo, tile=tile)
 
-    def _parse_grid(self, ctx: _Token) -> tuple[int, int]:
+    def _parse_grid(self) -> tuple[int, int]:
         """`RxC`, which lexes either as one word ('8x128') or as a number
         followed by a word ('32' 'x64')."""
         t = self.next()
-        if t.kind == "word":
-            try:
-                a, b = t.text.split("x")
-                return int(a), int(b)
-            except ValueError:
-                self.error(f"bad dimensions {t.text!r}", t)
-        if t.kind == "number":
-            w = self.expect("word")
-            if not w.text.startswith("x"):
-                self.error(f"bad dimensions {t.text}{w.text}", w)
-            return int(t.text), int(w.text[1:])
-        self.error("expected RxC dimensions", t)
+        if t.kind not in ("word", "number"):
+            self.error("expected RxC dimensions", t)
+        text = t.text + (self.expect("word").text if t.kind == "number" else "")
+        r, x, c = text.partition("x")
+        if not (x and r.isdigit() and c.isdigit()):
+            self.error(f"bad dimensions {text!r}", t)
+        return int(r), int(c)
 
     def parse_computation(self, known: dict[str, Computation]) -> Computation:
         self.expect_word("computation")
@@ -515,7 +517,7 @@ class _Parser:
         operands: list[Instruction] = []
         attrs: dict = {}
         if opcode == "parameter":
-            attrs["index"] = int(self.expect("number").text)
+            attrs["index"] = self.expect_number()
         elif opcode == "constant":
             values = []
             if self.peek().kind != ")":
@@ -559,7 +561,7 @@ class _Parser:
             key = self.expect("word").text
             self.expect("=")
             if key == "dim":
-                attrs["dims"] = (int(self.expect("number").text),)
+                attrs["dims"] = (self.expect_number(),)
             elif key == "dims":
                 attrs["dims"] = self.parse_int_list()
             elif key == "kind":
@@ -575,7 +577,7 @@ class _Parser:
             elif key == "sizes":
                 attrs["slice_sizes"] = self.parse_int_list()
             elif key == "index":
-                attrs["index"] = int(self.expect("number").text)
+                attrs["index"] = self.expect_number()
             elif key == "cond":
                 attrs["cond"] = self._comp_ref(comps)
             elif key == "body":

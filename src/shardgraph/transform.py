@@ -8,8 +8,14 @@ before their first use. The result is a three-program split: a sharding
 program (full state in, sharded state out), the main program, and an
 unsharding program, plus a manifest describing slot residency.
 
-Also here: precision demotion of in-loop all-gathers, partial (group-local)
-sharding, collective batching, and the per-step memory accountant.
+`apply` decides nothing: it emits every `shard` decision it is given,
+row-local ones included (a reduce-scatter within each mesh row followed by an
+all-reduce over the columns), and rejects decisions that do not fit the
+module. Which clusters shard, within which groups, is the planner's call
+(`profitability`).
+
+Also here: precision demotion of in-loop all-gathers, collective batching,
+and the per-step memory accountant.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from dataclasses import dataclass, field
 
 from .ir import (
     Computation,
-    ELEMENTWISE_BINARY,
     ElementType,
     GraphBuilder,
     Instruction,
@@ -31,14 +36,8 @@ from .ir import (
     S32,
 )
 from .memory import Manifest, MemoryReport, VariableInfo, memory_plan, step_computation
-from .profitability import Cluster, ShardingDecision, plan
-from .sharding import (
-    ShardingSpec,
-    build_reduce_scatter,
-    build_shard_ops,
-    build_unshard_ops,
-    choose_spec,
-)
+from .profitability import ShardingDecision, plan, state_veto  # `plan` is re-exported as `transform.plan`
+from .sharding import ShardingSpec, build_reduce_scatter, build_shard_ops, build_unshard_ops
 from .verify import check
 
 
@@ -126,8 +125,7 @@ class _ClusterPlan:
     decision: ShardingDecision
     spec: ShardingSpec
     cross_groups: ReplicaGroups | None  # column all-reduce for partial sharding
-    member_ids: set[str]
-    sharded_state_slots: dict[int, str]  # loop slot -> variable name
+    sharded_state_slots: set[int]  # loop slots
     sharded_params: dict[int, tuple[str, int | None]]  # entry param index -> (name, output slot)
 
 
@@ -139,14 +137,12 @@ class _BodyRewriter:
     before that first use.
     """
 
-    def __init__(self, m: Module, comp: Computation, plans: list[_ClusterPlan], state_shape, name: str, sharded_slots: dict[int, ShardingSpec]):
+    def __init__(self, m: Module, comp: Computation, plans: list[_ClusterPlan], state_shape, sharded_slots: dict[int, ShardingSpec]):
         self.m = m
         self.comp = comp
-        self.plans = plans
         self.state_shape = state_shape  # None when the computation has plain parameters
-        self.name = name
         self.sharded_slots = sharded_slots
-        self.gb = GraphBuilder(name)
+        self.gb = GraphBuilder(comp.name)
         self.mapping: dict[str, Instruction] = {}
         self.shard_of: dict[str, Instruction] = {}  # member id -> shard value
         self.full_of: dict[str, Instruction] = {}  # member id -> gathered value
@@ -154,16 +150,13 @@ class _BodyRewriter:
         self._rid: Instruction | None = None
         self._plan_of: dict[str, _ClusterPlan] = {}
         for p in plans:
-            for mid in p.member_ids:
+            for mid in p.decision.cluster.members:
                 self._plan_of[mid] = p
 
     def rid(self) -> Instruction:
         if self._rid is None:
             self._rid = self.gb.emit("replica-id", scalar(S32), id=self.gb.fresh_id("rid"))
         return self._rid
-
-    def shard_value(self, instr: Instruction) -> Instruction:
-        return self.shard_of[instr.id]
 
     def full_value(self, instr: Instruction) -> Instruction:
         """Full tensor for a member value, gathered on first demand."""
@@ -359,9 +352,12 @@ def _rewrite_branch(branch: Computation, arg_shape, specs_by_slot: dict[int, Sha
 def apply(m: Module, decisions: list[ShardingDecision], steps_hint: int | None = None) -> TransformResult:
     """Rewrite `m` according to the sharding decisions.
 
-    Produces the three-program split. When no decision shards anything, the
-    main program is structurally identical to the input and the sharding and
-    unsharding programs are positional pass-throughs.
+    Produces the three-program split. Every `shard` decision is emitted; one
+    whose anchor or members are not in the step computation, or whose loop
+    state cannot stay sharded (`profitability.state_veto`), raises
+    TransformError. When no decision shards anything, the main program is
+    structurally identical to the input and the sharding and unsharding
+    programs are positional pass-throughs.
     """
     check(m)
     loop = next((i for i in m.entry.instructions if i.opcode == "while"), None)
@@ -377,47 +373,32 @@ def apply(m: Module, decisions: list[ShardingDecision], steps_hint: int | None =
         for mid in d.cluster.members:
             if mid not in body_ids:
                 raise TransformError(f"decision references stale instruction %{mid}")
+        veto = state_veto(d.cluster, loop)
+        if veto is not None:
+            raise TransformError(f"cannot shard the cluster of %{d.cluster.anchor.id}: {veto}")
 
     plans: list[_ClusterPlan] = []
-    cond_slots = _slots_read(loop.cond) if loop is not None else set()
     for d in active:
         cluster = d.cluster
-        sharded_state: dict[int, str] = {}
-        ok = True
-        for slot, (gte, paired) in cluster.state_slots.items():
-            if not paired or slot in cond_slots:
-                ok = False
-        if not ok:
-            continue  # unpaired state cannot stay sharded; keep this cluster replicated
-        spec = d.spec
         cross = None
-        if not d.groups.is_all:
-            cols = m.topology.col_groups()
-            if m.topology.rows > 1:
-                cross = cols
-        for slot in cluster.state_slots:
-            sharded_state[slot] = f"slot{slot}"
+        if not d.groups.is_all and m.topology.rows > 1:
+            cross = m.topology.col_groups()
         sharded_params: dict[int, tuple[str, int | None]] = {}
         root_ops = cluster.computation.root.operands if cluster.computation.root.opcode == "tuple" else ()
         member_out_slots = [
             i for i, o in enumerate(root_ops) if o.id in cluster.members and o is not cluster.anchor
         ]
         if loop is None:
-            pidx = 0
-            for ins in sorted(
-                (i for i in cluster.members.values() if i.opcode == "parameter"),
-                key=lambda i: i.index,
-            ):
+            params = sorted((i for i in cluster.members.values() if i.opcode == "parameter"), key=lambda i: i.index)
+            for pidx, ins in enumerate(params):
                 out_slot = member_out_slots[pidx] if pidx < len(member_out_slots) else None
                 sharded_params[ins.index] = (ins.id, out_slot)
-                pidx += 1
         plans.append(
             _ClusterPlan(
                 decision=d,
-                spec=spec,
+                spec=d.spec,
                 cross_groups=cross,
-                member_ids=set(d.cluster.members),
-                sharded_state_slots=sharded_state,
+                sharded_state_slots=set(cluster.state_slots),
                 sharded_params=sharded_params,
             )
         )
@@ -425,18 +406,6 @@ def apply(m: Module, decisions: list[ShardingDecision], steps_hint: int | None =
     if loop is not None:
         return _apply_loop(m, loop, plans, steps_hint)
     return _apply_entry(m, plans, steps_hint)
-
-
-def _slots_read(comp: Computation) -> set[int]:
-    params = comp.parameters
-    if len(params) != 1:
-        return set()
-    p = params[0]
-    return {
-        i.index
-        for i in comp.instructions
-        if i.opcode == "get-tuple-element" and i.operands[0] is p
-    }
 
 
 def _new_state_shape(old: TupleShape, sharded: dict[int, ShardingSpec]) -> TupleShape:
@@ -458,9 +427,9 @@ def _apply_loop(m: Module, loop: Instruction, plans: list[_ClusterPlan], steps_h
     old_state: TupleShape = loop.operands[0].shape
     new_state = _new_state_shape(old_state, sharded_slots)
 
-    body_rw = _BodyRewriter(m, body, plans, new_state, body.name, sharded_slots)
+    body_rw = _BodyRewriter(m, body, plans, new_state, sharded_slots)
     new_body = body_rw.run()
-    cond_rw = _BodyRewriter(m, loop.cond, [], new_state, loop.cond.name, {})
+    cond_rw = _BodyRewriter(m, loop.cond, [], new_state, {})
     new_cond = cond_rw.run()
 
     # Entry: re-type parameters feeding sharded slots, rebuild init and loop.
@@ -617,7 +586,7 @@ def _apply_entry(m: Module, plans: list[_ClusterPlan], steps_hint) -> TransformR
             if out_slot is not None:
                 sharded_out_slots[out_slot] = p.spec
 
-    body_rw = _BodyRewriter(m, m.entry, plans, None, m.entry.name, sharded_out_slots)
+    body_rw = _BodyRewriter(m, m.entry, plans, None, sharded_out_slots)
     new_entry = body_rw.run()
     main = Module(new_entry, m.replica_count, m.topology, m.tile)
 
@@ -821,188 +790,6 @@ def _all_consumers_convert(
             else:
                 return None
     return (converts, through) if converts else None
-
-
-# --------------------------------------------------------------------------- #
-# Partial sharding of an already-transformed module
-# --------------------------------------------------------------------------- #
-
-
-def _shard_domain(m: Module, respeccable) -> set[tuple[str, int | None]]:
-    """Value positions living in the shard domain of re-specced collectives.
-
-    Positions are (instruction id, None) for arrays and (id, slot) for tuple
-    elements. Taint seeds at the outputs of shard/reduce-scatter fusions and
-    the inputs of all-gather/unshard fusions, then closes over value-forwarding
-    edges: elementwise users and operands of matching dims, tuple packing and
-    projection, loop state threading, and conditional argument passing.
-    """
-    edges: dict[tuple, set[tuple]] = {}
-
-    def link(a, b):
-        edges.setdefault(a, set()).add(b)
-        edges.setdefault(b, set()).add(a)
-
-    old_dims: set[tuple] = set()
-    seeds: list[tuple] = []
-    elementwise_like = ELEMENTWISE_BINARY | {"sqrt", "select", "compare", "convert", "broadcast"}
-    for comp in m.computations():
-        for ins in comp.instructions:
-            if ins.opcode == "fusion" and ins.kind in ("shard", "reduce_scatter", "all_gather", "unshard"):
-                if respeccable(ins):
-                    old_dims.add(tuple(ins.spec.shard_dims))
-                    if ins.kind in ("shard", "reduce_scatter"):
-                        seeds.append((ins.id, None))
-                    else:
-                        seeds.append((ins.operands[0].id, None))
-            elif ins.opcode == "tuple":
-                for k, o in enumerate(ins.operands):
-                    link((ins.id, k), (o.id, None))
-            elif ins.opcode == "get-tuple-element":
-                link((ins.id, None), (ins.operands[0].id, ins.index))
-            elif ins.opcode == "while":
-                init = ins.operands[0]
-                arity = len(ins.shape) if isinstance(ins.shape, TupleShape) else 1
-                bp = ins.body.parameters[0]
-                cp = ins.cond.parameters[0]
-                for k in range(arity):
-                    slot = k if isinstance(ins.shape, TupleShape) else None
-                    link((ins.id, slot), (init.id, slot))
-                    link((ins.id, slot), (bp.id, slot))
-                    link((ins.id, slot), (cp.id, slot))
-                    link((ins.id, slot), (ins.body.root.id, slot))
-            elif ins.opcode == "conditional":
-                for branch, arg in zip(ins.branches, ins.operands[1:]):
-                    bp = branch.parameters[0]
-                    arity = len(arg.shape) if isinstance(arg.shape, TupleShape) else 1
-                    for k in range(arity):
-                        slot = k if isinstance(arg.shape, TupleShape) else None
-                        link((bp.id, slot), (arg.id, slot))
-                    rarity = len(ins.shape) if isinstance(ins.shape, TupleShape) else 1
-                    for k in range(rarity):
-                        slot = k if isinstance(ins.shape, TupleShape) else None
-                        link((ins.id, slot), (branch.root.id, slot))
-            elif ins.opcode in elementwise_like and isinstance(ins.shape, Shape):
-                for o in ins.operands:
-                    if isinstance(o.shape, Shape) and o.shape.dims == ins.shape.dims:
-                        link((ins.id, None), (o.id, None))
-
-    dims_at: dict[tuple, tuple | None] = {}
-    for comp in m.computations():
-        for ins in comp.instructions:
-            if isinstance(ins.shape, Shape):
-                dims_at[(ins.id, None)] = ins.shape.dims
-            else:
-                for k, e in enumerate(ins.shape.elements):
-                    dims_at[(ins.id, k)] = e.dims
-
-    tainted: set[tuple] = set()
-    work = [s for s in seeds if dims_at.get(s) in old_dims]
-    while work:
-        cur = work.pop()
-        if cur in tainted:
-            continue
-        tainted.add(cur)
-        for nxt in edges.get(cur, ()):
-            if nxt not in tainted and dims_at.get(nxt) in old_dims:
-                work.append(nxt)
-    return tainted
-
-
-def apply_partial_sharding(m: Module, groups: ReplicaGroups) -> Module:
-    """Re-shard full-group collective fusions within `groups` (the mesh rows),
-    inserting a cross-group all-reduce after each reduce-scatter. Shard-domain
-    values between the collectives are re-typed to the group-local format."""
-    if groups.is_all:
-        return rebuild_module(m)
-    topo = m.topology
-    if topo.kind != "mesh" or groups.groups != topo.row_groups().groups:
-        raise TransformError("partial sharding groups must be the mesh rows")
-    gsize = topo.cols
-    cols = topo.col_groups()
-    cross = cols if topo.rows > 1 else None
-
-    def respeccable(ins: Instruction) -> bool:
-        return ins.spec.group.is_all and ins.spec.shard_count == m.replica_count
-
-    dim_map: dict[tuple, tuple] = {}
-    spec_map: dict[str, ShardingSpec] = {}
-
-    def respec(old: ShardingSpec, etype: ElementType) -> ShardingSpec:
-        key = str(old)
-        if key not in spec_map:
-            new = choose_spec(Shape(old.source_dims, etype), gsize, m.tile, groups)
-            spec_map[key] = new
-            dim_map[tuple(old.shard_dims)] = tuple(new.shard_dims)
-        return spec_map[key]
-
-    for ins in m.all_instructions():
-        if ins.opcode == "fusion" and ins.kind in ("shard", "reduce_scatter", "all_gather", "unshard"):
-            if respeccable(ins):
-                respec(ins.spec, ins.shape.etype if isinstance(ins.shape, Shape) else ElementType.F32)
-
-    tainted = _shard_domain(m, respeccable)
-
-    def remap_shape(instr: Instruction):
-        shape = instr.shape
-        if isinstance(shape, TupleShape):
-            elems = []
-            for k, e in enumerate(shape.elements):
-                if (instr.id, k) in tainted and e.dims in dim_map:
-                    elems.append(Shape(dim_map[e.dims], e.etype))
-                else:
-                    elems.append(e)
-            return TupleShape(tuple(elems))
-        if (instr.id, None) in tainted and shape.dims in dim_map:
-            return Shape(dim_map[shape.dims], shape.etype)
-        return shape
-
-    def rewriter(instr: Instruction, gb: GraphBuilder, mapping, comp_map):
-        if instr.opcode == "fusion" and instr.kind in ("shard", "reduce_scatter", "all_gather", "unshard"):
-            old: ShardingSpec = instr.spec
-            if not respeccable(instr):
-                return None
-            etype = instr.shape.etype if isinstance(instr.shape, Shape) else ElementType.F32
-            new = respec(old, etype)
-            if instr.kind in ("shard", "reduce_scatter"):
-                builder = build_shard_ops if instr.kind == "shard" else build_reduce_scatter
-                kwargs = {}
-                if instr.kind == "reduce_scatter":
-                    from .simulator import _fusion_reduce_kind
-
-                    kwargs["reduce_kind"] = _fusion_reduce_kind(instr)
-                out = builder(
-                    new,
-                    mapping[instr.operands[0].id],
-                    mapping[instr.operands[1].id],
-                    gb,
-                    topo,
-                    name_hint=instr.id,
-                    **kwargs,
-                )
-                if instr.kind == "reduce_scatter" and cross is not None:
-                    out = gb.emit(
-                        "all-reduce",
-                        out.shape,
-                        (out,),
-                        id=gb.fresh_id(f"xg_{instr.id}"),
-                        kind=kwargs.get("reduce_kind", "add"),
-                        groups=cross,
-                    )
-                return out
-            return build_unshard_ops(
-                new, mapping[instr.operands[0].id], gb, kind=instr.kind, name_hint=instr.id
-            )
-        new_shape = remap_shape(instr)
-        if new_shape == instr.shape:
-            return None
-        operands = tuple(mapping[o.id] for o in instr.operands)
-        attrs = _copy_attrs(instr, comp_map)
-        return gb.emit(instr.opcode, new_shape, operands, id=instr.id, **attrs)
-
-    out = rebuild_module(m, rewriter)
-    check(out)
-    return out
 
 
 # --------------------------------------------------------------------------- #

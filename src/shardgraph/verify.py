@@ -44,10 +44,6 @@ def verify(m: Module) -> list[Diagnostic]:
     return v.diags
 
 
-def verify_ok(m: Module) -> bool:
-    return not verify(m)
-
-
 def check(m: Module):
     """Raise ValueError listing all diagnostics if the module is malformed."""
     diags = verify(m)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shardgraph import profitability, transform
+from shardgraph.generators import WeightDef, build_training_module, preset
 from shardgraph.ir import Module, Shape, TupleShape
 from shardgraph.simulator import PerReplica, run
 
@@ -52,14 +53,16 @@ def training_inputs(m: Module, seed: int) -> dict:
     return inputs
 
 
-def run_pipeline(m: Module, steps, seed, force=True, demote=False, batch=False):
+def run_pipeline(m: Module, steps, seed, force=True, demote=False, batch=False, pin_full_groups=True):
     """Baseline vs shard/main/unshard composition; returns (baseline outputs,
-    composed outputs, transform result, main run result).
+    composed outputs, transform result, main program).
 
-    Forced decisions pin full-group sharding so the transformed collectives
-    use the same rings as the baseline all-reduce and results stay bitwise
-    identical; group-local sharding re-associates reductions and is checked
-    under tolerance elsewhere."""
+    Forced decisions pin full-group sharding by default, so the transformed
+    collectives use the same rings as the baseline all-reduce and results
+    stay bitwise identical. With `pin_full_groups=False` they keep the
+    planner's groups; row-local sharding on a mesh re-associates reductions
+    and is held to compare's tolerance in
+    test_transform.py::TestPartialSharding::test_planner_row_groups_within_tolerance."""
     from shardgraph.ir import ALL_REPLICAS, Shape
     from shardgraph.sharding import choose_spec
 
@@ -67,7 +70,7 @@ def run_pipeline(m: Module, steps, seed, force=True, demote=False, batch=False):
     if force:
         for d in decisions:
             d.shard = True
-            if not d.groups.is_all:
+            if pin_full_groups and not d.groups.is_all:
                 d.groups = ALL_REPLICAS
                 d.spec = choose_spec(
                     Shape(d.cluster.dims, d.cluster.etype), m.replica_count, m.tile
@@ -99,3 +102,19 @@ def _chained(m, inputs, seed, k):
 
 def outputs_bitwise_equal(a, b) -> bool:
     return all(bitwise_same(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def small_preset(model: str, topology):
+    """The preset's optimizer, precision and weight ranks with every dim
+    divided by 32 (at least 2), a counted 2-step loop and no outfeed."""
+    cfg = preset(model, layers=2)
+
+    def small(d):
+        return max(d // 32, 2)
+
+    cfg.weights = [
+        WeightDef(w.dims[:-2] + (small(w.dims[-2]), small(w.out_dim)), small(w.in_dim), small(w.out_dim))
+        for w in cfg.weights
+    ]
+    cfg.batch, cfg.steps, cfg.topology, cfg.replicas = 4, 2, topology, topology.n
+    return build_training_module(cfg)

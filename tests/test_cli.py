@@ -204,16 +204,18 @@ def test_compare_tolerance_breach_nonzero_exit(tmp_path):
 
 
 def test_compare_explicit_full_group_on_mesh(tmp_path):
-    # groups={{0,1,2,3}} runs as one ring on a 2x2 mesh; the transformed
-    # program's groups=all collectives run two-phase, so only the summation
-    # order differs
+    # groups={{0,1,2,3}} runs as one ring on a 2x2 mesh, while the rewrite
+    # emits groups=all collectives that run two-phase; the planner leaves
+    # such anchors alone, so the outputs stay bitwise equal
     path = tmp_path / "m.ir"
     assert main(["gen", "mlp", "--layers", "1", "--dim", "64", "--topology", "2x2",
                  "--steps", "0", "--out", str(path)]) == 0
     text = path.read_text()
     assert "groups=all" in text
     path.write_text(text.replace("groups=all", "groups={{0,1,2,3}}"))
-    assert main(["compare", str(path), "--seed", "0"]) == 0
+    report = tmp_path / "r.json"
+    assert main(["compare", str(path), "--seed", "0", "--json", str(report)]) == 0
+    assert json.loads(report.read_text())["max_abs_diff"] == 0.0
 
 
 def test_compare_reports_kept_update_members(tmp_path):
@@ -246,3 +248,40 @@ def test_cost_planner_failure_is_one_line(mlp_ir, monkeypatch, capsys):
     monkeypatch.setattr(profitability, "plan", fail)
     assert main(["cost", str(mlp_ir)]) == 2
     assert capsys.readouterr().err.strip() == "[analyze] no plan"
+
+
+def _truncated_module(tmp_path):
+    path = tmp_path / "m.ir"
+    assert main(["gen", "mlp", "--layers", "1", "--dim", "8", "--replicas", "4",
+                 "--steps", "3", "--out", str(path)]) == 0
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    return ["analyze", str(path)]
+
+
+def _zero_bandwidth_model(tmp_path):
+    path = tmp_path / "m.ir"
+    assert main(["gen", "mlp", "--layers", "1", "--dim", "8", "--replicas", "4",
+                 "--steps", "3", "--out", str(path)]) == 0
+    model = tmp_path / "cm.json"
+    model.write_text(json.dumps({"mem_bandwidth": 0}))
+    return ["cost", str(path), "--model", str(model)]
+
+
+@pytest.mark.parametrize(
+    "argv, stage",
+    [
+        (_truncated_module, "parse"),
+        (lambda tmp_path: ["simulate", str(tmp_path / "missing.ir")], "read"),
+        (lambda tmp_path: ["gen", "mlp", "--topology", "3x"], "args"),
+        (_zero_bandwidth_model, "cost-model"),
+    ],
+    ids=["truncated-ir", "missing-file", "bad-topology", "zero-bandwidth"],
+)
+def test_user_error_is_one_line_exit_2(argv, stage, tmp_path, capsys):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert err.startswith(f"[{stage}] ")

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import bitwise_same, chain_inputs, training_inputs
+from conftest import bitwise_same, chain_inputs, small_preset, training_inputs
 from shardgraph import profitability, transform
 from shardgraph.costmodel import CostModel, Phase, collective_phases
-from shardgraph.generators import MODELS, WeightDef, build_training_module, gen_module, preset
+from shardgraph.generators import MODELS, gen_module
 from shardgraph.ir import (
     ALL_REPLICAS,
     F16R,
@@ -313,22 +313,6 @@ class TestRingCollectives:
         [c] = cost(m).collectives
         assert res.stats.rounds == c.rounds == 2 * (4 - 1)
         assert res.stats.bytes_sent == c.bytes_per_replica
-
-
-def small_preset(model: str, topology):
-    """The preset's optimizer, precision and weight ranks with every dim
-    divided by 32 (at least 2), a counted 2-step loop and no outfeed."""
-    cfg = preset(model, layers=2)
-
-    def small(d):
-        return max(d // 32, 2)
-
-    cfg.weights = [
-        WeightDef(w.dims[:-2] + (small(w.dims[-2]), small(w.out_dim)), small(w.in_dim), small(w.out_dim))
-        for w in cfg.weights
-    ]
-    cfg.batch, cfg.steps, cfg.topology, cfg.replicas = 4, 2, topology, topology.n
-    return build_training_module(cfg)
 
 
 class TestCountersMatchModel:

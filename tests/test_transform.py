@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import bitwise_same, chain_inputs, outputs_bitwise_equal, run_pipeline, training_inputs
+from conftest import bitwise_same, chain_inputs, outputs_bitwise_equal, run_pipeline, small_preset, training_inputs
 from shardgraph import profitability, transform
-from shardgraph.generators import GenConfig, _chain, build_training_module, gen_module
+from shardgraph.generators import MODELS, GenConfig, _chain, build_training_module, gen_module
 from shardgraph.ir import (
     ALL_REPLICAS,
     F16R,
@@ -21,6 +21,7 @@ from shardgraph.ir import (
 )
 from shardgraph.sharding import build_reduce_scatter, build_unshard_ops, choose_spec
 from shardgraph.simulator import PerReplica, cost, run
+from shardgraph.textfmt import parse_module
 from shardgraph.verify import verify
 
 
@@ -220,54 +221,159 @@ class TestPartialSharding:
         for out in res.outputs:
             assert np.allclose(np.asarray(out), oracle, rtol=1e-6)
 
-    def test_all_groups_is_identity(self):
-        m = gen_module("mlp", replicas=4, steps=2, layers=1, dim=8)
-        res = forced_transform(m, 2)
-        out = transform.apply_partial_sharding(res.main, ALL_REPLICAS)
-        assert modules_equal(out, res.main)
-
     def test_single_row_mesh_elides_cross_group(self):
+        # forced row groups on a 1x4 mesh: the one row holds every replica,
+        # so there is no column all-reduce to add
         topo = mesh_topology(1, 4)
-        cfg = GenConfig("t", _chain([8, 8]), batch=2, optimizer="sgd", replicas=4,
-                        topology=topo, steps=2)
-        m = build_training_module(cfg)
-        res = forced_transform(m, 2)
-        out = transform.apply_partial_sharding(res.main, topo.row_groups())
-        body = next(i for i in out.entry.instructions if i.opcode == "while").body
-        cross = [i for i in body.instructions if i.opcode == "all-reduce" and i.groups and not i.groups.is_all]
-        assert cross == []
-
-    def test_partial_pass_preserves_semantics(self):
-        topo = mesh_topology(2, 2)
         cfg = GenConfig("t", _chain([8, 8]), batch=2, optimizer="sgd", replicas=4,
                         topology=topo, steps=2)
         m = build_training_module(cfg)
         decisions = profitability.plan(m, steps=2)
         for d in decisions:
             d.shard = True
-            d.groups = ALL_REPLICAS
-            d.spec = choose_spec(Shape(d.cluster.dims, d.cluster.etype), 4, group=ALL_REPLICAS)
-        res = transform.apply(m, decisions, steps_hint=2)
-        partial = transform.apply_partial_sharding(res.main, topo.row_groups())
-        assert verify(partial) == []
-        inputs = training_inputs(m, 6)
-        sh_full = run(res.shard_program, inputs, seed=6)
-        full_out = run(res.main, chain_inputs(res.main, sh_full.outputs), seed=6)
-        # the partially sharded main takes row-local shards
-        dec2 = profitability.plan(m, steps=2)
-        for d in dec2:
-            d.shard = True
             d.groups = topo.row_groups()
-            d.spec = choose_spec(Shape(d.cluster.dims, d.cluster.etype), 2, group=topo.row_groups())
-        res2 = transform.apply(m, dec2, steps_hint=2)
-        sh_part = run(res2.shard_program, inputs, seed=6)
-        part_out = run(partial, chain_inputs(partial, sh_part.outputs), seed=6)
-        fin_full = run(res.unshard_program, chain_inputs(res.unshard_program, full_out.outputs), seed=6)
-        fin_part = run(res2.unshard_program, chain_inputs(res2.unshard_program, part_out.outputs), seed=6)
-        for a, b in zip(fin_full.outputs, fin_part.outputs):
+            d.spec = choose_spec(Shape(d.cluster.dims, d.cluster.etype), 4, group=d.groups)
+        res = transform.apply(m, decisions, steps_hint=2)
+        body = next(i for i in res.main.entry.instructions if i.opcode == "while").body
+        assert len(fusions_of(body, "reduce_scatter")) == len(decisions)
+        cross = [i for i in body.instructions if i.opcode == "all-reduce" and i.groups and not i.groups.is_all]
+        assert cross == []
+
+    def test_planner_row_groups_within_tolerance(self):
+        # on a 2x2 mesh the planner shards small tensors within rows: a row
+        # reduce-scatter plus a column all-reduce re-associates the sum, so
+        # the composition is held to compare's scaled 1e-6 tolerance
+        topo = mesh_topology(2, 2)
+        cfg = GenConfig("t", _chain([8, 8]), batch=2, optimizer="sgd", replicas=4,
+                        topology=topo, steps=2)
+        m = build_training_module(cfg)
+        base, fin, res, main = run_pipeline(m, steps=2, seed=6, pin_full_groups=False)
+        assert res.decisions and all(d.groups == topo.row_groups() for d in res.decisions)
+        body = next(i for i in main.entry.instructions if i.opcode == "while").body
+        cross = [i for i in body.instructions if i.opcode == "all-reduce" and i.groups == topo.col_groups()]
+        assert len(cross) == len(res.decisions)
+        for a, b in zip(base, fin):
             for xa, xb in zip(a, b):
                 xa, xb = np.asarray(xa, np.float64), np.asarray(xb, np.float64)
-                assert np.all(np.abs(xa - xb) <= 1e-6 * np.maximum(np.abs(xa), 1.0) + 1e-6)
+                assert np.all(np.abs(xa - xb) <= 1e-6 * (1.0 + np.abs(xa)))
+
+
+def _weight_loop(cond_reads_weight: bool, weight_written_back: bool) -> Module:
+    """SGD on one weight in state slot 1 of a hand-built loop. The condition
+    either counts steps or runs until the weights sum past a bound; the body
+    either writes the update back to slot 1, or sends it to slot 2 and
+    writes slot 1 with a dot of the weight, an operator that stays outside
+    the update cluster."""
+    if cond_reads_weight:
+        cond = """
+    %c.w = f32[8,8] get-tuple-element(%cs), index=1
+    %c.zero = f32[] constant(0.0)
+    %c.sum = f32[] reduce(%c.w, %c.zero), dims=[0,1], kind=add
+    %c.bound = f32[] constant(100.0)
+    %c.go = pred[] compare(%c.sum, %c.bound), direction=lt"""
+    else:
+        cond = """
+    %c.i = s32[] get-tuple-element(%cs), index=0
+    %c.bound = s32[] constant(1000)
+    %c.go = pred[] compare(%c.i, %c.bound), direction=lt"""
+    if weight_written_back:
+        slot1, slot2 = "%w.new", "%b.u"
+    else:
+        slot1, slot2 = "%w.sq", "%w.new"
+    state = "(s32[], f32[8,8], f32[8,8])"
+    text = f"""module N=4 topology=ring {{
+  computation cond (%cs: {state}) -> pred[] {{
+    %cs = {state} parameter(0){cond}
+    return (%c.go)
+  }}
+  computation body (%bs: {state}) -> {state} {{
+    %bs = {state} parameter(0)
+    %b.i = s32[] get-tuple-element(%bs), index=0
+    %b.w = f32[8,8] get-tuple-element(%bs), index=1
+    %b.u = f32[8,8] get-tuple-element(%bs), index=2
+    %g = f32[8,8] rng()
+    %ar = f32[8,8] all-reduce(%g), kind=add, groups=all
+    %lr = f32[] constant(0.01)
+    %lrb = f32[8,8] broadcast(%lr), dims=[]
+    %step = f32[8,8] mul(%lrb, %ar)
+    %w.new = f32[8,8] sub(%b.w, %step)
+    %w.sq = f32[8,8] dot(%b.w, %b.w)
+    %one = s32[] constant(1)
+    %i.new = s32[] add(%b.i, %one)
+    %next = {state} tuple(%i.new, {slot1}, {slot2})
+    return (%next)
+  }}
+  entry computation main (%w: f32[8,8] {{replica_equal}}, %u: f32[8,8] {{replica_equal}}) -> {state} {{
+    %w = f32[8,8] parameter(0) {{replica_equal}}
+    %u = f32[8,8] parameter(1) {{replica_equal}}
+    %i0 = s32[] constant(0)
+    %init = {state} tuple(%i0, %w, %u)
+    %loop = {state} while(%init), cond=cond, body=body
+    return (%loop)
+  }}
+}}
+"""
+    m = parse_module(text)
+    assert verify(m) == []
+    return m
+
+
+class TestStateSlotVeto:
+    """A cluster whose weight slot cannot stay sharded across iterations is
+    kept by the planner, with the slot in its reason; the transform rejects
+    a forced shard of it instead of quietly keeping it."""
+
+    @pytest.mark.parametrize(
+        "cond_reads_weight, written_back, reason",
+        [
+            (True, True, "state slot 1 is read by the loop condition"),
+            (False, False, "state slot 1 is not written back by the update"),
+        ],
+    )
+    def test_planner_keeps_and_transform_rejects(self, cond_reads_weight, written_back, reason):
+        m = _weight_loop(cond_reads_weight, written_back)
+        [d] = profitability.plan(m, steps=1000)
+        assert 1 in d.cluster.state_slots
+        assert not d.shard and d.reason == reason
+        res = transform.apply(m, [d], steps_hint=1000)
+        [w] = [v for v in res.manifest.variables if v.slot == 1]
+        assert w.residency == "full"
+        assert modules_equal(res.main, m)
+        d.shard = True
+        with pytest.raises(transform.TransformError, match=reason):
+            transform.apply(m, [d], steps_hint=1000)
+
+    def test_paired_uncounted_slot_is_sharded(self):
+        # the same loop with the weight written back and a counted condition
+        # passes the veto, so the decision rests on benefit and cost
+        m = _weight_loop(cond_reads_weight=False, weight_written_back=True)
+        [d] = profitability.plan(m, steps=1000)
+        loop = next(i for i in m.entry.instructions if i.opcode == "while")
+        assert profitability.state_veto(d.cluster, loop) is None
+        assert d.reason.startswith("benefit")
+        d.shard = True
+        res = transform.apply(m, [d], steps_hint=1000)
+        [w] = [v for v in res.manifest.variables if v.slot == 1]
+        assert w.residency == "sharded"
+
+
+def test_every_shard_decision_becomes_a_reduce_scatter():
+    # the planner's own decisions on every preset, on a ring and on a mesh:
+    # each `shard` anchor is a reduce-scatter of its gradient in the emitted
+    # main program, and each `keep` anchor is still its all-reduce
+    seen = set()
+    for model in MODELS:
+        for topo in (ring_topology(4), mesh_topology(2, 2)):
+            m = small_preset(model, topo)
+            decisions = profitability.plan(m, steps=1000)
+            res = transform.apply(m, decisions, steps_hint=1000)
+            body = next(i for i in res.main.entry.instructions if i.opcode == "while").body
+            scattered = sorted(f.operands[0].id for f in fusions_of(body, "reduce_scatter"))
+            assert scattered == sorted(d.cluster.anchor.operands[0].id for d in decisions if d.shard)
+            kept = {i.id for i in body.instructions if i.opcode == "all-reduce"}
+            assert all(d.cluster.anchor.id in kept for d in decisions if not d.shard)
+            seen.update(d.shard for d in decisions)
+    assert seen == {True, False}
 
 
 class TestBatching:
