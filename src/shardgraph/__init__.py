@@ -21,6 +21,7 @@ from .ir import (
     ring_topology,
     scalar,
     topo_order,
+    users_map,
 )
 from .textfmt import ParseError, parse_module, print_module
 from .verify import Diagnostic, check, verify

@@ -7,7 +7,11 @@ baseline vs. transformed diff of outputs, modeled cost and peak memory), and
 --seed is not given.
 
 A user error (unreadable or malformed input file, bad argument, invalid cost
-model) prints one `[stage] message` line to stderr and exits 2.
+model) prints one `[stage] message` line to stderr and exits 2. Every
+subcommand that reads a module verifies it first and prints each diagnostic
+as a `[verify] ...` line. A pass that rejects a verified module exits 2 with
+`[analyze]`, `[transform]` or `[simulate]`; any other exception is a bug and
+is not caught.
 """
 
 from __future__ import annotations
@@ -24,13 +28,15 @@ from . import generators, profitability, transform
 from .costmodel import CostModel
 from .ir import Module, Topology, TupleShape, mesh_topology, ring_topology
 from .redundancy import analyze
-from .simulator import PerReplica, cost, run
+from .simulator import PerReplica, SimulationError, cost, run
 from .textfmt import ParseError, parse_module, print_module
+from .transform import TransformError
 from .verify import verify
 
 
 class CLIError(Exception):
-    """A user error; `main` prints `[stage] message` and exits 2."""
+    """A user error; `main` prints each line of the message as
+    `[stage] line` and exits 2."""
 
     def __init__(self, stage: str, message: str):
         super().__init__(message)
@@ -84,6 +90,18 @@ def _override_topology(m: Module, args) -> Module:
     return Module(entry=m.entry, replica_count=n, topology=topo, tile=m.tile)
 
 
+def _load_verified(path: str, overrides=None) -> Module:
+    """The module at `path`, with the --replicas/--topology arguments in
+    `overrides` applied, or a `[verify]` error listing every diagnostic."""
+    m = _load_module(path)
+    if overrides is not None:
+        m = _override_topology(m, overrides)
+    diags = verify(m)
+    if diags:
+        raise CLIError("verify", "\n".join(str(d) for d in diags))
+    return m
+
+
 def _emit_json(obj, path: str | None):
     text = json.dumps(obj, indent=2, default=_json_default)
     if path:
@@ -120,31 +138,45 @@ def _cost_model(args) -> CostModel:
 # --------------------------------------------------------------------------- #
 
 
+def _plan(m: Module, cm: CostModel, steps: int | None):
+    """`profitability.plan`; the `ValueError` it rejects a module with
+    becomes an `[analyze]` error."""
+    try:
+        return profitability.plan(m, cm, steps=steps)
+    except ValueError as e:
+        raise CLIError("analyze", str(e)) from None
+
+
+def _compile(m: Module, decisions, steps: int | None, args):
+    """`apply`, then demotion and batching unless switched off: the
+    transform result and the final main program."""
+    try:
+        result = transform.apply(m, decisions, steps_hint=steps)
+        main = result.main
+        if not args.no_demote:
+            main = transform.demote_allgather_precision(main)
+        if not args.no_batch:
+            main = transform.batch_collectives(main)
+    except TransformError as e:
+        raise CLIError("transform", str(e)) from None
+    return result, main
+
+
 def cmd_analyze(args) -> int:
-    m = _load_module(args.module)
-    diags = verify(m)
-    if diags:
-        for d in diags:
-            print(str(d), file=sys.stderr)
-        return 2
+    m = _load_verified(args.module)
     rmap = analyze(m)
     out = {"verdicts": rmap.to_dict(), "summary": rmap.summary()}
     if args.profit:
-        decisions = profitability.plan(m, _cost_model(args), steps=args.steps)
+        decisions = _plan(m, _cost_model(args), args.steps)
         out["clusters"] = [d.to_dict() for d in decisions]
     _emit_json(out, args.json)
     return 0
 
 
 def cmd_transform(args) -> int:
-    m = _load_module(args.module)
-    decisions = profitability.plan(m, _cost_model(args), steps=args.steps)
-    result = transform.apply(m, decisions, steps_hint=args.steps)
-    main = result.main
-    if not args.no_demote:
-        main = transform.demote_allgather_precision(main)
-    if not args.no_batch:
-        main = transform.batch_collectives(main)
+    m = _load_verified(args.module)
+    decisions = _plan(m, _cost_model(args), args.steps)
+    result, main = _compile(m, decisions, args.steps, args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "main.ir").write_text(print_module(main))
@@ -205,13 +237,16 @@ def random_inputs(m: Module, seed: int, aux_names: set[str] | None = None) -> di
 
 
 def cmd_simulate(args) -> int:
-    m = _override_topology(_load_module(args.module), args)
+    m = _load_verified(args.module, args)
     seed = _seed(args)
     if args.inputs:
         inputs = _inputs_from_file(m, args.inputs)
     else:
         inputs = random_inputs(m, seed)
-    result = run(m, inputs, seed=seed)
+    try:
+        result = run(m, inputs, seed=seed)
+    except SimulationError as e:
+        raise CLIError("simulate", str(e)) from None
     payload = {
         "replicas": m.replica_count,
         "outputs": [_value_to_json(v) for v in result.outputs],
@@ -230,13 +265,9 @@ def _value_to_json(v):
 
 
 def cmd_cost(args) -> int:
-    m = _load_module(args.module)
+    m = _load_verified(args.module)
     cm = _cost_model(args)
-    try:
-        decisions = profitability.plan(m, cm)
-    except Exception as e:  # surface the failing pass per the CLI contract
-        print(f"[analyze] {e}", file=sys.stderr)
-        return 2
+    decisions = _plan(m, cm, None)
     report = cost(m, cm, profitability.update_member_ids(decisions))
     _emit_json(report.to_dict(), args.json)
     return 0
@@ -309,36 +340,17 @@ def _diff_outputs(a, b):
 
 
 def cmd_compare(args) -> int:
-    m = _override_topology(_load_module(args.module), args)
+    m = _load_verified(args.module, args)
     cm = _cost_model(args)
     seed = _seed(args)
     steps = args.steps
-
-    diags = verify(m)
-    if diags:
-        for d in diags:
-            print(f"[verify] {d}", file=sys.stderr)
-        return 2
 
     loop = next((i for i in m.entry.instructions if i.opcode == "while"), None)
     loop_steps = profitability.loop_trip_count(loop) if loop is not None else None
     amortize = loop_steps or steps or profitability.DEFAULT_TRIP_COUNT
 
-    try:
-        decisions = profitability.plan(m, cm, steps=amortize)
-    except Exception as e:  # surface the failing pass per the CLI contract
-        print(f"[analyze] {e}", file=sys.stderr)
-        return 2
-    try:
-        result = transform.apply(m, decisions, steps_hint=amortize)
-        main = result.main
-        if not args.no_demote:
-            main = transform.demote_allgather_precision(main)
-        if not args.no_batch:
-            main = transform.batch_collectives(main)
-    except Exception as e:
-        print(f"[transform] {e}", file=sys.stderr)
-        return 2
+    decisions = _plan(m, cm, amortize)
+    result, main = _compile(m, decisions, amortize, args)
 
     report: dict = {
         "replicas": m.replica_count,
@@ -356,9 +368,8 @@ def cmd_compare(args) -> int:
             sh = run(result.shard_program, inputs, seed=seed)
             main_out = _run_chained(main, _chain_inputs(main, sh.outputs), seed, k)
             fin = run(result.unshard_program, _chain_inputs(result.unshard_program, main_out), seed=seed)
-        except Exception as e:
-            print(f"[simulate] {e}", file=sys.stderr)
-            return 2
+        except SimulationError as e:
+            raise CLIError("simulate", str(e)) from None
         for r in range(m.replica_count):
             a, rel = _diff_outputs([base_out[r]], [fin.outputs[r]])
             max_abs, max_rel = max(max_abs, a), max(max_rel, rel)
@@ -502,7 +513,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except CLIError as e:
-        print(f"[{e.stage}] {e}", file=sys.stderr)
+        for line in str(e).splitlines() or [""]:
+            print(f"[{e.stage}] {line}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 0

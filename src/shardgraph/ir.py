@@ -387,8 +387,19 @@ class Module:
 
 
 # --------------------------------------------------------------------------- #
-# Topological order
+# Def-use index and topological order
 # --------------------------------------------------------------------------- #
+
+
+def users_map(comp: Computation) -> dict[str, list[Instruction]]:
+    """The users of each value in `comp`, keyed by the value's id, in
+    instruction order; a user that reads a value twice is listed twice.
+    Passes build it once and look users up in it."""
+    users: dict[str, list[Instruction]] = {}
+    for ins in comp.instructions:
+        for o in ins.operands:
+            users.setdefault(o.id, []).append(ins)
+    return users
 
 
 def topo_order(comp: Computation) -> list[Instruction]:

@@ -33,6 +33,7 @@ from .ir import (
     Shape,
     TupleShape,
     physical_bytes,
+    users_map,
 )
 from .redundancy import RedundancyMap, analyze
 from .sharding import ShardingSpec, choose_spec
@@ -90,13 +91,21 @@ def _is_member_candidate(
 
 
 def enclosing_loop(m: Module, comp: Computation) -> Instruction | None:
+    if comp is m.entry:
+        return None  # the entry is no loop's body
     for ins in m.all_instructions():
         if ins.opcode == "while" and ins.body is comp:
             return ins
     return None
 
 
-def find_clusters(comp: Computation, rmap: RedundancyMap, m: Module) -> list[Cluster]:
+def find_clusters(
+    comp: Computation,
+    rmap: RedundancyMap,
+    m: Module,
+    users: dict[str, list[Instruction]] | None = None,
+    loop: Instruction | None = None,
+) -> list[Cluster]:
     """One cluster per `groups=all` single-tensor all-reduce in `comp`.
 
     An anchor that lists its group explicitly is left alone, even when the
@@ -107,12 +116,39 @@ def find_clusters(comp: Computation, rmap: RedundancyMap, m: Module) -> list[Clu
     Growth walks users and operands of members; it stops at non-redundant
     instructions, unsupported opcodes, the computation root and side effects,
     which become frontier entries. Clusters are pairwise disjoint.
+
+    `users` is `ir.users_map(comp)` and `loop` the while whose body is
+    `comp`; `plan` passes both, and they are worked out when not given.
     """
-    loop = enclosing_loop(m, comp)
-    users: dict[str, list[Instruction]] = {}
-    for ins in comp.instructions:
-        for o in ins.operands:
-            users.setdefault(o.id, []).append(ins)
+    if users is None:
+        users = users_map(comp)
+    if loop is None:
+        loop = enclosing_loop(m, comp)
+    root = comp.root
+    root_ops = root.operands if root.opcode == "tuple" else ()
+    root_slot: dict[str, int] = {}  # the first root slot of each root operand
+    for slot, o in enumerate(root_ops):
+        if o.id not in root_slot:
+            root_slot[o.id] = slot
+    branch_freq: dict[str, Fraction | None] = {}  # conditional id -> frequency
+
+    def classify(member: Instruction, user: Instruction) -> FrontierUse:
+        if user is root and user.opcode == "tuple":
+            return FrontierUse(member, user, "loop-output", slot=root_slot[member.id])
+        if user.opcode == "outfeed":
+            return FrontierUse(member, user, "outfeed")
+        if user.opcode == "tuple":
+            # a tuple bundling full tensors for a conditional branch
+            cond = next((u for u in users.get(user.id, ()) if u.opcode == "conditional"), None)
+            if cond is not None:
+                if cond.id not in branch_freq:
+                    branch_freq[cond.id] = (
+                        estimate_branch_frequency(cond, loop)
+                        if loop is not None
+                        else predicate_mod_frequency(cond.operands[0])
+                    )
+                return FrontierUse(member, user, "branch", frequency=branch_freq[cond.id])
+        return FrontierUse(member, user, "in-loop")
 
     state_param = None
     params = comp.parameters
@@ -150,9 +186,6 @@ def find_clusters(comp: Computation, rmap: RedundancyMap, m: Module) -> list[Clu
         # Prune members that feed nothing inside the cluster and are not state
         # outputs: sharding them only forces an extra gather, so they stay in
         # the replicated full domain instead.
-        root_op_ids = (
-            {o.id for o in comp.root.operands} if comp.root.opcode == "tuple" else set()
-        )
         changed = True
         while changed:
             changed = False
@@ -161,7 +194,7 @@ def find_clusters(comp: Computation, rmap: RedundancyMap, m: Module) -> list[Clu
                     continue
                 if any(u.id in members for u in users.get(ins.id, ())):
                     continue
-                if ins.id in root_op_ids:
+                if ins.id in root_slot:
                     continue
                 del members[ins.id]
                 changed = True
@@ -171,7 +204,7 @@ def find_clusters(comp: Computation, rmap: RedundancyMap, m: Module) -> list[Clu
         for ins in members.values():
             for user in users.get(ins.id, ()):
                 if user.id not in members:
-                    frontier.append(_classify_use(ins, user, comp, loop))
+                    frontier.append(classify(ins, user))
             if ins is anchor:
                 continue
             for op in ins.operands:
@@ -189,7 +222,6 @@ def find_clusters(comp: Computation, rmap: RedundancyMap, m: Module) -> list[Clu
 
         state_slots: dict[int, tuple[Instruction, bool]] = {}
         if state_param is not None:
-            root_ops = comp.root.operands if comp.root.opcode == "tuple" else ()
             for ins in members.values():
                 if ins.opcode == "get-tuple-element" and ins.operands[0] is state_param:
                     slot = ins.index
@@ -214,31 +246,6 @@ def find_clusters(comp: Computation, rmap: RedundancyMap, m: Module) -> list[Clu
             )
         )
     return clusters
-
-
-def _classify_use(member: Instruction, user: Instruction, comp: Computation, loop: Instruction | None) -> FrontierUse:
-    if user is comp.root and user.opcode == "tuple":
-        slot = next(i for i, o in enumerate(user.operands) if o is member)
-        return FrontierUse(member, user, "loop-output", slot=slot)
-    if user.opcode == "outfeed":
-        return FrontierUse(member, user, "outfeed")
-    if user.opcode == "tuple":
-        # a tuple bundling full tensors for a conditional branch
-        for maybe_cond in _users_of(user, comp):
-            if maybe_cond.opcode == "conditional":
-                if loop is not None:
-                    freq = estimate_branch_frequency(maybe_cond, loop)
-                else:
-                    freq = predicate_mod_frequency(maybe_cond.operands[0])
-                return FrontierUse(member, user, "branch", frequency=freq)
-        if user is comp.root:
-            slot = next(i for i, o in enumerate(user.operands) if o is member)
-            return FrontierUse(member, user, "loop-output", slot=slot)
-    return FrontierUse(member, user, "in-loop")
-
-
-def _users_of(instr: Instruction, comp: Computation) -> list[Instruction]:
-    return [i for i in comp.instructions if instr in i.operands]
 
 
 # --------------------------------------------------------------------------- #
@@ -416,14 +423,21 @@ class ShardingDecision:
         }
 
 
-def select_groups(shape: Shape, m: Module, threshold: int = PARTIAL_SHARDING_THRESHOLD_BYTES) -> ReplicaGroups:
+def select_groups(
+    shape: Shape,
+    m: Module,
+    threshold: int = PARTIAL_SHARDING_THRESHOLD_BYTES,
+    rows: ReplicaGroups | None = None,
+) -> ReplicaGroups:
     """Full sharding by default; on a mesh, shard within rows instead when the
     fully-sharded piece would be small enough to be latency-bound, or when the
-    row-local format wastes fewer padded bytes than the full one."""
+    row-local format wastes fewer padded bytes than the full one. `rows` is
+    `m.topology.row_groups()`, when the caller has built it already."""
     topo = m.topology
     if topo.kind != "mesh" or topo.rows <= 1 or topo.cols <= 1:
         return ALL_REPLICAS
-    rows = topo.row_groups()
+    if rows is None:
+        rows = topo.row_groups()
     full_spec = choose_spec(shape, m.replica_count, m.tile)
     shard_bytes = physical_bytes(Shape(full_spec.shard_dims, shape.etype), m.tile)
     if shard_bytes < threshold:
@@ -460,7 +474,9 @@ def state_veto(cluster: Cluster, loop: Instruction | None) -> str | None:
     return None
 
 
-def cluster_io_bytes(cluster: Cluster, m: Module) -> int:
+def cluster_io_bytes(
+    cluster: Cluster, m: Module, users: dict[str, list[Instruction]] | None = None
+) -> int:
     """Combined physical bytes of the update subgraph's inputs and outputs.
 
     Inputs: the anchor's reduced gradient, state reads (slot projections and
@@ -468,6 +484,8 @@ def cluster_io_bytes(cluster: Cluster, m: Module) -> int:
     non-member tensors the update consumes. Outputs: update values consumed
     outside the cluster (state writes, frontier uses). Broadcast members and
     intermediate arithmetic fuse away and do not count.
+
+    `users` is `ir.users_map(cluster.computation)`, built when not given.
     """
     conduits = {
         i.id
@@ -494,15 +512,12 @@ def cluster_io_bytes(cluster: Cluster, m: Module) -> int:
                 seen.add(op.id)
                 if op.opcode != "broadcast":
                     total += physical_bytes(op.shape, m.tile)
-    users: dict[str, list[Instruction]] = {}
-    for ins in cluster.computation.instructions:
-        for o in ins.operands:
-            users.setdefault(o.id, []).append(ins)
-    member_ids = set(cluster.members)
+    if users is None:
+        users = users_map(cluster.computation)
     for ins in cluster.update_members:
         if ins.id in conduits or ins.id in seen:
             continue
-        if any(u.id not in member_ids for u in users.get(ins.id, ())):
+        if any(u.id not in cluster.members for u in users.get(ins.id, ())):
             total += physical_bytes(ins.shape, m.tile)
     return total
 
@@ -513,6 +528,8 @@ def evaluate(
     cm: CostModel | None = None,
     steps: int | None = None,
     loop: Instruction | None = None,
+    users: dict[str, list[Instruction]] | None = None,
+    mesh: tuple[ReplicaGroups, ReplicaGroups] | None = None,
 ) -> ShardingDecision:
     """Decide whether to shard one cluster. Benefit is the saved update
     traffic; cost is the weighted time of the all-gathers sharding makes
@@ -520,11 +537,17 @@ def evaluate(
     already pays for. Ties keep the cluster unsharded, and so do the vetoes:
     an unconditioned outfeed of a member, or loop state that cannot stay
     sharded (`state_veto`; `loop` is the loop whose body holds the cluster).
-    A vetoed decision's reason names the veto."""
+    A vetoed decision's reason names the veto.
+
+    `plan` passes what it builds once for all clusters: `users`, the users
+    map of the cluster's computation, and `mesh`, the topology's row and
+    column groups. Both are built here when not given."""
     cm = cm or CostModel()
     n = m.replica_count
+    if mesh is None:
+        mesh = _mesh_groups(m)
     shape = Shape(cluster.dims, cluster.etype)
-    groups = select_groups(shape, m)
+    groups = select_groups(shape, m, rows=mesh[0])
     s = groups.group_size(n)
     spec = choose_spec(shape, s, m.tile, groups)
 
@@ -534,7 +557,7 @@ def evaluate(
             steps = DEFAULT_TRIP_COUNT
         steps = max(steps, 1)
 
-    update_bytes = cluster_io_bytes(cluster, m)
+    update_bytes = cluster_io_bytes(cluster, m, users)
     benefit = cm.compute_time(update_bytes) * (1.0 - 1.0 / s) if s > 1 else 0.0
 
     veto = None
@@ -570,7 +593,7 @@ def evaluate(
     if not groups.is_all:
         # partial sharding adds a cross-group all-reduce on the shard
         shard_bytes = physical_bytes(Shape(spec.shard_dims, shape.etype), m.tile)
-        rs_time += time_of(all_reduce_phases(shard_bytes, m.topology, m.topology.col_groups()))
+        rs_time += time_of(all_reduce_phases(shard_bytes, m.topology, mesh[1]))
     cost_sec = rs_time + sum(site.weight * ag_time for site in ag_sites) - ar_time
 
     shard = (
@@ -596,14 +619,21 @@ def evaluate(
     )
 
 
+def _mesh_groups(m: Module) -> tuple[ReplicaGroups, ReplicaGroups]:
+    return m.topology.row_groups(), m.topology.col_groups()
+
+
 def plan(m: Module, cm: CostModel | None = None, steps: int | None = None) -> list[ShardingDecision]:
     """Full analysis pipeline: redundancy, clusters in the training-step
-    computation, and a decision per cluster."""
+    computation, and a decision per cluster. The users map of the step
+    computation and the mesh groups are built once and shared by all."""
     rmap = analyze(m)
     loop = next((i for i in m.entry.instructions if i.opcode == "while"), None)
     comp = loop.body if loop is not None else m.entry
-    clusters = find_clusters(comp, rmap, m)
-    return [evaluate(c, m, cm, steps=steps, loop=loop) for c in clusters]
+    users = users_map(comp)
+    mesh = _mesh_groups(m)
+    clusters = find_clusters(comp, rmap, m, users, loop)
+    return [evaluate(c, m, cm, steps=steps, loop=loop, users=users, mesh=mesh) for c in clusters]
 
 
 def update_member_ids(decisions: list[ShardingDecision]) -> set[str]:

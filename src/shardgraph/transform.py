@@ -34,6 +34,7 @@ from .ir import (
     TupleShape,
     scalar,
     S32,
+    users_map,
 )
 from .memory import Manifest, MemoryReport, VariableInfo, memory_plan, step_computation
 from .profitability import ShardingDecision, plan, state_veto  # `plan` is re-exported as `transform.plan`
@@ -152,6 +153,9 @@ class _BodyRewriter:
         for p in plans:
             for mid in p.decision.cluster.members:
                 self._plan_of[mid] = p
+        self._branch_args = {  # ids of the values passed to a conditional branch
+            a.id for i in comp.instructions if i.opcode == "conditional" for a in i.operands[1:]
+        }
 
     def rid(self) -> Instruction:
         if self._rid is None:
@@ -287,11 +291,7 @@ class _BodyRewriter:
                             **_copy_attrs(instr, {c.name: c for c in instr.called_computations}))
 
     def _feeds_conditional(self, instr: Instruction) -> bool:
-        for other in self.comp.instructions:
-            if other.opcode == "conditional" and instr in other.operands[1:]:
-                if any(o.id in self._plan_of for o in instr.operands):
-                    return True
-        return False
+        return instr.id in self._branch_args and any(o.id in self._plan_of for o in instr.operands)
 
     def emit_conditional(self, instr: Instruction) -> Instruction:
         new_branches = []
@@ -377,18 +377,24 @@ def apply(m: Module, decisions: list[ShardingDecision], steps_hint: int | None =
         if veto is not None:
             raise TransformError(f"cannot shard the cluster of %{d.cluster.anchor.id}: {veto}")
 
+    cols = None  # the column groups, built for the first row-local decision
+    out_slots: dict[str, list[int]] = {}  # entry root element id -> its positions
+    if loop is None and body.root.opcode == "tuple":
+        for slot, value in enumerate(body.root.operands):
+            out_slots.setdefault(value.id, []).append(slot)
     plans: list[_ClusterPlan] = []
     for d in active:
         cluster = d.cluster
         cross = None
         if not d.groups.is_all and m.topology.rows > 1:
-            cross = m.topology.col_groups()
+            if cols is None:
+                cols = m.topology.col_groups()
+            cross = cols
         sharded_params: dict[int, tuple[str, int | None]] = {}
-        root_ops = cluster.computation.root.operands if cluster.computation.root.opcode == "tuple" else ()
-        member_out_slots = [
-            i for i, o in enumerate(root_ops) if o.id in cluster.members and o is not cluster.anchor
-        ]
         if loop is None:
+            member_out_slots = sorted(
+                i for mid in cluster.members if mid != cluster.anchor.id for i in out_slots.get(mid, ())
+            )
             params = sorted((i for i in cluster.members.values() if i.opcode == "parameter"), key=lambda i: i.index)
             for pidx, ins in enumerate(params):
                 out_slot = member_out_slots[pidx] if pidx < len(member_out_slots) else None
@@ -499,10 +505,14 @@ def _apply_loop(m: Module, loop: Instruction, plans: list[_ClusterPlan], steps_h
     # Variable records: classify by whether the body gathers the slot's value.
     gathered_members = set(body_rw.full_of)
     out_slots = _root_slot_index(m.entry, loop)
+    slot_gte = _slot_gtes(body)
+    placements_of: dict[str, list[str]] = {}
+    for mid, pl in body_rw.placements:
+        placements_of.setdefault(mid, []).append(pl)
     for slot, spec in sorted(sharded_slots.items()):
         src = init.operands[slot] if init.opcode == "tuple" else None
         name = src.id if src is not None and src.opcode == "parameter" else f"slot{slot}"
-        gte_member = _slot_gte(body, slot)
+        gte_member = slot_gte.get(slot)
         gathered = gte_member is not None and gte_member.id in gathered_members
         manifest.variables.append(
             VariableInfo(
@@ -514,9 +524,7 @@ def _apply_loop(m: Module, loop: Instruction, plans: list[_ClusterPlan], steps_h
                 residency="sharded",
                 spec=spec,
                 gathered_in_body=gathered,
-                placements=tuple(
-                    pl for mid, pl in body_rw.placements if gte_member is not None and mid == gte_member.id
-                )
+                placements=tuple(placements_of.get(gte_member.id, ()) if gte_member is not None else ())
                 + ("loop-boundary",),
             )
         )
@@ -531,14 +539,16 @@ def _apply_loop(m: Module, loop: Instruction, plans: list[_ClusterPlan], steps_h
     return result
 
 
-def _slot_gte(body: Computation, slot: int) -> Instruction | None:
+def _slot_gtes(body: Computation) -> dict[int, Instruction]:
+    """The first projection of each slot of the body's state parameter."""
     params = body.parameters
     if len(params) != 1:
-        return None
+        return {}
+    out: dict[int, Instruction] = {}
     for i in body.instructions:
-        if i.opcode == "get-tuple-element" and i.operands[0] is params[0] and i.index == slot:
-            return i
-    return None
+        if i.opcode == "get-tuple-element" and i.operands[0] is params[0] and i.index not in out:
+            out[i.index] = i
+    return out
 
 
 def _root_slot_index(entry: Computation, loop: Instruction) -> dict[int, int]:
@@ -711,17 +721,9 @@ def demote_allgather_precision(m: Module) -> Module:
     smaller type: convert the shard, gather half the bytes, and feed the old
     converts' users directly. No-op when any consumer needs full precision.
     """
-    comp_users: dict[str, dict[str, list[Instruction]]] = {}
-    for comp in m.computations():
-        users: dict[str, list[Instruction]] = {}
-        for ins in comp.instructions:
-            for o in ins.operands:
-                users.setdefault(o.id, []).append(ins)
-        comp_users[comp.name] = users
-
     demotable: dict[str, tuple[list[Instruction], set[str]]] = {}
     for comp in m.computations():
-        users = comp_users[comp.name]
+        users = users_map(comp)
         for ins in comp.instructions:
             if ins.opcode != "fusion" or ins.kind != "all_gather":
                 continue
@@ -831,30 +833,37 @@ def batch_collectives(m: Module) -> Module:
         def barrier_between(a: int, b: int) -> bool:
             return any(a < k < b for k in barriers)
 
-        batches: list[list[Instruction]] = []
+        batches: list[tuple[list[Instruction], set[str]]] = []  # (members, their ids)
         for c in candidates:
-            placed = False
-            for batch in batches:
-                key = (str(batch[0].groups), batch[0].kind)
-                if key != (str(c.groups), c.kind):
+            for batch, ids in batches:
+                if (batch[0].groups, batch[0].kind) != (c.groups, c.kind):
                     continue
-                if any(b.id in ancestors(c) for b in batch):
-                    continue
-                if barrier_between(index[batch[-1].id], index[c.id]):
+                if not ancestors(c).isdisjoint(ids) or barrier_between(index[batch[-1].id], index[c.id]):
                     continue
                 batch.append(c)
-                placed = True
+                ids.add(c.id)
                 break
-            if not placed:
-                batches.append([c])
-        merged = {b[0].id: b for b in batches if len(b) > 1}
+            else:
+                batches.append(([c], {c.id}))
+        merged = {b[0].id: b for b, _ in batches if len(b) > 1}
         if not merged:
             return _rebuild_computation(comp, comp_map)
 
-        member_to_batch: dict[str, str] = {}
+        member_to_batch: dict[str, tuple[str, int]] = {}  # member -> (lead, position)
         for lead, batch in merged.items():
-            for b in batch:
-                member_to_batch[b.id] = lead
+            for pos, b in enumerate(batch):
+                member_to_batch[b.id] = (lead, pos)
+        # operand ids of each batch, scanned once: ready[lead] counts the
+        # leading ones already emitted, and emission only adds ids
+        batch_operands = {lead: [o.id for b in batch for o in b.operands] for lead, batch in merged.items()}
+        ready = dict.fromkeys(merged, 0)
+
+        def batch_ready(lead: str) -> bool:
+            ops, k = batch_operands[lead], ready[lead]
+            while k < len(ops) and ops[k] in mapping:
+                k += 1
+            ready[lead] = k
+            return k == len(ops)
 
         # dependency-driven re-emission: members become one merged node placed
         # once all its operands are available
@@ -868,13 +877,13 @@ def batch_collectives(m: Module) -> Module:
             remaining = []
             for ins in pending:
                 if ins.id in member_to_batch:
-                    lead = member_to_batch[ins.id]
-                    batch = merged[lead]
-                    if all(o.id in mapping for b in batch for o in b.operands):
+                    lead, pos = member_to_batch[ins.id]
+                    if batch_ready(lead):
                         if lead not in emitted_batch:
+                            batch = merged[lead]
                             operands = tuple(mapping[b.operands[0].id] for b in batch)
                             shape = TupleShape(tuple(o.shape for o in operands))
-                            node = gb.emit(
+                            emitted_batch[lead] = gb.emit(
                                 "all-reduce",
                                 shape,
                                 operands,
@@ -882,9 +891,7 @@ def batch_collectives(m: Module) -> Module:
                                 kind=batch[0].kind,
                                 groups=batch[0].groups,
                             )
-                            emitted_batch[lead] = node
                         node = emitted_batch[lead]
-                        pos = merged[lead].index(ins)
                         mapping[ins.id] = gb.emit(
                             "get-tuple-element",
                             ins.shape,

@@ -22,6 +22,7 @@ from .ir import (
     Module,
     OPCODES,
     REDUCE_KINDS,
+    ReplicaGroups,
     Shape,
     TupleShape,
     physical_bytes,
@@ -55,6 +56,9 @@ class _Verifier:
     def __init__(self, m: Module):
         self.m = m
         self.diags: list[Diagnostic] = []
+        # what is wrong with each distinct explicit partition (None: valid),
+        # so that instructions sharing one check it once
+        self._group_problems: dict[ReplicaGroups, str | None] = {}
 
     def fail(self, instr: Instruction, rule: str, message: str):
         self.diags.append(Diagnostic(instr.id, rule, message))
@@ -356,14 +360,22 @@ class _Verifier:
             return
         if groups.is_all:
             return
+        try:
+            problem = self._group_problems[groups]
+        except KeyError:
+            problem = self._group_problems[groups] = self._partition_problem(groups)
+        if problem is not None:
+            self.fail(instr, "replica groups", problem)
+
+    def _partition_problem(self, groups: ReplicaGroups) -> str | None:
         n = self.m.replica_count
         flat = [r for g in groups.groups for r in g]
         if len(set(flat)) != len(flat) or sorted(flat) != list(range(n)):
-            self.fail(instr, "replica groups", f"groups not disjoint / not covering 0..{n - 1}")
-            return
+            return f"groups not disjoint / not covering 0..{n - 1}"
         sizes = {len(g) for g in groups.groups}
         if len(sizes) != 1:
-            self.fail(instr, "replica groups", f"groups not equal-sized: {sorted(sizes)}")
+            return f"groups not equal-sized: {sorted(sizes)}"
+        return None
 
     def op_while(self, instr: Instruction):
         init = instr.operands[0].shape

@@ -285,3 +285,64 @@ def test_user_error_is_one_line_exit_2(argv, stage, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.endswith("\n") and err.count("\n") == 1, err
     assert err.startswith(f"[{stage}] ")
+
+
+def _misshapen_module(tmp_path):
+    """An mlp module whose weight parameter %w0 is retyped to f32[8,4], so
+    the forward dot and the update no longer type-check."""
+    path = tmp_path / "bad.ir"
+    assert main(["gen", "mlp", "--layers", "1", "--dim", "8", "--steps", "0",
+                 "--out", str(path)]) == 0
+    text = path.read_text()
+    assert text.count("%w0 = f32[8,8] parameter") == 1
+    path.write_text(text.replace("%w0 = f32[8,8] parameter", "%w0 = f32[8,4] parameter"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "cmd, extra",
+    [("analyze", []), ("transform", ["--out-dir", "out"]), ("simulate", []), ("cost", []),
+     ("compare", [])],
+    ids=["analyze", "transform", "simulate", "cost", "compare"],
+)
+def test_every_subcommand_verifies_its_input(cmd, extra, tmp_path, capsys, monkeypatch):
+    path = _misshapen_module(tmp_path)
+    diags = verify(parse_module(path.read_text()))
+    assert len(diags) >= 2
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main([cmd, str(path), *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"[verify] {d}" for d in diags]
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulation_error_is_one_line(mlp_ir, tmp_path, capsys):
+    m = parse_module(mlp_ir.read_text())
+    inputs = tmp_path / "in.json"
+    # one value per parameter where four replicas need one each
+    inputs.write_text(json.dumps({p.id: {"per_replica": [np.zeros(p.shape.dims).tolist()]}
+                                  for p in m.entry.parameters}))
+    capsys.readouterr()
+    assert main(["simulate", str(mlp_ir), "--inputs", str(inputs)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("[simulate] "), err
+
+
+@pytest.mark.parametrize(
+    "cmd, target",
+    [("compare", "transform.apply"), ("cost", "profitability.plan"),
+     ("compare", "transform.batch_collectives")],
+)
+def test_a_bug_in_a_pass_is_not_swallowed(cmd, target, mlp_ir, monkeypatch):
+    import shardgraph
+
+    mod_name, fn_name = target.split(".")
+
+    def broken(*args, **kwargs):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(getattr(shardgraph, mod_name), fn_name, broken)
+    with pytest.raises(KeyError):
+        main([cmd, str(mlp_ir), "--cost-only"] if cmd == "compare" else [cmd, str(mlp_ir)])

@@ -16,6 +16,7 @@ from shardgraph.ir import (
     ring_topology,
     scalar,
     topo_order,
+    users_map,
 )
 
 
@@ -117,3 +118,27 @@ class TestGroupsAndTopology:
         comp = gb.finish(p)
         with pytest.raises(ValueError):
             Module(comp, replica_count=4, topology=ring_topology(2))
+
+
+class TestUsersMap:
+    def test_matches_naive_scan_on_random_modules(self):
+        from randmod import random_module
+
+        for seed in range(60):
+            for comp in random_module(seed).computations():
+                users = users_map(comp)
+                used = set()
+                for x in comp.instructions:
+                    naive = [u for u in comp.instructions for o in u.operands if o is x]
+                    assert users.get(x.id, []) == naive, (seed, comp.name, x.id)
+                    if naive:
+                        used.add(x.id)
+                assert set(users) == used
+
+    def test_a_value_read_twice_lists_its_user_twice(self):
+        gb = GraphBuilder("sq")
+        a = gb.parameter(0, Shape((4,), F32), "a")
+        sq = gb.emit("mul", Shape((4,), F32), (a, a), id="sq")
+        out = gb.emit("add", Shape((4,), F32), (sq, a), id="out")
+        users = users_map(gb.finish(out))
+        assert users == {"a": [sq, sq, out], "sq": [out]}

@@ -247,6 +247,42 @@ class TestEvaluate:
         assert select_groups(Shape((512, 512), F32), m).is_all
 
 
+class TestSharedUsersMap:
+    @pytest.mark.parametrize("layers", [2, 6])
+    def test_plan_builds_the_step_users_map_once(self, layers, monkeypatch):
+        from shardgraph import ir, profitability, transform
+
+        m = gen_module("mlp", replicas=4, steps=3, layers=layers, dim=8)
+        comp, _ = step_computation(m)
+        built = []
+        original = ir.users_map
+
+        def counting(c):
+            built.append(c)
+            return original(c)
+
+        for mod in (ir, profitability, transform):
+            if getattr(mod, "users_map", None) is original:
+                monkeypatch.setattr(mod, "users_map", counting)
+        decisions = plan(m)
+        assert len(decisions) == layers
+        assert built == [comp]
+
+    def test_shared_map_gives_the_same_decisions(self):
+        from shardgraph.ir import users_map
+
+        m = gen_module("mlp", replicas=4, steps=3, layers=3, dim=64)
+        comp, loop = step_computation(m)
+        rmap = analyze(m)
+        users = users_map(comp)
+        alone = find_clusters(comp, rmap, m)
+        shared = find_clusters(comp, rmap, m, users, loop)
+        assert [sorted(c.members) for c in alone] == [sorted(c.members) for c in shared]
+        for a, b in zip(alone, shared):
+            assert cluster_io_bytes(a, m) == cluster_io_bytes(b, m, users)
+            assert evaluate(a, m, loop=loop).to_dict() == evaluate(b, m, loop=loop, users=users).to_dict()
+
+
 class TestClusterIoBytes:
     def test_adam_counts_seven_weights(self):
         # inputs: gradient + w + m + v, outputs: w' + m' + v'  => 7 tensors

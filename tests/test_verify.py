@@ -91,6 +91,26 @@ def test_all_reduce_unequal_groups():
     assert any("equal-sized" in d.message for d in verify(m))
 
 
+def test_shared_groups_are_reported_on_every_instruction():
+    # two all-reduces share one invalid partition, a third has an equal copy
+    # of it, and a valid partition of the same sizes comes first
+    gb = GraphBuilder("main")
+    x = gb.parameter(0, Shape((4,), F32), "x")
+    bad = ReplicaGroups(((0, 1), (1, 2)))
+    v = x
+    for name, groups in [
+        ("ok", ReplicaGroups(((0, 1), (2, 3)))),
+        ("bad1", bad),
+        ("bad2", bad),
+        ("bad3", ReplicaGroups(((0, 1), (1, 2)))),
+        ("ok2", ReplicaGroups(((0, 1), (2, 3)))),
+    ]:
+        v = gb.emit("all-reduce", Shape((4,), F32), (v,), kind="add", groups=groups, id=name)
+    diags = [d for d in verify(module_of(gb.finish(v), n=4)) if d.rule == "replica groups"]
+    assert [d.instruction for d in diags] == ["bad1", "bad2", "bad3"]
+    assert all("not disjoint" in d.message for d in diags)
+
+
 def test_bitcast_must_preserve_physical_bytes():
     gb = GraphBuilder("main")
     x = gb.parameter(0, Shape((16, 128), F32), "x")
