@@ -7,6 +7,38 @@ pair over the same format produces bit-identical results to the all-reduce it
 replaces. `rng` draws from a counter-based generator keyed on
 (seed, replica, instruction id, invocation), which makes runs reproducible and
 independent of graph rewrites that keep instruction ids stable.
+
+Values. Inside a run an array value is either `Uniform(array)`, one array
+that every active replica holds, or `Varying(stack)`, one row per active
+replica stacked along axis 0; a tuple value is a tuple of such values. Most
+of a data-parallel step is replica-uniform (the weight update, the paper's
+point), so it is computed once instead of once per replica. Uniformity is
+tracked at run time by these rules, never taken from `redundancy.analyze`,
+so the simulator stays an independent oracle for that analysis:
+
+- a pure op whose operands are all uniform gives a uniform result;
+- `rng`, `replica-id` and `PerReplica` inputs give varying values, except
+  that a `replica_equal` parameter whose per-replica inputs are bitwise
+  equal is uniform;
+- an all-reduce or all-gather over a single group (`groups=all`) gives a
+  uniform result, one over subgroups a varying one; a reduce-scatter gives
+  each replica its own shard, a varying value;
+- the result of a `while` or `conditional` whose replicas took different
+  paths is varying, merged row by row.
+
+Elementwise ops, `broadcast`, `select`, `compare`, `convert`, `reshape`,
+`bitcast`, `pad` and `dynamic-slice` with uniform starts run once, on the
+shared array or on the stack: each element gets the same IEEE operation as
+in a per-replica run. `reduce` and `dot` on a varying operand, and `power`,
+keep one call per replica: a stacked reduction or matmul may sum in another
+order, and `power` may take another libm path on a larger array. A varying
+`dynamic-slice` start or `pad` value is also applied row by row.
+
+Ring collectives format and pad the stack once and fold every piece of every
+group in one vectorized pass per ring step, each element in the ring order
+of the per-replica algorithm. `run`, `RunResult`, `PerReplica` and the
+`on_value` callback see one value per replica; values are split into rows
+only at those boundaries.
 """
 
 from __future__ import annotations
@@ -54,10 +86,6 @@ _NP_DTYPES = {
 }
 
 
-def np_dtype(etype: ElementType):
-    return _NP_DTYPES[etype]
-
-
 def round_reduced(x: np.ndarray) -> np.ndarray:
     """Round-to-nearest-even truncation of f32 to a 16-bit significand pattern
     (8-bit exponent, 7-bit mantissa); result stays materialized as f32."""
@@ -73,8 +101,13 @@ def round_reduced(x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def coerce(arr: np.ndarray, shape: Shape) -> np.ndarray:
-    out = np.asarray(arr, dtype=np_dtype(shape.etype)).reshape(shape.dims)
+def coerce(arr: np.ndarray, shape: Shape, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """`arr` as the storage of `shape`; `lead` is the stacking prefix of a
+    varying value's shape."""
+    out = np.asarray(arr, dtype=_NP_DTYPES[shape.etype])
+    dims = lead + shape.dims if lead else shape.dims
+    if out.shape != dims:
+        out = out.reshape(dims)
     if shape.etype == ElementType.F16R:
         out = round_reduced(out)
     return out
@@ -83,6 +116,9 @@ def coerce(arr: np.ndarray, shape: Shape) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # Tiled physical layout: element offsets and bitcast
 # --------------------------------------------------------------------------- #
+#
+# The array helpers below take arrays with any leading (stacking) dims in
+# front of the logical shape and apply the same data movement to each.
 
 
 def tiled_offsets(dims: tuple[int, ...], tile: tuple[int, int]) -> np.ndarray:
@@ -109,24 +145,38 @@ def tiled_offsets(dims: tuple[int, ...], tile: tuple[int, int]) -> np.ndarray:
 def bitcast_array(arr: np.ndarray, src: Shape, dst_dims: tuple[int, ...], tile) -> np.ndarray:
     """Reinterpret the tiled physical buffer as a new logical shape. Elements
     of the target that fall into tile padding of the source read as zero."""
-    phys = np.zeros(physical_elements(src, tile), dtype=arr.dtype)
-    phys[tiled_offsets(src.dims, tile).ravel()] = np.asarray(arr).ravel()
+    arr = np.asarray(arr)
+    lead = arr.shape[: arr.ndim - len(src.dims)]
+    phys = np.zeros(lead + (physical_elements(src, tile),), dtype=arr.dtype)
+    phys[..., tiled_offsets(src.dims, tile).ravel()] = arr.reshape(lead + (-1,))
     dst_off = tiled_offsets(dst_dims, tile).ravel()
-    return phys[dst_off].reshape(dst_dims)
+    return phys[..., dst_off].reshape(lead + tuple(dst_dims))
 
 
 def apply_steps_array(arr: np.ndarray, spec: ShardingSpec, etype: ElementType, tile, fill=0.0) -> np.ndarray:
     dims = spec.source_dims
+    lead = arr.shape[: arr.ndim - len(dims)]
     for step in spec.steps:
         if isinstance(step, TrivialReshape):
-            arr = arr.reshape(step.new_dims)
+            arr = arr.reshape(lead + step.new_dims)
         elif isinstance(step, Bitcast):
             arr = bitcast_array(arr, Shape(dims, etype), step.new_dims, tile)
         else:
-            widths = [(0, step.amount if i == step.dim else 0) for i in range(len(dims))]
-            arr = np.pad(arr, widths, constant_values=np.asarray(fill, dtype=arr.dtype))
-        dims = tuple(arr.shape)
+            high = [step.amount if i == step.dim else 0 for i in range(len(dims))]
+            arr = _pad(arr, len(lead), [0] * len(dims), high, fill)
+        dims = tuple(arr.shape[len(lead):])
     return arr
+
+
+def _pad(arr: np.ndarray, nlead: int, low, high, fill) -> np.ndarray:
+    """`arr` with `low`/`high` elements of `fill` around each logical dim
+    (the `nlead` leading stacking dims are not padded)."""
+    lead = arr.shape[:nlead]
+    dims = arr.shape[nlead:]
+    new_dims = tuple(lo + d + hi for lo, d, hi in zip(low, dims, high))
+    out = np.full(lead + new_dims, np.asarray(fill, dtype=arr.dtype), dtype=arr.dtype)
+    out[(slice(None),) * nlead + tuple(slice(lo, lo + d) for lo, d in zip(low, dims))] = arr
+    return out
 
 
 def invert_steps_array(arr: np.ndarray, spec: ShardingSpec, etype: ElementType, tile) -> np.ndarray:
@@ -140,15 +190,101 @@ def invert_steps_array(arr: np.ndarray, spec: ShardingSpec, etype: ElementType, 
             d[step.dim] += step.amount
             dims = tuple(d)
         seq.append(dims)
+    lead = arr.shape[: arr.ndim - len(dims)]
     for step, before in zip(reversed(spec.steps), reversed(seq[:-1])):
         if isinstance(step, TrivialReshape):
-            arr = arr.reshape(before)
+            arr = arr.reshape(lead + before)
         elif isinstance(step, Bitcast):
-            arr = bitcast_array(arr, Shape(tuple(arr.shape), etype), before, tile)
+            arr = bitcast_array(arr, Shape(tuple(arr.shape[len(lead):]), etype), before, tile)
         else:
             sl = tuple(slice(0, d) for d in before)
-            arr = arr[sl]
+            arr = arr[(slice(None),) * len(lead) + sl]
     return arr
+
+
+# --------------------------------------------------------------------------- #
+# Values: uniform or stacked
+# --------------------------------------------------------------------------- #
+
+
+class Uniform:
+    """An array value every active replica holds: one array for all."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+
+    def __repr__(self) -> str:
+        return f"Uniform({self.a!r})"
+
+
+class Varying:
+    """An array value that may differ between replicas: one row per active
+    replica, stacked along axis 0 in the order of the active replicas."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+
+    def __repr__(self) -> str:
+        return f"Varying({self.a!r})"
+
+
+def _row(v, k: int):
+    """Active replica k's own value."""
+    if isinstance(v, tuple):
+        return tuple(_row(e, k) for e in v)
+    return v.a if type(v) is Uniform else v.a[k, ...]
+
+
+def _rows(v, count: int) -> list:
+    """One value per active replica."""
+    if type(v) is Uniform:
+        return [v.a] * count
+    return [_row(v, k) for k in range(count)]
+
+
+def _stacked(v: Uniform | Varying, count: int) -> np.ndarray:
+    """The value as a stack of `count` rows; a uniform one is broadcast."""
+    if type(v) is Uniform:
+        return np.broadcast_to(v.a, (count,) + v.a.shape)
+    return v.a
+
+
+def _take(v, idx: list[int]):
+    """The value on the active replicas at positions `idx`."""
+    if isinstance(v, tuple):
+        return tuple(_take(e, idx) for e in v)
+    return v if type(v) is Uniform else Varying(v.a[idx])
+
+
+def _merge(parts: list[tuple[list[int], object]], count: int):
+    """The varying value whose rows at each part's positions come from that
+    part's value: the join of replicas that took different paths."""
+    first = parts[0][1]
+    if isinstance(first, tuple):
+        return tuple(
+            _merge([(idx, v[i]) for idx, v in parts], count) for i in range(len(first))
+        )
+    shape = first.a.shape if type(first) is Uniform else first.a.shape[1:]
+    out = np.empty((count,) + shape, dtype=first.a.dtype)
+    for idx, v in parts:
+        out[idx] = v.a
+    return Varying(out)
+
+
+def _same_bits(a, b) -> bool:
+    """Same dtype, shape and bytes; a NaN equals itself bit for bit."""
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return (
+            isinstance(a, tuple)
+            and isinstance(b, tuple)
+            and len(a) == len(b)
+            and all(_same_bits(x, y) for x, y in zip(a, b))
+        )
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # --------------------------------------------------------------------------- #
@@ -170,85 +306,113 @@ class CollectiveStats:
             self.bytes_sent += p.rounds * p.piece_bytes
 
 
+_REDUCE_UFUNCS = {"add": np.add, "mul": np.multiply, "max": np.maximum, "min": np.minimum}
+
+
 def _combine(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "max":
-        return np.maximum(a, b)
-    if kind == "min":
-        return np.minimum(a, b)
-    raise ValueError(f"unknown reduction kind {kind}")
+    if kind not in _REDUCE_UFUNCS:
+        raise ValueError(f"unknown reduction kind {kind}")
+    return _REDUCE_UFUNCS[kind](a, b)
 
 
-def _ring_fold(arrays: list[np.ndarray], start: int, kind: str, etype: ElementType) -> np.ndarray:
-    """Fold arrays in ring order starting after `start`: the accumulation
-    order every piece experiences in the classic ring algorithm."""
-    n = len(arrays)
-    acc = arrays[(start + 1) % n].copy()
-    for k in range(2, n + 1):
-        acc = _combine(acc, arrays[(start + k) % n], kind)
+def _ring_fold(terms, kind: str, etype: ElementType) -> np.ndarray:
+    """Fold the ring steps' arrays left to right, rounding after every
+    combine for f16r. The first array must be a fresh copy: the fold
+    accumulates into it."""
+    terms = iter(terms)
+    acc = next(terms)
+    fn = _REDUCE_UFUNCS.get(kind)
+    if fn is None:
+        raise ValueError(f"unknown reduction kind {kind}")
+    for t in terms:
+        fn(acc, t, out=acc)
         if etype == ElementType.F16R:
             acc = round_reduced(acc)
     return acc
 
 
-def _rs_values(
-    arrays: list[np.ndarray],
+def _ring_groups(
+    groups: ReplicaGroups, topology: Topology, replicas: list[int]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """For each group with active members: the stack rows of its members in
+    ring order, and the same rows ordered by the shard each one keeps."""
+    row = {r: k for k, r in enumerate(replicas)}
+    out = []
+    for group in groups.resolve(topology.n):
+        if group[0] not in row:
+            continue
+        by_shard = [0] * len(group)
+        for r in group:
+            by_shard[shard_id_of(r, topology, groups)] = row[r]
+        out.append((tuple(row[r] for r in group), tuple(by_shard)))
+    return out
+
+
+def _reduce_scatter_stack(
+    stack: np.ndarray,
+    groups: list[tuple[int, ...]],
     spec: ShardingSpec,
     topology: Topology,
     kind: str,
     etype: ElementType,
-) -> list[np.ndarray]:
-    """Reduce-scatter across one group: arrays are the formatted+padded full
-    tensors in group order; returns each member's fully-reduced shard."""
-    g = len(arrays)
-    s = spec.shard_count
+    tile,
+) -> np.ndarray:
+    """Reduce-scatter of a stack of source-shape values: each group's rows
+    (in ring order) reduce to one shard per member, returned as a stack.
+
+    The stack is formatted and padded once. Single ring: the member at ring
+    position p keeps piece p, accumulated in ring order starting from its
+    successor. Two-phase mesh: rows exchange superpieces (R consecutive
+    shards), then columns exchange single shards; replica (i, j) ends with
+    shard j*R + i. Each ring step combines one piece of every member of
+    every group in one vectorized operation."""
+    g, s = len(groups[0]), spec.shard_count
     if s != g:
         raise SimulationError(f"spec shard count {s} != group size {g}")
-    pieces = [np.split(a, s, axis=spec.shard_dim) for a in arrays]
-    out: list[np.ndarray | None] = [None] * g
-    if not topology.two_phase(spec.group):
-        # Single ring: member at position p keeps piece p, accumulated in ring
-        # order starting from its successor.
-        for p in range(g):
-            out[p] = _ring_fold([pieces[q][p] for q in range(g)], p, kind, etype)
-        return out
-    # Two-phase mesh: rows exchange superpieces (R consecutive shards), then
-    # columns exchange single shards. Replica (i, j) ends with shard j*R + i.
-    rows, cols = topology.rows, topology.cols
-    row_partial: list[list[np.ndarray]] = [[None] * s for _ in range(g)]
-    for i in range(rows):
-        row = [i * cols + j for j in range(cols)]
-        for j in range(cols):
-            for t in range(rows):
-                piece_idx = j * rows + t
-                row_partial[row[j]][piece_idx] = _ring_fold(
-                    [pieces[r][piece_idx] for r in row], j, kind, etype
-                )
-    for j in range(cols):
-        col = [i * cols + j for i in range(rows)]
-        for i in range(rows):
-            piece_idx = j * rows + i
-            out[col[i]] = _ring_fold(
-                [row_partial[r][piece_idx] for r in col], i, kind, etype
-            )
+    rows = np.array(groups)
+    formatted = apply_steps_array(stack, spec, etype, tile, reduce_identity(kind))[rows]
+    # (group, member, *dims) -> (group, member, piece, *piece dims); a
+    # scalar (only ever one shard) is its own piece
+    d = spec.shard_dim
+    fdims = formatted.shape[2:]
+    if not fdims:
+        pieces = formatted[:, :, np.newaxis]
+    else:
+        pieces = np.moveaxis(
+            formatted.reshape(rows.shape + fdims[:d] + (s, fdims[d] // s) + fdims[d + 1 :]), 2 + d, 2
+        )
+    piece_dims = pieces.shape[3:]
+    if topology.two_phase(spec.group):
+        R, C = topology.rows, topology.cols
+        x = pieces[0].reshape((R, C, C, R) + piece_dims)  # [row, col, superpiece, shard]
+        c, r = np.arange(C), np.arange(R)
+        # row phase: (i, j) holds superpiece j of row i; then the column
+        # phase: (i, j) holds shard i of it
+        part = _ring_fold((x[:, (c + k) % C, c] for k in range(1, C + 1)), kind, etype)
+        shards = _ring_fold((part[(r + k) % R, :, r] for k in range(1, R + 1)), kind, etype)
+        shards = shards.reshape((1, g) + piece_dims)
+    else:
+        p = np.arange(g)
+        shards = _ring_fold((pieces[:, (p + k) % g, p] for k in range(1, g + 1)), kind, etype)
+    out = np.empty((stack.shape[0],) + piece_dims, dtype=shards.dtype)
+    out[rows] = shards
     return out
 
 
-def _gathered_full(
-    shards: list[np.ndarray],
-    spec: ShardingSpec,
-    topology: Topology,
-    group: tuple[int, ...],
-) -> np.ndarray:
-    """All-gather across one group: `shards` in group order, each the shard
-    matching its owner's ring position; returns the post-steps full tensor."""
-    ordered = [None] * len(group)
-    for pos, replica in enumerate(group):
-        ordered[shard_id_of(replica, topology, spec.group)] = shards[pos]
-    return np.concatenate(ordered, axis=spec.shard_dim)
+def _all_gather_stack(shards: np.ndarray, groups, spec: ShardingSpec) -> Uniform | Varying:
+    """All-gather of a stack of shards: each group's post-steps full tensor,
+    the concatenation of its members' shards by shard id. One group gives a
+    uniform value."""
+    fulls = [
+        shards[by_shard[0]] if shards.ndim == 1 else np.concatenate(shards[list(by_shard)], axis=spec.shard_dim)
+        for _, by_shard in groups
+    ]
+    if len(groups) == 1:
+        return Uniform(fulls[0])
+    out = np.empty((shards.shape[0],) + fulls[0].shape, dtype=fulls[0].dtype)
+    for (members, _), full in zip(groups, fulls):
+        out[list(members)] = full
+    return Varying(out)
 
 
 def ring_reduce_scatter(
@@ -270,18 +434,9 @@ def ring_reduce_scatter(
             raise SimulationError(
                 f"reduce-scatter input shape {np.asarray(v).shape} != spec source {spec.source_dims}"
             )
-    fill = reduce_identity(kind)
-    out: list[np.ndarray | None] = [None] * n
-    for group in spec.group.resolve(n):
-        arrays = [
-            apply_steps_array(np.asarray(values[r]), spec, etype, tile, fill) for r in group
-        ]
-        shards = _rs_values(arrays, spec, topology, kind, etype)
-        for pos, r in enumerate(group):
-            # _rs_values leaves each member's own shard (shard_id_of(r)) at
-            # its group position.
-            out[r] = shards[pos]
-    return [o for o in out]
+    groups = [members for members, _ in _ring_groups(spec.group, topology, list(range(n)))]
+    shards = _reduce_scatter_stack(np.stack(values), groups, spec, topology, kind, etype, tile)
+    return list(shards)
 
 
 def ring_all_gather(
@@ -294,13 +449,8 @@ def ring_all_gather(
     """Reconstruct the full (source-shape) tensor on every replica from
     per-replica shards: concatenation by shard id, then reverse formatting."""
     n = topology.n
-    out: list[np.ndarray | None] = [None] * n
-    for group in spec.group.resolve(n):
-        full = _gathered_full([np.asarray(shards[r]) for r in group], spec, topology, group)
-        restored = invert_steps_array(full, spec, etype, tile)
-        for r in group:
-            out[r] = restored
-    return [o for o in out]
+    full = _all_gather_stack(np.stack(shards), _ring_groups(spec.group, topology, list(range(n))), spec)
+    return _rows(type(full)(invert_steps_array(full.a, spec, etype, tile)), n)
 
 
 # --------------------------------------------------------------------------- #
@@ -354,20 +504,22 @@ class Simulator:
     # -- public entry ---------------------------------------------------------
 
     def run(self, inputs: dict) -> RunResult:
-        n = self.m.replica_count
-        params = self.m.entry.parameters
-        args: list[list] = [[] for _ in range(n)]
-        for p in params:
+        root = self.evaluate(inputs)
+        return RunResult(
+            outputs=_rows(root, self.m.replica_count), outfeeds=self.outfeeds, stats=self.stats
+        )
+
+    def evaluate(self, inputs: dict):
+        """Execute the module; returns the entry root as the interpreter holds
+        it: `Uniform`/`Varying` values, or a tuple of them."""
+        args = []
+        for p in self.m.entry.parameters:
             if p.id not in inputs:
                 raise SimulationError(f"missing input for parameter %{p.id}")
-            val = inputs[p.id]
-            per_replica = self._per_replica_values(p, val)
-            for r in range(n):
-                args[r].append(per_replica[r])
-        roots = self._run_computation(self.m.entry, args, list(range(n)))
-        return RunResult(outputs=roots, outfeeds=self.outfeeds, stats=self.stats)
+            args.append(self._input_value(p, inputs[p.id]))
+        return self._run_computation(self.m.entry, args, list(range(self.m.replica_count)))
 
-    def _per_replica_values(self, p: Instruction, val) -> list:
+    def _input_value(self, p: Instruction, val):
         n = self.m.replica_count
         shape = p.shape
 
@@ -381,58 +533,55 @@ class Simulator:
                     f"input for parameter %{p.id} does not match {shape}: {e}"
                 ) from None
 
-        if isinstance(val, PerReplica):
-            if len(val.values) != n:
-                raise SimulationError(
-                    f"parameter %{p.id}: {len(val.values)} per-replica values for {n} replicas"
-                )
-            vals = [conv(v) for v in val.values]
-        else:
-            vals = [conv(val)] * n
+        def shared(v):
+            return tuple(Uniform(e) for e in v) if isinstance(v, tuple) else Uniform(v)
+
+        if not isinstance(val, PerReplica):
+            return shared(conv(val))
+        if len(val.values) != n:
+            raise SimulationError(
+                f"parameter %{p.id}: {len(val.values)} per-replica values for {n} replicas"
+            )
+        vals = [conv(v) for v in val.values]
         if p.replica_equal:
-            first = vals[0]
-            for v in vals[1:]:
-                if not _values_equal(first, v):
-                    raise SimulationError(
-                        f"parameter %{p.id} is annotated replica_equal but inputs differ"
-                    )
-        return vals
+            if not all(_same_bits(vals[0], v) for v in vals[1:]):
+                raise SimulationError(
+                    f"parameter %{p.id} is annotated replica_equal but inputs differ"
+                )
+            return shared(vals[0])
+        if isinstance(shape, TupleShape):
+            return tuple(Varying(np.stack([v[i] for v in vals])) for i in range(len(shape.elements)))
+        return Varying(np.stack(vals))
 
     # -- computation evaluation ------------------------------------------------
 
-    def _run_computation(self, comp: Computation, args: list[list], replicas: list[int]) -> list:
-        env: dict[str, list] = {}
+    def _run_computation(self, comp: Computation, args: list, replicas: list[int]):
+        env: dict[str, object] = {}
+        on_value = self.on_value
         for instr in comp.instructions:
-            env[instr.id] = self._eval(instr, env, args, replicas, comp)
-            if self.on_value is not None:
-                self.on_value(instr, replicas, env[instr.id])
+            v = env[instr.id] = _HANDLERS[instr.opcode](self, instr, env, args, replicas)
+            if on_value is not None:
+                on_value(instr, replicas, _rows(v, len(replicas)))
         return env[comp.root.id]
-
-    def _eval(self, instr: Instruction, env, args, replicas: list[int], comp: Computation) -> list:
-        op = instr.opcode
-        handler = getattr(self, "_op_" + op.replace("-", "_"))
-        return handler(instr, env, args, replicas)
 
     # -- leaf ops ---------------------------------------------------------------
 
     def _op_parameter(self, instr, env, args, replicas):
-        return [args[k][instr.index] for k in range(len(replicas))]
+        return args[instr.index]
 
     def _op_constant(self, instr, env, args, replicas):
         arr = np.array(instr.value, dtype=np.float64).reshape(instr.shape.dims)
-        v = coerce(arr, instr.shape)
-        return [v] * len(replicas)
+        return Uniform(coerce(arr, instr.shape))
 
     def _op_iota(self, instr, env, args, replicas):
         dims = instr.shape.dims
         d = instr.dims[0]
         ramp = np.arange(dims[d] if dims else 1, dtype=np.float64)
         view = ramp.reshape([-1 if i == d else 1 for i in range(len(dims))])
-        v = coerce(np.broadcast_to(view, dims).copy(), instr.shape)
-        return [v] * len(replicas)
+        return Uniform(coerce(np.broadcast_to(view, dims).copy(), instr.shape))
 
     def _op_replica_id(self, instr, env, args, replicas):
-        return [np.int32(r) for r in replicas]
+        return Varying(np.array(replicas, dtype=np.int32))
 
     def _op_rng(self, instr, env, args, replicas):
         count = self._rng_counters.get(instr.id, 0)
@@ -446,23 +595,51 @@ class Simulator:
             else:
                 v = gen.random(size=instr.shape.dims, dtype=np.float32)
             out.append(coerce(v, instr.shape))
-        return out
+        return Varying(np.stack(out))
 
-    # -- elementwise -------------------------------------------------------------
+    # -- pure ops ----------------------------------------------------------------
 
-    def _binary(self, instr, env, fn):
-        a, b = env[instr.operands[0].id], env[instr.operands[1].id]
-        out = [coerce(fn(x, y), instr.shape) for x, y in zip(a, b)]
-        return out
+    def _stacked_op(self, instr, env, fn):
+        """Apply `fn` once, to the shared arrays or to the stacks: for ops that
+        act on each element alone, where a stack gets the same arithmetic."""
+        vals = [env[o.id] for o in instr.operands]
+        out = fn(*[v.a for v in vals])
+        if all(type(v) is Uniform for v in vals):
+            return Uniform(coerce(out, instr.shape))
+        return Varying(coerce(out, instr.shape, out.shape[:1]))
+
+    def _row_op(self, instr, env, replicas, fn):
+        """Apply `fn` once if every operand is uniform, else once per replica:
+        for ops whose arithmetic on a stack could differ from a single run."""
+        vals = [env[o.id] for o in instr.operands]
+        if all(type(v) is Uniform for v in vals):
+            return Uniform(fn(*[v.a for v in vals]))
+        return Varying(
+            np.stack(
+                [
+                    fn(*[v.a if type(v) is Uniform else v.a[k, ...] for v in vals])
+                    for k in range(len(replicas))
+                ]
+            )
+        )
+
+    @staticmethod
+    def _layout_op(v, fn):
+        """Apply the data movement `fn(array, lead)` once, to the shared array
+        or to the stack; `lead` is the stacking prefix of the array's shape,
+        () for a uniform value."""
+        if type(v) is Uniform:
+            return Uniform(fn(v.a, ()))
+        return Varying(fn(v.a, v.a.shape[:1]))
 
     def _op_add(self, instr, env, args, replicas):
-        return self._binary(instr, env, lambda x, y: x + y)
+        return self._stacked_op(instr, env, np.add)
 
     def _op_sub(self, instr, env, args, replicas):
-        return self._binary(instr, env, lambda x, y: x - y)
+        return self._stacked_op(instr, env, np.subtract)
 
     def _op_mul(self, instr, env, args, replicas):
-        return self._binary(instr, env, lambda x, y: x * y)
+        return self._stacked_op(instr, env, np.multiply)
 
     def _op_div(self, instr, env, args, replicas):
         if instr.shape.etype == ElementType.S32:
@@ -477,28 +654,29 @@ class Simulator:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     return x / y
 
-        return self._binary(instr, env, fn)
+        return self._stacked_op(instr, env, fn)
 
     def _op_max(self, instr, env, args, replicas):
-        return self._binary(instr, env, np.maximum)
+        return self._stacked_op(instr, env, np.maximum)
 
     def _op_min(self, instr, env, args, replicas):
-        return self._binary(instr, env, np.minimum)
+        return self._stacked_op(instr, env, np.minimum)
 
     def _op_power(self, instr, env, args, replicas):
         def fn(x, y):
             with np.errstate(invalid="ignore", divide="ignore"):
-                return np.power(x, y)
+                return coerce(np.power(x, y), instr.shape)
 
-        return self._binary(instr, env, fn)
+        return self._row_op(instr, env, replicas, fn)
 
     def _op_sqrt(self, instr, env, args, replicas):
-        a = env[instr.operands[0].id]
-        with np.errstate(invalid="ignore"):
-            return [coerce(np.sqrt(x), instr.shape) for x in a]
+        def fn(x):
+            with np.errstate(invalid="ignore"):
+                return np.sqrt(x)
+
+        return self._stacked_op(instr, env, fn)
 
     def _op_compare(self, instr, env, args, replicas):
-        a, b = env[instr.operands[0].id], env[instr.operands[1].id]
         fn = {
             "eq": np.equal,
             "ne": np.not_equal,
@@ -507,105 +685,114 @@ class Simulator:
             "gt": np.greater,
             "ge": np.greater_equal,
         }[instr.direction]
-        return [fn(x, y) for x, y in zip(a, b)]
+        return self._stacked_op(instr, env, fn)
 
     def _op_select(self, instr, env, args, replicas):
-        p, a, b = (env[o.id] for o in instr.operands)
-        return [coerce(np.where(x, y, z), instr.shape) for x, y, z in zip(p, a, b)]
+        return self._stacked_op(instr, env, np.where)
 
     def _op_convert(self, instr, env, args, replicas):
-        src = env[instr.operands[0].id]
         etype = instr.shape.etype
-        out = []
-        for x in src:
+
+        def fn(x):
             if etype == ElementType.S32:
-                v = np.trunc(np.asarray(x, dtype=np.float64)).astype(np.int32) if np.asarray(x).dtype != np.bool_ else np.asarray(x).astype(np.int32)
-            elif etype == ElementType.PRED:
-                v = np.asarray(x) != 0
-            else:
-                v = np.asarray(x, dtype=np.float32)
-            out.append(coerce(v, instr.shape))
-        return out
+                if x.dtype == np.bool_:
+                    return x.astype(np.int32)
+                return np.trunc(np.asarray(x, dtype=np.float64)).astype(np.int32)
+            if etype == ElementType.PRED:
+                return x != 0
+            return np.asarray(x, dtype=np.float32)
+
+        return self._stacked_op(instr, env, fn)
 
     def _op_broadcast(self, instr, env, args, replicas):
-        src = env[instr.operands[0].id]
         out_dims = instr.shape.dims
-        mapping = instr.dims or ()
         view_dims = [1] * len(out_dims)
-        for i, d in enumerate(mapping):
+        for i, d in enumerate(instr.dims or ()):
             view_dims[d] = instr.operands[0].shape.dims[i]
-        return [
-            coerce(np.broadcast_to(np.asarray(x).reshape(view_dims), out_dims).copy(), instr.shape)
-            for x in src
-        ]
+
+        def fn(x, lead):
+            out = np.broadcast_to(x.reshape(lead + tuple(view_dims)), lead + out_dims).copy()
+            return coerce(out, instr.shape, lead)
+
+        return self._layout_op(env[instr.operands[0].id], fn)
 
     def _op_dot(self, instr, env, args, replicas):
-        a, b = env[instr.operands[0].id], env[instr.operands[1].id]
-        return [coerce(np.matmul(x, y), instr.shape) for x, y in zip(a, b)]
+        return self._row_op(instr, env, replicas, lambda x, y: coerce(np.matmul(x, y), instr.shape))
 
     def _op_reduce(self, instr, env, args, replicas):
-        src = env[instr.operands[0].id]
-        init = env[instr.operands[1].id]
         kind = instr.kind
         dims = tuple(instr.dims or ())
-        fn = {"add": np.add, "mul": np.multiply, "max": np.maximum, "min": np.minimum}[kind]
-        out = []
-        for x, i0 in zip(src, init):
+        fn = _REDUCE_UFUNCS[kind]
+
+        def reduce(x, init):
             red = fn.reduce(x, axis=dims) if dims else x.copy()
-            red = _combine(np.asarray(red), np.asarray(i0), kind)
-            out.append(coerce(red, instr.shape))
-        return out
+            return coerce(_combine(np.asarray(red), init, kind), instr.shape)
+
+        return self._row_op(instr, env, replicas, reduce)
 
     def _op_reshape(self, instr, env, args, replicas):
-        src = env[instr.operands[0].id]
-        return [coerce(np.reshape(x, instr.shape.dims), instr.shape) for x in src]
+        return self._layout_op(
+            env[instr.operands[0].id], lambda x, lead: coerce(x, instr.shape, lead)
+        )
 
     def _op_bitcast(self, instr, env, args, replicas):
-        src = env[instr.operands[0].id]
         s = instr.operands[0].shape
-        return [
-            coerce(bitcast_array(x, s, instr.shape.dims, self.m.tile), instr.shape) for x in src
-        ]
+
+        def fn(x, lead):
+            return coerce(bitcast_array(x, s, instr.shape.dims, self.m.tile), instr.shape, lead)
+
+        return self._layout_op(env[instr.operands[0].id], fn)
 
     def _op_pad(self, instr, env, args, replicas):
-        src = env[instr.operands[0].id]
-        fill = env[instr.operands[1].id]
-        widths = list(zip(instr.pad_low, instr.pad_high))
-        return [
-            coerce(np.pad(x, widths, constant_values=np.asarray(f, dtype=np.asarray(x).dtype)), instr.shape)
-            for x, f in zip(src, fill)
-        ]
+        def fn(x, lead, f):
+            padded = _pad(x, len(lead), instr.pad_low, instr.pad_high, f)
+            return coerce(padded, instr.shape, lead)
+
+        src, fill = (env[o.id] for o in instr.operands)
+        if type(fill) is Uniform:
+            return self._layout_op(src, lambda x, lead: fn(x, lead, fill.a))
+        return self._row_op(instr, env, replicas, lambda x, f: fn(x, (), f))
 
     def _op_dynamic_slice(self, instr, env, args, replicas):
         src = env[instr.operands[0].id]
         starts = [env[o.id] for o in instr.operands[1:]]
         sizes = instr.slice_sizes
         dims = instr.operands[0].shape.dims
-        out = []
-        for k in range(len(src)):
+
+        def window(start_values):
             idx = []
-            for d in range(len(dims)):
-                s = int(starts[d][k])
-                s = max(0, min(s, dims[d] - sizes[d]))
+            for d, s in enumerate(start_values):
+                s = max(0, min(int(s), dims[d] - sizes[d]))
                 idx.append(slice(s, s + sizes[d]))
-            out.append(np.ascontiguousarray(src[k][tuple(idx)]))
-        return out
+            return tuple(idx)
+
+        if all(type(s) is Uniform for s in starts):
+            idx = window([s.a for s in starts])
+            return self._layout_op(
+                src, lambda x, lead: np.ascontiguousarray(x[(slice(None),) * len(lead) + idx])
+            )
+        return Varying(
+            np.stack(
+                [
+                    np.ascontiguousarray(_row(src, k)[window([_row(s, k) for s in starts])])
+                    for k in range(len(replicas))
+                ]
+            )
+        )
 
     def _op_tuple(self, instr, env, args, replicas):
-        elems = [env[o.id] for o in instr.operands]
-        return [tuple(e[k] for e in elems) for k in range(len(replicas))]
+        return tuple(env[o.id] for o in instr.operands)
 
     def _op_get_tuple_element(self, instr, env, args, replicas):
-        src = env[instr.operands[0].id]
-        return [v[instr.index] for v in src]
+        return env[instr.operands[0].id][instr.index]
 
     def _op_outfeed(self, instr, env, args, replicas):
         src = env[instr.operands[0].id]
         for k, r in enumerate(replicas):
-            v = src[k]
+            v = _row(src, k)
             copy = tuple(np.array(e) for e in v) if isinstance(v, tuple) else np.array(v)
             self.outfeeds[r].append((instr.id, copy))
-        return [() for _ in replicas]
+        return ()
 
     # -- collectives -------------------------------------------------------------
 
@@ -621,113 +808,124 @@ class Simulator:
     def _op_all_reduce(self, instr, env, args, replicas):
         self._require_full_groups(instr, instr.groups, replicas)
         self.stats.record(instruction_phases(instr, self.m))
-        n = self.m.replica_count
-        pos = {r: k for k, r in enumerate(replicas)}
-        results_per_operand = []
+        m = self.m
+        groups = _ring_groups(instr.groups, m.topology, replicas)
+        members = [g for g, _ in groups]
+        results = []
         for o in instr.operands:
-            vals = env[o.id]
             shape = o.shape
-            full = [None] * n
-            for r in replicas:
-                full[r] = vals[pos[r]]
-            spec = choose_spec(shape, instr.groups.group_size(n), self.m.tile, instr.groups)
+            spec = choose_spec(shape, instr.groups.group_size(m.replica_count), m.tile, instr.groups)
             # values fold in the exposed RS+AG order; bytes were counted above
-            shards = ring_reduce_scatter(full, spec, self.m.topology, instr.kind, shape.etype, self.m.tile)
-            gathered = ring_all_gather(shards, spec, self.m.topology, shape.etype, self.m.tile)
-            results_per_operand.append([coerce(gathered[r], shape) for r in replicas])
+            stack = _stacked(env[o.id], len(replicas))
+            shards = _reduce_scatter_stack(stack, members, spec, m.topology, instr.kind, shape.etype, m.tile)
+            full = _all_gather_stack(shards, groups, spec)
+            results.append(
+                self._layout_op(
+                    full,
+                    lambda x, lead: coerce(invert_steps_array(x, spec, shape.etype, m.tile), shape, lead),
+                )
+            )
         if len(instr.operands) == 1:
-            return results_per_operand[0]
-        return [tuple(res[k] for res in results_per_operand) for k in range(len(replicas))]
+            return results[0]
+        return tuple(results)
 
     def _op_fusion(self, instr, env, args, replicas):
         kind = instr.kind
         if kind in ("standard", "shard"):
-            fargs = [
-                [env[o.id][k] for o in instr.operands] for k in range(len(replicas))
-            ]
-            return self._run_computation(instr.fused, fargs, replicas)
+            return self._run_computation(instr.fused, [env[o.id] for o in instr.operands], replicas)
         spec: ShardingSpec = instr.spec
         self._require_full_groups(instr, spec.group, replicas)
         self.stats.record(instruction_phases(instr, self.m))
-        n = self.m.replica_count
-        pos = {r: k for k, r in enumerate(replicas)}
-        src_shape = instr.operands[0].shape
-        etype = src_shape.etype
-        vals = env[instr.operands[0].id]
-        full = [None] * n
-        for r in replicas:
-            full[r] = vals[pos[r]]
+        m = self.m
+        groups = _ring_groups(spec.group, m.topology, replicas)
+        stack = _stacked(env[instr.operands[0].id], len(replicas))
         if kind == "reduce_scatter":
+            etype = instr.operands[0].shape.etype
             rk = _fusion_reduce_kind(instr)
-            shards = ring_reduce_scatter(full, spec, self.m.topology, rk, etype, self.m.tile)
-            return [coerce(shards[r], instr.shape) for r in replicas]
+            members = [g for g, _ in groups]
+            shards = _reduce_scatter_stack(stack, members, spec, m.topology, rk, etype, m.tile)
+            return Varying(coerce(shards, instr.shape, shards.shape[:1]))
         # all_gather / unshard: ring gather, then the fused reverse formatting.
-        out = [None] * n
-        for group in spec.group.resolve(n):
-            gathered = _gathered_full([np.asarray(full[r]) for r in group], spec, self.m.topology, group)
-            for r in group:
-                if r in pos:
-                    out[r] = gathered
-        fargs = [[out[r]] for r in replicas]
-        return self._run_computation(instr.fused, fargs, replicas)
+        gathered = _all_gather_stack(stack, groups, spec)
+        return self._run_computation(instr.fused, [gathered], replicas)
 
     # -- control flow --------------------------------------------------------------
 
     def _op_while(self, instr, env, args, replicas):
-        state = list(env[instr.operands[0].id])
-        active = list(range(len(replicas)))
-        has_coll = _has_collective(instr.body) or _has_collective(instr.cond)
+        count = len(replicas)
+        state = env[instr.operands[0].id]
+        active = list(range(count))  # positions of the replicas still looping
+        done = []  # (positions, final state) of the replicas that left
         iters = 0
-        while active:
+        while True:
             if iters > self.max_while:
                 raise SimulationError(
                     f"while %{instr.id} exceeded {self.max_while} iterations"
                 )
-            act_replicas = [replicas[k] for k in active]
-            conds = self._run_computation(instr.cond, [[state[k]] for k in active], act_replicas)
-            cont = [k for k, c in zip(active, conds) if bool(c)]
+            act_replicas = replicas if len(active) == count else [replicas[k] for k in active]
+            flags = self._run_computation(instr.cond, [state], act_replicas)
+            if type(flags) is Uniform:
+                cont = list(range(len(active))) if bool(flags.a) else []
+            else:
+                cont = np.flatnonzero(flags.a).tolist()
             if not cont:
+                done.append((active, state))
                 break
-            if len(cont) != len(active) and has_coll:
-                raise SimulationError(
-                    f"while %{instr.id}: condition diverges across replicas with "
-                    "collectives in the loop"
-                )
-            new_states = self._run_computation(
-                instr.body, [[state[k]] for k in cont], [replicas[k] for k in cont]
+            if len(cont) != len(active):
+                if _has_collective(instr.body) or _has_collective(instr.cond):
+                    raise SimulationError(
+                        f"while %{instr.id}: condition diverges across replicas with "
+                        "collectives in the loop"
+                    )
+                stop = sorted(set(range(len(active))) - set(cont))
+                done.append(([active[k] for k in stop], _take(state, stop)))
+                state = _take(state, cont)
+                active = [active[k] for k in cont]
+            state = self._run_computation(
+                instr.body, [state], replicas if len(active) == count else [replicas[k] for k in active]
             )
-            for k, s in zip(cont, new_states):
-                state[k] = s
-            active = cont
             iters += 1
-        return state
+        if len(done) == 1:
+            return state
+        return _merge(done, count)
 
     def _op_conditional(self, instr, env, args, replicas):
-        preds = env[instr.operands[0].id]
-        t_idx = [k for k, p in enumerate(preds) if bool(p)]
-        f_idx = [k for k, p in enumerate(preds) if not bool(p)]
-        diverged = bool(t_idx) and bool(f_idx)
-        if diverged and (
-            _has_collective(instr.branches[0]) or _has_collective(instr.branches[1])
-        ):
+        pred = env[instr.operands[0].id]
+        paths = (
+            (instr.branches[0], instr.operands[1]),
+            (instr.branches[1], instr.operands[2]),
+        )
+        if type(pred) is Uniform:
+            taken = bool(pred.a)
+        else:
+            t_idx = np.flatnonzero(pred.a).tolist()
+            if 0 < len(t_idx) < len(replicas):
+                return self._diverged_conditional(instr, env, replicas, paths, t_idx)
+            taken = bool(t_idx)
+        branch, operand = paths[0 if taken else 1]
+        return self._run_computation(branch, [env[operand.id]], replicas)
+
+    def _diverged_conditional(self, instr, env, replicas, paths, t_idx):
+        if _has_collective(instr.branches[0]) or _has_collective(instr.branches[1]):
             raise SimulationError(
                 f"conditional %{instr.id}: predicate diverges across replicas with "
                 "collectives in a branch"
             )
-        out = [None] * len(replicas)
-        for idx, branch, operand in (
-            (t_idx, instr.branches[0], instr.operands[1]),
-            (f_idx, instr.branches[1], instr.operands[2]),
-        ):
-            if not idx:
-                continue
-            vals = env[operand.id]
+        f_idx = sorted(set(range(len(replicas))) - set(t_idx))
+        parts = []
+        for idx, (branch, operand) in zip((t_idx, f_idx), paths):
             res = self._run_computation(
-                branch, [[vals[k]] for k in idx], [replicas[k] for k in idx]
+                branch, [_take(env[operand.id], idx)], [replicas[k] for k in idx]
             )
-            for k, v in zip(idx, res):
-                out[k] = v
-        return out
+            parts.append((idx, res))
+        return _merge(parts, len(replicas))
+
+
+_HANDLERS = {
+    name[len("_op_"):].replace("_", "-"): fn
+    for name, fn in vars(Simulator).items()
+    if name.startswith("_op_")
+}
 
 
 def _fusion_reduce_kind(instr: Instruction) -> str:
@@ -735,17 +933,6 @@ def _fusion_reduce_kind(instr: Instruction) -> str:
         if ins.opcode == "all-reduce":
             return ins.kind
     return "add"
-
-
-def _values_equal(a, b) -> bool:
-    if isinstance(a, tuple) or isinstance(b, tuple):
-        return (
-            isinstance(a, tuple)
-            and isinstance(b, tuple)
-            and len(a) == len(b)
-            and all(_values_equal(x, y) for x, y in zip(a, b))
-        )
-    return np.array_equal(np.asarray(a), np.asarray(b))
 
 
 def run(

@@ -1,5 +1,6 @@
 """The compiler passes must not depend on the simulator, the oracle that
-checks what they emit."""
+checks what they emit, and the simulator must not take its uniformity from
+the redundancy analysis it checks."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,9 @@ def test_compiler_pass_does_not_import_simulator(name):
     imports = imported_modules(PACKAGE / f"{name}.py")
     assert imports, name
     assert not [i for i in imports if i.split(".")[:2] == ["shardgraph", "simulator"]]
+
+
+def test_simulator_does_not_import_redundancy():
+    imports = imported_modules(PACKAGE / "simulator.py")
+    assert imports
+    assert not [i for i in imports if i.split(".")[:2] == ["shardgraph", "redundancy"]]

@@ -25,6 +25,10 @@ from shardgraph.sharding import build_reduce_scatter, build_unshard_ops, choose_
 from shardgraph.simulator import (
     PerReplica,
     SimulationError,
+    Simulator,
+    Uniform,
+    Varying,
+    apply_steps_array,
     bitcast_array,
     cost,
     ring_all_gather,
@@ -146,6 +150,168 @@ class TestBasicSemantics:
             run(m, {}, max_while_iterations=50)
 
 
+class TestReplicaEqualInputs:
+    """A replica_equal parameter's inputs are compared bit for bit, so a NaN
+    equals itself."""
+
+    @staticmethod
+    def doubled():
+        gb = GraphBuilder("main")
+        w = gb.parameter(0, Shape((2,), F32), "w", replica_equal=True)
+        return module_of(gb.finish(gb.emit("add", Shape((2,), F32), (w, w))), 2)
+
+    def test_single_nan_value(self):
+        res = run(self.doubled(), {"w": np.array([1.0, np.nan], np.float32)})
+        for out in res.outputs:
+            assert out[0] == 2.0 and np.isnan(out[1])
+
+    def test_identical_per_replica_nan_values(self):
+        w = np.array([1.0, np.nan], np.float32)
+        res = run(self.doubled(), {"w": PerReplica([w, w.copy()])})
+        assert bitwise_same(res.outputs[0], res.outputs[1])
+
+    def test_differing_values_raise(self):
+        w = np.array([1.0, np.nan], np.float32)
+        with pytest.raises(SimulationError, match="replica_equal"):
+            run(self.doubled(), {"w": PerReplica([w, np.array([2.0, np.nan], np.float32)])})
+
+
+def counted_while(gb, value, bound):
+    """A while loop carrying (i, value) that halves the value while
+    i < bound(cond builder, i); returns the loop's result value."""
+    shape = value.shape
+    state = TupleShape((scalar(S32), shape))
+    body = GraphBuilder("body", id_prefix="b.")
+    bp = body.parameter(0, state, "b.state")
+    bi = body.emit("get-tuple-element", scalar(S32), (bp,), index=0)
+    bw = body.emit("get-tuple-element", shape, (bp,), index=1)
+    half = body.emit("mul", shape, (bw, body.broadcast_scalar(body.constant(0.5), shape)))
+    nxt = body.emit("add", scalar(S32), (bi, body.constant(1, S32)))
+    body_c = body.finish(body.emit("tuple", state, (nxt, half)))
+    cond = GraphBuilder("cond", id_prefix="c.")
+    cp = cond.parameter(0, state, "c.state")
+    ci = cond.emit("get-tuple-element", scalar(S32), (cp,), index=0)
+    flag = cond.emit("compare", scalar(PRED), (ci, bound(cond, ci)), direction="lt")
+    cond_c = cond.finish(flag)
+    init = gb.emit("tuple", state, (gb.constant(0, S32), value))
+    loop = gb.emit("while", state, (init,), cond=cond_c, body=body_c)
+    return gb.emit("get-tuple-element", shape, (loop,), index=1)
+
+
+class TestUniformity:
+    """The run-time uniformity rules, read from `Simulator.evaluate`: which
+    values the interpreter holds once and which it holds per replica."""
+
+    N = 4
+    VEC = Shape((3,), F32)
+
+    def evaluate(self, build, inputs=None):
+        gb = GraphBuilder("main")
+        values = build(gb)
+        root = gb.emit("tuple", TupleShape(tuple(v.shape for v in values)), tuple(values))
+        m = module_of(gb.finish(root), self.N)
+        return Simulator(m, seed=3).evaluate(inputs or {})
+
+    def per_replica(self, k=0):
+        return PerReplica([np.full(3, r + k, np.float32) for r in range(self.N)])
+
+    def test_sources_of_variation(self):
+        def build(gb):
+            rid = gb.emit("replica-id", scalar(S32))
+            noise = gb.emit("rng", self.VEC, id="noise")
+            plain = gb.parameter(0, self.VEC, "plain")
+            return [rid, noise, plain]
+
+        root = self.evaluate(build, {"plain": self.per_replica()})
+        assert all(type(v) is Varying for v in root)
+        assert root[0].a.tolist() == list(range(self.N))
+
+    def test_shared_inputs_and_pure_ops_are_uniform(self):
+        def build(gb):
+            shared = gb.parameter(0, self.VEC, "shared")
+            equal = gb.parameter(1, self.VEC, "equal", replica_equal=True)
+            c = gb.broadcast_scalar(gb.constant(2.0), self.VEC)
+            total = gb.emit("add", self.VEC, (gb.emit("mul", self.VEC, (shared, c)), equal))
+            iota = gb.emit("iota", self.VEC, dims=(0,))
+            return [shared, equal, total, iota]
+
+        w = np.arange(3, dtype=np.float32)
+        root = self.evaluate(build, {"shared": w, "equal": PerReplica([w.copy() for _ in range(self.N)])})
+        assert all(type(v) is Uniform for v in root)
+        assert root[2].a.tolist() == [0.0, 3.0, 6.0]
+
+    def test_a_varying_operand_makes_a_pure_op_varying(self):
+        def build(gb):
+            plain = gb.parameter(0, self.VEC, "plain")
+            c = gb.broadcast_scalar(gb.constant(2.0), self.VEC)
+            return [gb.emit("add", self.VEC, (plain, c)), gb.emit("dot", scalar(F32), (plain, c))]
+
+        root = self.evaluate(build, {"plain": self.per_replica()})
+        assert all(type(v) is Varying for v in root)
+        assert root[0].a[:, 0].tolist() == [2.0, 3.0, 4.0, 5.0]
+        assert root[1].a.tolist() == [0.0, 6.0, 12.0, 18.0]
+
+    def test_full_group_all_reduce_is_uniform_subgroups_are_varying(self):
+        pairs = ReplicaGroups(((0, 2), (1, 3)))
+
+        def build(gb):
+            plain = gb.parameter(0, self.VEC, "plain")
+            full = gb.emit("all-reduce", self.VEC, (plain,), kind="add", groups=ALL_REPLICAS)
+            sub = gb.emit("all-reduce", self.VEC, (plain,), kind="add", groups=pairs)
+            return [full, sub]
+
+        full, sub = self.evaluate(build, {"plain": self.per_replica()})
+        assert type(full) is Uniform and full.a.tolist() == [6.0] * 3
+        assert type(sub) is Varying and sub.a[:, 0].tolist() == [2.0, 4.0, 2.0, 4.0]
+
+    def test_divergent_control_flow_merges_to_varying(self):
+        def build(gb):
+            w = gb.parameter(0, self.VEC, "w", replica_equal=True)
+            rid = gb.emit("replica-id", scalar(S32))
+            pred = gb.emit("compare", scalar(PRED), (rid, gb.constant(2, S32)), direction="lt")
+            same = gb.emit("compare", scalar(PRED), (gb.constant(1, S32), gb.constant(0, S32)), direction="gt")
+            t = GraphBuilder("t", id_prefix="t.")
+            tp = t.parameter(0, self.VEC, "t.a")
+            t_c = t.finish(t.emit("add", self.VEC, (tp, tp)))
+            f = GraphBuilder("f", id_prefix="f.")
+            f_c = f.finish(f.parameter(0, self.VEC, "f.a"))
+            diverged = gb.emit("conditional", self.VEC, (pred, w, w), branches=(t_c, f_c))
+            agreed = gb.emit("conditional", self.VEC, (same, w, w), branches=(t_c, f_c))
+            uneven = counted_while(gb, w, lambda c, i: c.emit(
+                "add", scalar(S32), (c.emit("replica-id", scalar(S32)), c.constant(1, S32))))
+            even = counted_while(gb, w, lambda c, i: c.constant(2, S32))
+            return [diverged, agreed, uneven, even]
+
+        w = np.ones(3, np.float32)
+        diverged, agreed, uneven, even = self.evaluate(build, {"w": w})
+        assert type(diverged) is Varying and diverged.a[:, 0].tolist() == [2.0, 2.0, 1.0, 1.0]
+        assert type(agreed) is Uniform and agreed.a.tolist() == [2.0] * 3
+        assert type(uneven) is Varying and uneven.a[:, 0].tolist() == [0.5, 0.25, 0.125, 0.0625]
+        assert type(even) is Uniform and even.a.tolist() == [0.25] * 3
+
+    def test_on_value_sees_one_value_per_active_replica(self):
+        gb = GraphBuilder("main")
+        w = gb.parameter(0, self.VEC, "w", replica_equal=True)
+        doubled = gb.emit("add", self.VEC, (w, w))
+        out = counted_while(gb, doubled, lambda c, i: c.emit(
+            "add", scalar(S32), (c.emit("replica-id", scalar(S32)), c.constant(1, S32))))
+        m = module_of(gb.finish(out), self.N)
+        seen = {}
+
+        def watch(instr, replicas, values):
+            assert len(values) == len(replicas)
+            seen.setdefault(instr.id, []).append((list(replicas), values))
+
+        res = Simulator(m, on_value=watch).run({"w": np.ones(3, np.float32)})
+        [(replicas, values)] = seen[doubled.id]
+        assert replicas == list(range(self.N))
+        assert all(bitwise_same(v, np.full(3, 2.0, np.float32)) for v in values)
+        # the body runs for fewer replicas as they leave the loop
+        body_runs = [len(r) for r, _ in seen["b.state"]]
+        assert body_runs == [4, 3, 2, 1]
+        assert [float(o[0]) for o in res.outputs] == [1.0, 0.5, 0.25, 0.125]
+
+
 class TestDeterminism:
     def test_bitwise_repeatable_including_outfeeds(self):
         m = gen_module("mlp", replicas=4, steps=3, layers=2, dim=8, outfeed_every=2)
@@ -171,7 +337,75 @@ class TestDeterminism:
         assert not bitwise_same(a.outputs[0], a.outputs[1])
 
 
+def reference_reduce_scatter(values, spec, topology, kind, etype, tile=(8, 128)):
+    """The per-replica ring reduce-scatter: every piece folded on its own, in
+    ring order starting after the member that keeps it."""
+    ufunc = {"add": np.add, "mul": np.multiply, "max": np.maximum, "min": np.minimum}[kind]
+
+    def fold(arrays, start):
+        acc = arrays[(start + 1) % len(arrays)].copy()
+        for k in range(2, len(arrays) + 1):
+            acc = ufunc(acc, arrays[(start + k) % len(arrays)])
+            if etype == F16R:
+                acc = round_reduced(acc)
+        return acc
+
+    n, s = topology.n, spec.shard_count
+    fill = {"add": 0.0, "mul": 1.0, "max": float("-inf"), "min": float("inf")}[kind]
+    out = [None] * n
+    for group in spec.group.resolve(n):
+        formatted = {r: apply_steps_array(values[r], spec, etype, tile, fill) for r in group}
+        pieces = {
+            r: [a] if a.ndim == 0 else np.split(a, s, axis=spec.shard_dim) for r, a in formatted.items()
+        }
+        if not topology.two_phase(spec.group):
+            for p, r in enumerate(group):
+                out[r] = fold([pieces[q][p] for q in group], p)
+            continue
+        rows, cols = topology.rows, topology.cols
+        partial = {}
+        for i in range(rows):
+            row = [i * cols + j for j in range(cols)]
+            for j in range(cols):
+                for t in range(rows):
+                    partial[row[j], j * rows + t] = fold([pieces[r][j * rows + t] for r in row], j)
+        for j in range(cols):
+            col = [i * cols + j for i in range(rows)]
+            for i in range(rows):
+                out[col[i]] = fold([partial[r, j * rows + i] for r in col], i)
+    return out
+
+
 class TestRingCollectives:
+    def test_vectorized_fold_matches_per_replica_reference(self):
+        # the stacked fold must combine every element in the per-replica
+        # ring order, bit for bit, on every topology and group kind
+        rng = np.random.default_rng(11)
+        topologies = [ring_topology(n) for n in (1, 2, 3, 4, 8)]
+        topologies += [mesh_topology(2, 2), mesh_topology(2, 4), mesh_topology(4, 2)]
+        cases = 0
+        for topo in topologies:
+            group_kinds = [ALL_REPLICAS]
+            if topo.kind == "mesh":
+                group_kinds += [topo.row_groups(), topo.col_groups()]
+            if topo.n == 4:
+                group_kinds.append(ReplicaGroups(((0, 2), (3, 1))))
+            for groups in group_kinds:
+                for etype, kind in ((F32, "add"), (F16R, "add"), (S32, "add"), (F32, "max"), (F32, "mul")):
+                    dims = tuple(int(d) for d in rng.integers(1, 10, size=int(rng.integers(0, 4))))
+                    spec = choose_spec(Shape(dims, etype), groups.group_size(topo.n), group=groups)
+                    if etype == S32:
+                        vals = [rng.integers(-50, 50, size=dims).astype(np.int32) for _ in range(topo.n)]
+                    else:
+                        vals = [rng.normal(size=dims).astype(np.float32) for _ in range(topo.n)]
+                        if etype == F16R:
+                            vals = [round_reduced(v) for v in vals]
+                    got = ring_reduce_scatter(vals, spec, topo, kind, etype)
+                    want = reference_reduce_scatter(vals, spec, topo, kind, etype)
+                    assert all(bitwise_same(g, w) for g, w in zip(got, want)), (topo, groups, dims, etype, kind)
+                    cases += 1
+        assert cases == 5 * (5 + 3 * 3 + 1 + 1)
+
     def test_reduce_scatter_one_element_per_shard(self):
         spec = choose_spec(Shape((4,), F32), 4)
         topo = ring_topology(4)
@@ -180,6 +414,13 @@ class TestRingCollectives:
         for r in range(4):
             assert shards[r].shape == (1,)
             assert float(shards[r][0]) == 4.0
+
+    def test_scalar_all_reduce_on_one_replica(self):
+        gb = GraphBuilder("main")
+        g = gb.parameter(0, scalar(F32), "g")
+        ar = gb.emit("all-reduce", scalar(F32), (g,), kind="add", groups=ALL_REPLICAS)
+        res = run(module_of(gb.finish(ar), 1), {"g": 2.5})
+        assert bitwise_same(res.outputs[0], np.asarray(np.float32(2.5)))
 
     def test_single_replica_identity(self):
         spec = choose_spec(Shape((4,), F32), 1)
