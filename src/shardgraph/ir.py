@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class ElementType(enum.Enum):
@@ -244,14 +245,18 @@ class Topology:
         return self.rows * self.cols
 
     def row_groups(self) -> ReplicaGroups:
-        return ReplicaGroups(
-            tuple(tuple(range(i * self.cols, (i + 1) * self.cols)) for i in range(self.rows))
-        )
+        return self._partitions[0]
 
     def col_groups(self) -> ReplicaGroups:
-        return ReplicaGroups(
-            tuple(tuple(j + i * self.cols for i in range(self.rows)) for j in range(self.cols))
-        )
+        return self._partitions[1]
+
+    @cached_property
+    def _partitions(self) -> tuple[ReplicaGroups, ReplicaGroups]:
+        """The row and the column partition, built once per topology: callers
+        classify groups against them once per emitted collective."""
+        rows = tuple(tuple(range(i * self.cols, (i + 1) * self.cols)) for i in range(self.rows))
+        cols = tuple(tuple(j + i * self.cols for i in range(self.rows)) for j in range(self.cols))
+        return ReplicaGroups(rows), ReplicaGroups(cols)
 
     def two_phase(self, group: ReplicaGroups) -> bool:
         """Whether collectives over `group` run the two-phase mesh algorithm

@@ -427,17 +427,14 @@ def select_groups(
     shape: Shape,
     m: Module,
     threshold: int = PARTIAL_SHARDING_THRESHOLD_BYTES,
-    rows: ReplicaGroups | None = None,
 ) -> ReplicaGroups:
     """Full sharding by default; on a mesh, shard within rows instead when the
     fully-sharded piece would be small enough to be latency-bound, or when the
-    row-local format wastes fewer padded bytes than the full one. `rows` is
-    `m.topology.row_groups()`, when the caller has built it already."""
+    row-local format wastes fewer padded bytes than the full one."""
     topo = m.topology
     if topo.kind != "mesh" or topo.rows <= 1 or topo.cols <= 1:
         return ALL_REPLICAS
-    if rows is None:
-        rows = topo.row_groups()
+    rows = topo.row_groups()
     full_spec = choose_spec(shape, m.replica_count, m.tile)
     shard_bytes = physical_bytes(Shape(full_spec.shard_dims, shape.etype), m.tile)
     if shard_bytes < threshold:
@@ -529,7 +526,6 @@ def evaluate(
     steps: int | None = None,
     loop: Instruction | None = None,
     users: dict[str, list[Instruction]] | None = None,
-    mesh: tuple[ReplicaGroups, ReplicaGroups] | None = None,
 ) -> ShardingDecision:
     """Decide whether to shard one cluster. Benefit is the saved update
     traffic; cost is the weighted time of the all-gathers sharding makes
@@ -539,15 +535,12 @@ def evaluate(
     sharded (`state_veto`; `loop` is the loop whose body holds the cluster).
     A vetoed decision's reason names the veto.
 
-    `plan` passes what it builds once for all clusters: `users`, the users
-    map of the cluster's computation, and `mesh`, the topology's row and
-    column groups. Both are built here when not given."""
+    `plan` passes `users`, the users map of the cluster's computation, which
+    it builds once for all clusters; it is built here when not given."""
     cm = cm or CostModel()
     n = m.replica_count
-    if mesh is None:
-        mesh = _mesh_groups(m)
     shape = Shape(cluster.dims, cluster.etype)
-    groups = select_groups(shape, m, rows=mesh[0])
+    groups = select_groups(shape, m)
     s = groups.group_size(n)
     spec = choose_spec(shape, s, m.tile, groups)
 
@@ -593,7 +586,7 @@ def evaluate(
     if not groups.is_all:
         # partial sharding adds a cross-group all-reduce on the shard
         shard_bytes = physical_bytes(Shape(spec.shard_dims, shape.etype), m.tile)
-        rs_time += time_of(all_reduce_phases(shard_bytes, m.topology, mesh[1]))
+        rs_time += time_of(all_reduce_phases(shard_bytes, m.topology, m.topology.col_groups()))
     cost_sec = rs_time + sum(site.weight * ag_time for site in ag_sites) - ar_time
 
     shard = (
@@ -619,21 +612,16 @@ def evaluate(
     )
 
 
-def _mesh_groups(m: Module) -> tuple[ReplicaGroups, ReplicaGroups]:
-    return m.topology.row_groups(), m.topology.col_groups()
-
-
 def plan(m: Module, cm: CostModel | None = None, steps: int | None = None) -> list[ShardingDecision]:
     """Full analysis pipeline: redundancy, clusters in the training-step
     computation, and a decision per cluster. The users map of the step
-    computation and the mesh groups are built once and shared by all."""
+    computation is built once and shared by all."""
     rmap = analyze(m)
     loop = next((i for i in m.entry.instructions if i.opcode == "while"), None)
     comp = loop.body if loop is not None else m.entry
     users = users_map(comp)
-    mesh = _mesh_groups(m)
     clusters = find_clusters(comp, rmap, m, users, loop)
-    return [evaluate(c, m, cm, steps=steps, loop=loop, users=users, mesh=mesh) for c in clusters]
+    return [evaluate(c, m, cm, steps=steps, loop=loop, users=users) for c in clusters]
 
 
 def update_member_ids(decisions: list[ShardingDecision]) -> set[str]:

@@ -377,7 +377,6 @@ def apply(m: Module, decisions: list[ShardingDecision], steps_hint: int | None =
         if veto is not None:
             raise TransformError(f"cannot shard the cluster of %{d.cluster.anchor.id}: {veto}")
 
-    cols = None  # the column groups, built for the first row-local decision
     out_slots: dict[str, list[int]] = {}  # entry root element id -> its positions
     if loop is None and body.root.opcode == "tuple":
         for slot, value in enumerate(body.root.operands):
@@ -387,9 +386,7 @@ def apply(m: Module, decisions: list[ShardingDecision], steps_hint: int | None =
         cluster = d.cluster
         cross = None
         if not d.groups.is_all and m.topology.rows > 1:
-            if cols is None:
-                cols = m.topology.col_groups()
-            cross = cols
+            cross = m.topology.col_groups()
         sharded_params: dict[int, tuple[str, int | None]] = {}
         if loop is None:
             member_out_slots = sorted(

@@ -104,6 +104,14 @@ class TestGroupsAndTopology:
         assert t.row_groups().groups == ((0, 1, 2), (3, 4, 5))
         assert t.col_groups().groups == ((0, 3), (1, 4), (2, 5))
 
+    def test_partitions_are_built_once_per_topology(self):
+        # shard-rank emission classifies a group against them per collective
+        t = mesh_topology(32, 64)
+        assert t.row_groups() is t.row_groups() and t.col_groups() is t.col_groups()
+        assert t == mesh_topology(32, 64) and hash(t) == hash(mesh_topology(32, 64))
+        assert t.row_groups().groups[31] == tuple(range(31 * 64, 32 * 64))
+        assert t.col_groups().groups[63] == tuple(63 + 64 * i for i in range(32))
+
     def test_group_resolution(self):
         g = ReplicaGroups(((0, 1), (2, 3)))
         assert g.group_of(2, 4) == (2, 3)
