@@ -1,0 +1,81 @@
+"""Error-contract property test: random modules and token-level mutations of
+their text, fed to every module-reading subcommand, end in exit 0, 1 or 2
+and never in an uncaught exception."""
+
+import contextlib
+import io
+import re
+
+import numpy as np
+import pytest
+
+from randmod import random_module
+from shardgraph.cli import main
+from shardgraph.textfmt import print_module
+
+SUBCOMMANDS = {
+    "analyze": ["--profit"],
+    "transform": ["--out-dir", "{dir}"],
+    "simulate": ["--seed", "3"],
+    "cost": [],
+    "compare": ["--seed", "3"],
+}
+TOKEN = re.compile(r"%?[\w.\-]+|\s+|.", re.S)
+ODD_TOKENS = ["0", "-1", "7", "1e", "99999", "f32[]", "s32", "pred", "{", "}", ",", "=", "%x", "all"]
+
+
+def mutate(text: str, rng) -> str:
+    """One to three token edits: delete, duplicate, swap with the next
+    token, or replace with another token of the text or an odd one."""
+    tokens = TOKEN.findall(text)
+    for _ in range(int(rng.integers(1, 4))):
+        k = int(rng.integers(0, len(tokens)))
+        op = int(rng.integers(0, 4))
+        if op == 0:
+            del tokens[k]
+        elif op == 1:
+            tokens.insert(k, tokens[k])
+        elif op == 2 and k + 1 < len(tokens):
+            tokens[k], tokens[k + 1] = tokens[k + 1], tokens[k]
+        else:
+            pool = ODD_TOKENS if rng.random() < 0.5 else tokens
+            tokens[k] = pool[int(rng.integers(0, len(pool)))]
+    return "".join(tokens)
+
+
+def exit_code(argv) -> int:
+    """The subcommand's exit code; any other exception propagates."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as e:  # argparse
+            return e.code
+
+
+def texts(seeds=range(24), mutants=4):
+    rng = np.random.default_rng(7)
+    for seed in seeds:
+        text = print_module(random_module(seed))
+        yield f"randmod {seed}", text
+        for k in range(mutants):
+            yield f"randmod {seed} mutant {k}", mutate(text, rng)
+
+
+def test_no_subcommand_ends_in_a_traceback(tmp_path):
+    path = tmp_path / "m.ir"
+    codes = {}
+    accepted_mutants = 0
+    for label, text in texts():
+        path.write_text(text)
+        for cmd, extra in SUBCOMMANDS.items():
+            argv = [cmd, str(path)] + [a.format(dir=tmp_path / "out") for a in extra]
+            try:
+                code = exit_code(argv)
+            except Exception as e:
+                pytest.fail(f"{cmd} on {label} raised {type(e).__name__}: {e}\n--- module\n{text}")
+            assert code in (0, 1, 2), (cmd, label, code)
+            codes[code] = codes.get(code, 0) + 1
+            accepted_mutants += code == 0 and "mutant" in label
+    # the mix must exercise accepted modules, mutants among them, and
+    # rejected ones
+    assert codes.get(0, 0) > 100 and codes.get(2, 0) > 100 and accepted_mutants > 20, (codes, accepted_mutants)
