@@ -29,8 +29,8 @@ so the simulator stays an independent oracle for that analysis:
 Elementwise ops, `broadcast`, `select`, `compare`, `convert`, `reshape`,
 `bitcast`, `pad` and `dynamic-slice` with uniform starts run once, on the
 shared array or on the stack: each element gets the same IEEE operation as
-in a per-replica run. `reduce` and `dot` on a varying operand, and `power`,
-keep one call per replica: a stacked reduction or matmul may sum in another
+in a per-replica run. `reduce`, `dot` and `power` on a varying operand keep
+one call per replica: a stacked reduction or matmul may sum in another
 order, and `power` may take another libm path on a larger array. A varying
 `dynamic-slice` start or `pad` value is also applied row by row.
 
@@ -309,21 +309,13 @@ class CollectiveStats:
 _REDUCE_UFUNCS = {"add": np.add, "mul": np.multiply, "max": np.maximum, "min": np.minimum}
 
 
-def _combine(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
-    if kind not in _REDUCE_UFUNCS:
-        raise ValueError(f"unknown reduction kind {kind}")
-    return _REDUCE_UFUNCS[kind](a, b)
-
-
 def _ring_fold(terms, kind: str, etype: ElementType) -> np.ndarray:
     """Fold the ring steps' arrays left to right, rounding after every
     combine for f16r. The first array must be a fresh copy: the fold
     accumulates into it."""
     terms = iter(terms)
     acc = next(terms)
-    fn = _REDUCE_UFUNCS.get(kind)
-    if fn is None:
-        raise ValueError(f"unknown reduction kind {kind}")
+    fn = _REDUCE_UFUNCS[kind]
     for t in terms:
         fn(acc, t, out=acc)
         if etype == ElementType.F16R:
@@ -720,13 +712,12 @@ class Simulator:
         return self._row_op(instr, env, replicas, lambda x, y: coerce(np.matmul(x, y), instr.shape))
 
     def _op_reduce(self, instr, env, args, replicas):
-        kind = instr.kind
         dims = tuple(instr.dims or ())
-        fn = _REDUCE_UFUNCS[kind]
+        fn = _REDUCE_UFUNCS[instr.kind]
 
         def reduce(x, init):
             red = fn.reduce(x, axis=dims) if dims else x.copy()
-            return coerce(_combine(np.asarray(red), init, kind), instr.shape)
+            return coerce(fn(np.asarray(red), init), instr.shape)
 
         return self._row_op(instr, env, replicas, reduce)
 
