@@ -38,7 +38,8 @@ Ring collectives format and pad the stack once and fold every piece of every
 group in one vectorized pass per ring step, each element in the ring order
 of the per-replica algorithm. `run`, `RunResult`, `PerReplica` and the
 `on_value` callback see one value per replica; values are split into rows
-only at those boundaries.
+only at those boundaries. The rows of `run`'s outputs are read-only views:
+they share memory with each other and with the inputs.
 """
 
 from __future__ import annotations
@@ -244,6 +245,16 @@ def _rows(v, count: int) -> list:
     if type(v) is Uniform:
         return [v.a] * count
     return [_row(v, k) for k in range(count)]
+
+
+def _read_only(v):
+    """A read-only view of a row. Rows share memory with each other and with
+    the inputs, so a write into one must not silently change the others."""
+    if isinstance(v, tuple):
+        return tuple(_read_only(e) for e in v)
+    view = v.view()
+    view.flags.writeable = False
+    return view
 
 
 def _stacked(v: Uniform | Varying, count: int) -> np.ndarray:
@@ -452,7 +463,7 @@ def ring_all_gather(
 
 @dataclass
 class RunResult:
-    outputs: list  # per replica: ndarray or tuple of ndarrays (the root value)
+    outputs: list  # per replica: read-only ndarray or tuple of them (the root value)
     outfeeds: list  # per replica: list of (instruction id, value)
     stats: CollectiveStats
 
@@ -496,10 +507,8 @@ class Simulator:
     # -- public entry ---------------------------------------------------------
 
     def run(self, inputs: dict) -> RunResult:
-        root = self.evaluate(inputs)
-        return RunResult(
-            outputs=_rows(root, self.m.replica_count), outfeeds=self.outfeeds, stats=self.stats
-        )
+        rows = _rows(self.evaluate(inputs), self.m.replica_count)
+        return RunResult(outputs=[_read_only(v) for v in rows], outfeeds=self.outfeeds, stats=self.stats)
 
     def evaluate(self, inputs: dict):
         """Execute the module; returns the entry root as the interpreter holds

@@ -14,11 +14,28 @@ Shapes print as `f32[3,3,256,256]`, scalars as `f32[]`, tuples as
 `(f32[4], s32[])`. `parameter` and `constant` take literals as call
 arguments; every other opcode takes `%id` references. `print_module` and
 `parse_module` round-trip bit-exactly; neither runs the verifier.
+
+Tokens are ASCII: punctuation `{}()[]=,:` and `->`; words
+`[A-Za-z_][A-Za-z0-9_.-]*` (a `-` before `>` ends one); references
+`%[A-Za-z0-9_.]+`; numbers `-?[0-9][0-9.eE]*`, with a sign allowed only
+after an exponent marker, and `-inf`; strings `"..."` without escapes.
+Blanks, newlines and `#` comments separate them; any other character,
+non-ASCII digits and letters included, is an error outside strings and
+comments. One compiled pattern scans the whole text in C and the parser
+reads plain token strings. Positions are worked out only for an error, by
+scanning again up to the failing token: lines count newlines between
+tokens, and columns count characters, where a comment counts none and a
+newline inside a string counts as one.
+
+Every malformed input raises `ParseError`, including values the IR
+rejects (a negative dimension, a replica count that is not the topology's)
+and bad sharding spec strings.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 
 from .ir import (
     ALL_REPLICAS,
@@ -151,103 +168,69 @@ def print_module(m: Module) -> str:
 # Tokenizer
 # --------------------------------------------------------------------------- #
 
-_PUNCT = "{}()[]=,:"
+_TOKEN = re.compile(
+    r'"[^"]*"'  # string
+    r"|%[0-9A-Za-z_.]+"  # instruction reference
+    r"|[{}()\[\]=,:]|->"  # punctuation
+    r"|-?[0-9](?:[0-9.eE]|(?<=[eE])[+-])*|-inf"  # number; a sign only in an exponent
+    r"|[A-Za-z_](?:[0-9A-Za-z_.]|-(?!>))*"  # word, hyphenated opcodes included
+)
+# Blanks and comments, then one token. Where no token starts, the last
+# alternative takes the rest of the text, so a lexical error is always the
+# last match; at the end of the text it matches the empty string.
+_SCAN = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(" + _TOKEN.pattern + r"|[\s\S]*)")
+
+_KINDS = {"": "eof", "%": "ref", '"': "string", "-": "number"}
+_KINDS.update((c, c) for c in "{}()[]=,:")
+_KINDS.update((c, "number") for c in "0123456789")
+_KINDS.update((c, "word") for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind  # "word", "ref", "number", "string", or a punct char
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind!r}, {self.text!r})"
+def _kind(tok: str) -> str:
+    return "->" if tok == "->" else _KINDS[tok[:1]]
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, start_col)
-            toks.append(_Token("string", text[i + 1 : j], line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c == "%":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "._"):
-                j += 1
-            if j == i + 1:
-                raise ParseError("empty instruction id after '%'", line, start_col)
-            toks.append(_Token("ref", text[i + 1 : j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT:
-            toks.append(_Token(c, c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == "i")):
-            j = i + 1 if c == "-" else i
-            if text[j] == "i":  # -inf
-                if text[j : j + 3] != "inf":
-                    raise ParseError("bad number", line, start_col)
-                j += 3
-            else:
-                while j < n and (text[j].isdigit() or text[j] in ".eE+-"):
-                    # '+'/'-' only valid right after an exponent marker
-                    if text[j] in "+-" and text[j - 1] not in "eE":
-                        break
-                    j += 1
-            toks.append(_Token("number", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_.-"):
-                # keep hyphenated opcodes as a single word, but '->' is punctuation
-                if text[j] == "-" and j + 1 < n and text[j + 1] == ">":
-                    break
-                j += 1
-            toks.append(_Token("word", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == "-" and i + 1 < n and text[i + 1] == ">":
-            toks.append(_Token("->", "->", line, start_col))
-            i += 2
-            col += 2
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, start_col)
-    toks.append(_Token("eof", "", line, col))
+def _shown(tok: str) -> str:
+    """A token as messages quote it: references without `%`, strings
+    without quotes."""
+    return tok[1:-1] if tok[:1] == '"' else tok[1:] if tok[:1] == "%" else tok
+
+
+def _tokenize(text: str) -> list[str]:
+    """The token texts, then "" for the end of the text."""
+    toks = _SCAN.findall(text)
+    while toks and not toks[-1]:
+        toks.pop()
+    if toks and not _TOKEN.fullmatch(bad := toks[-1]):
+        if bad[0] == '"':
+            msg = "unterminated string"
+        elif bad[0] == "%":
+            msg = "empty instruction id after '%'"
+        elif bad.startswith("-i"):
+            msg = "bad number"
+        else:
+            msg = f"unexpected character {bad[0]!r}"
+        raise ParseError(msg, *_position(text, len(toks) - 1))
+    toks.append("")
     return toks
+
+
+def _position(text: str, k: int) -> tuple[int, int]:
+    """Line and column of token `k`. Only errors need them, so they are
+    counted by scanning again: a newline between tokens starts a line, a
+    comment takes no column, and every other character takes one, newlines
+    inside strings included."""
+    line = col = 1
+    for i, m in enumerate(_SCAN.finditer(text)):
+        blank = text[m.start() : m.start(1)]
+        if "\n" in blank:
+            line += blank.count("\n")
+            col, blank = 1, blank[blank.rindex("\n") + 1 :]
+        col += len(blank.partition("#")[0])
+        if i == k:
+            break
+        col += len(m[1])
+    return line, col
 
 
 # --------------------------------------------------------------------------- #
@@ -292,58 +275,83 @@ _ARITY: dict[str, int | None] = {
 
 
 class _Parser:
+    """Recursive descent over the token texts. `pos` indexes the next
+    token; errors name a token by its index."""
+
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.shapes: dict[tuple, Shape] = {}
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.toks[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def error(self, msg: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(msg, tok.line, tok.col)
+    def error(self, msg: str, at: int | None = None):
+        raise ParseError(msg, *_position(self.text, self.pos if at is None else at))
 
     def expect_number(self, conv=int):
         """The next token as a number; lexed numbers such as `1e` or `1.5` in
         an integer position are parse errors."""
-        t = self.expect("number")
+        t = self.expect_kind("number")
         try:
-            return conv(t.text)
+            return conv(t)
         except ValueError:
-            self.error(f"bad number {t.text!r}", t)
+            self.error(f"bad number {t!r}", self.pos - 1)
 
-    def expect(self, kind: str) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            self.error(f"expected {kind!r}, found {t.text!r}")
-        return self.next()
-
-    def expect_word(self, word: str) -> _Token:
-        t = self.expect("word")
-        if t.text != word:
-            self.error(f"expected {word!r}, found {t.text!r}", t)
+    def expect(self, mark: str) -> str:
+        """The next token, which must be the punctuation `mark`."""
+        t = self.toks[self.pos]
+        if t != mark:
+            self.error(f"expected {mark!r}, found {_shown(t)!r}")
+        self.pos += 1
         return t
 
-    def accept(self, kind: str) -> bool:
-        if self.peek().kind == kind:
-            self.next()
+    def expect_kind(self, kind: str) -> str:
+        """The next token, which must be a 'word', 'ref', 'number', 'string'
+        or 'eof'."""
+        t = self.toks[self.pos]
+        if _kind(t) != kind:
+            self.error(f"expected {kind!r}, found {_shown(t)!r}")
+        self.pos += 1
+        return t
+
+    def expect_word(self, word: str) -> str:
+        t = self.expect_kind("word")
+        if t != word:
+            self.error(f"expected {word!r}, found {t!r}", self.pos - 1)
+        return t
+
+    def accept(self, mark: str) -> bool:
+        if self.toks[self.pos] == mark:
+            self.pos += 1
             return True
         return False
 
+    def build(self, at: int, make, *args, **kwargs):
+        """`make(*args, **kwargs)`; the ValueError of a value the IR rejects
+        becomes a ParseError at token `at`."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as e:
+            self.error(str(e), at)
+
     # -- shapes --------------------------------------------------------------
 
-    def parse_shape(self) -> Shape | TupleShape:
-        if self.peek().kind == "(":
+    def parse_shape(self, depth: int = 0) -> Shape | TupleShape:
+        if self.peek() == "(":
+            if depth == 2:  # bounds the recursion; the enclosing tuple fails anyway
+                self.error("nested tuple shapes are not supported")
             self.next()
             elems = []
-            if self.peek().kind != ")":
+            if self.peek() != ")":
                 while True:
-                    s = self.parse_shape()
+                    s = self.parse_shape(depth + 1)
                     if isinstance(s, TupleShape):
                         self.error("nested tuple shapes are not supported")
                     elems.append(s)
@@ -351,24 +359,20 @@ class _Parser:
                         break
             self.expect(")")
             return TupleShape(tuple(elems))
-        t = self.expect("word")
-        if t.text not in _ETYPES:
-            self.error(f"unknown element type {t.text!r}", t)
-        etype = _ETYPES[t.text]
-        self.expect("[")
-        dims = []
-        if self.peek().kind != "]":
-            while True:
-                dims.append(self.expect_number())
-                if not self.accept(","):
-                    break
-        self.expect("]")
-        return Shape(tuple(dims), etype)
+        at = self.pos
+        etype = _ETYPES.get(self.toks[at])
+        if etype is None:  # element types are words
+            self.error(f"unknown element type {self.expect_kind('word')!r}", at)
+        self.pos += 1
+        key = (etype, self.parse_int_list())
+        if key not in self.shapes:  # shapes repeat; build each once
+            self.shapes[key] = self.build(at, Shape, key[1], etype)
+        return self.shapes[key]
 
     def parse_int_list(self) -> tuple[int, ...]:
         self.expect("[")
         out = []
-        if self.peek().kind != "]":
+        if self.peek() != "]":
             while True:
                 out.append(self.expect_number())
                 if not self.accept(","):
@@ -377,8 +381,7 @@ class _Parser:
         return tuple(out)
 
     def parse_groups(self) -> ReplicaGroups:
-        if self.peek().kind == "word" and self.peek().text == "all":
-            self.next()
+        if self.accept("all"):
             return ALL_REPLICAS
         self.expect("{")
         groups = []
@@ -398,12 +401,12 @@ class _Parser:
 
     def parse_number_literal(self, etype: ElementType) -> float:
         t = self.peek()
-        if t.kind == "word" and t.text in ("true", "false"):
+        if t in ("true", "false"):
             self.next()
-            return 1.0 if t.text == "true" else 0.0
-        if t.kind == "word" and t.text in ("inf", "nan"):
+            return 1.0 if t == "true" else 0.0
+        if t in ("inf", "nan"):
             self.next()
-            return float(t.text)
+            return float(t)
         return self.expect_number(float)
 
     # -- module --------------------------------------------------------------
@@ -412,30 +415,27 @@ class _Parser:
         self.expect_word("module")
         self.expect_word("N")
         self.expect("=")
+        n_at = self.pos
         n = self.expect_number()
         self.expect_word("topology")
         self.expect("=")
-        t = self.expect("word")
-        if t.text == "ring":
+        t = self.expect_kind("word")
+        if t == "ring":
             topo = Topology("ring", 1, n)
-        elif t.text == "mesh":
+        elif t == "mesh":
             topo = Topology("mesh", *self._parse_grid())
         else:
-            self.error(f"unknown topology {t.text!r}", t)
+            self.error(f"unknown topology {t!r}", self.pos - 1)
         tile = DEFAULT_TILE
-        if self.peek().kind == "word" and self.peek().text == "tile":
-            self.next()
+        if self.accept("tile"):
             self.expect("=")
             tile = self._parse_grid()
         self.expect("{")
 
         comps: dict[str, Computation] = {}
         entry: Computation | None = None
-        while self.peek().kind == "word":
-            is_entry = False
-            if self.peek().text == "entry":
-                self.next()
-                is_entry = True
+        while _kind(self.peek()) == "word":
+            is_entry = self.accept("entry")
             comp = self.parse_computation(comps)
             if comp.name in comps:
                 self.error(f"duplicate computation name {comp.name!r}")
@@ -443,40 +443,42 @@ class _Parser:
             if is_entry:
                 entry = comp
         self.expect("}")
-        self.expect("eof")
+        self.expect_kind("eof")
         if entry is None:
             if not comps:
-                self.error("module has no computations")
+                self.error("module has no computations", self.pos - 1)
             entry = list(comps.values())[-1]
-        return Module(entry=entry, replica_count=n, topology=topo, tile=tile)
+        return self.build(n_at, Module, entry=entry, replica_count=n, topology=topo, tile=tile)
 
     def _parse_grid(self) -> tuple[int, int]:
-        """`RxC`, which lexes either as one word ('8x128') or as a number
-        followed by a word ('32' 'x64')."""
+        """`RxC`, which lexes as a number followed by a word ('8' 'x128');
+        with R missing it is one word ('x128')."""
+        at = self.pos
         t = self.next()
-        if t.kind not in ("word", "number"):
-            self.error("expected RxC dimensions", t)
-        text = t.text + (self.expect("word").text if t.kind == "number" else "")
+        kind = _kind(t)
+        if kind not in ("word", "number"):
+            self.error("expected RxC dimensions", at)
+        text = t + (self.expect_kind("word") if kind == "number" else "")
         r, x, c = text.partition("x")
         if not (x and r.isdigit() and c.isdigit()):
-            self.error(f"bad dimensions {text!r}", t)
+            self.error(f"bad dimensions {text!r}", at)
         return int(r), int(c)
 
     def parse_computation(self, known: dict[str, Computation]) -> Computation:
         self.expect_word("computation")
-        name = self.expect("word").text
+        name = self.expect_kind("word")
         self.expect("(")
         # Signature parameters are redundant with the body's parameter
         # instructions; shapes are taken from the body lines.
         depth = 0
-        while self.peek().kind != ")" or depth > 0:
+        while self.peek() != ")" or depth > 0:
             t = self.next()
-            if t.kind == "(":
+            if t == "(":
                 depth += 1
-            elif t.kind == ")":
+            elif t == ")":
                 depth -= 1
-            elif t.kind == "eof":
-                self.error("unterminated computation signature", t)
+            elif not t:
+                self.error("unterminated computation signature", self.pos - 1)
         self.expect(")")
         self.expect("->")
         self.parse_shape()  # result shape, validated against the root below
@@ -486,14 +488,12 @@ class _Parser:
         instructions: list[Instruction] = []
         root: Instruction | None = None
         while True:
-            t = self.peek()
-            if t.kind == "word" and t.text == "return":
-                self.next()
+            if self.accept("return"):
                 self.expect("(")
-                r = self.expect("ref")
-                if r.text not in by_id:
-                    self.error(f"return references undefined id %{r.text}", r)
-                root = by_id[r.text]
+                r = self.expect_kind("ref")[1:]
+                if r not in by_id:
+                    self.error(f"return references undefined id %{r}", self.pos - 1)
+                root = by_id[r]
                 self.expect(")")
                 break
             instr = self.parse_instruction(by_id, known)
@@ -505,13 +505,14 @@ class _Parser:
         return Computation(name, instructions, root)
 
     def parse_instruction(self, by_id: dict[str, Instruction], comps: dict[str, Computation]) -> Instruction:
-        id_tok = self.expect("ref")
+        iid = self.expect_kind("ref")[1:]
         self.expect("=")
         shape = self.parse_shape()
-        op_tok = self.expect("word")
-        opcode = op_tok.text
-        if opcode not in OPCODES:
-            self.error(f"unknown opcode {opcode!r}", op_tok)
+        op_at = self.pos
+        opcode = self.toks[op_at]
+        if opcode not in OPCODES:  # opcodes are words
+            self.error(f"unknown opcode {self.expect_kind('word')!r}", op_at)
+        self.pos += 1
         self.expect("(")
 
         operands: list[Instruction] = []
@@ -520,7 +521,7 @@ class _Parser:
             attrs["index"] = self.expect_number()
         elif opcode == "constant":
             values = []
-            if self.peek().kind != ")":
+            if self.peek() != ")":
                 while True:
                     if not isinstance(shape, Shape):
                         self.error("constant must have an array shape")
@@ -528,46 +529,42 @@ class _Parser:
                     if not self.accept(","):
                         break
             attrs["value"] = tuple(values)
-        else:
-            if self.peek().kind != ")":
-                while True:
-                    r = self.expect("ref")
-                    if r.text not in by_id:
-                        self.error(f"reference to undefined id %{r.text}", r)
-                    operands.append(by_id[r.text])
-                    if not self.accept(","):
-                        break
+        elif self.peek() != ")":
+            while True:
+                r = self.expect_kind("ref")[1:]
+                if r not in by_id:
+                    self.error(f"reference to undefined id %{r}", self.pos - 1)
+                operands.append(by_id[r])
+                if not self.accept(","):
+                    break
         self.expect(")")
 
         want = _ARITY[opcode]
         if want is not None and len(operands) != want:
-            self.error(
-                f"{opcode} expects {want} operand(s), got {len(operands)}", op_tok
-            )
+            self.error(f"{opcode} expects {want} operand(s), got {len(operands)}", op_at)
         if opcode in ("all-reduce", "fusion") and not operands:
-            self.error(f"{opcode} expects at least 1 operand", op_tok)
+            self.error(f"{opcode} expects at least 1 operand", op_at)
         if opcode == "dynamic-slice" and not operands:
-            self.error("dynamic-slice expects at least 1 operand", op_tok)
+            self.error("dynamic-slice expects at least 1 operand", op_at)
 
-        if self.peek().kind == "{":  # parameter annotation block
-            self.next()
-            w = self.expect("word")
-            if w.text != "replica_equal":
-                self.error(f"unknown annotation {w.text!r}", w)
+        if self.accept("{"):  # parameter annotation block
+            w = self.expect_kind("word")
+            if w != "replica_equal":
+                self.error(f"unknown annotation {w!r}", self.pos - 1)
             self.expect("}")
             attrs["replica_equal"] = True
 
         while self.accept(","):
-            key = self.expect("word").text
+            key = self.expect_kind("word")
             self.expect("=")
             if key == "dim":
                 attrs["dims"] = (self.expect_number(),)
             elif key == "dims":
                 attrs["dims"] = self.parse_int_list()
             elif key == "kind":
-                attrs["kind"] = self.expect("word").text
+                attrs["kind"] = self.expect_kind("word")
             elif key == "direction":
-                attrs["direction"] = self.expect("word").text
+                attrs["direction"] = self.expect_kind("word")
             elif key == "groups":
                 attrs["groups"] = self.parse_groups()
             elif key == "low":
@@ -589,28 +586,30 @@ class _Parser:
             elif key == "calls":
                 attrs["fused"] = self._comp_ref(comps)
             elif key == "spec":
-                attrs["spec"] = parse_spec_string(self.expect("string").text)
+                spec = self.expect_kind("string")[1:-1]
+                try:
+                    attrs["spec"] = parse_spec_string(spec)
+                except (ValueError, IndexError) as e:
+                    self.error(f"bad sharding spec {spec!r}: {e}", self.pos - 1)
             else:
                 self.error(f"unknown attribute {key!r}")
 
         branches = attrs.pop("_branches", None)
         if branches is not None:
             if branches[0] is None or branches[1] is None:
-                self.error("conditional requires both true= and false= computations", op_tok)
+                self.error("conditional requires both true= and false= computations", op_at)
             attrs["branches"] = tuple(branches)
         if attrs.get("spec") is not None and attrs.get("groups") is not None:
             # the spec string is group-free; the fusion's groups attribute
             # carries the collective's scope
             attrs["spec"] = dataclasses.replace(attrs["spec"], group=attrs["groups"])
-        return Instruction(
-            id=id_tok.text, opcode=opcode, shape=shape, operands=tuple(operands), **attrs
-        )
+        return Instruction(id=iid, opcode=opcode, shape=shape, operands=tuple(operands), **attrs)
 
     def _comp_ref(self, comps: dict[str, Computation]) -> Computation:
-        t = self.expect("word")
-        if t.text not in comps:
-            self.error(f"reference to undefined computation {t.text!r}", t)
-        return comps[t.text]
+        t = self.expect_kind("word")
+        if t not in comps:
+            self.error(f"reference to undefined computation {t!r}", self.pos - 1)
+        return comps[t]
 
 
 def parse_module(text: str) -> Module:

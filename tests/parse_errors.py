@@ -6,7 +6,7 @@ line and column that `parse_module` raises, or "accepted".
 rewrites tests/data/parse_errors.json from the current sources; record only
 on a commit whose parser is known good. The inputs are every text of the CLI
 fuzz corpus (`test_cli_fuzz.texts`: random modules and their token mutants),
-every truncation of one forced-shard program, and hand-written cases for
+every truncation of a forced-shard main program, and hand-written cases for
 each tokenizer error and for the positions after tabs, comments and
 multi-line strings.
 """
@@ -16,11 +16,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from shardgraph import profitability, transform
-from shardgraph.generators import gen_module
-from shardgraph.ir import mesh_topology
-from shardgraph.textfmt import ParseError, parse_module, print_module
-from test_cli_fuzz import texts
+from shardgraph.textfmt import ParseError, parse_module
+from test_cli_fuzz import forced_shard_programs, texts
 
 OUTCOMES = Path(__file__).parent / "data" / "parse_errors.json"
 
@@ -114,20 +111,10 @@ HAND = {
 }
 
 
-def truncated_program() -> str:
-    """The main program of a forced-shard mlp on a 2x2 mesh: spec strings,
-    replica groups, fusions and a while loop."""
-    m = gen_module("mlp", topology=mesh_topology(2, 2), steps=2, layers=1, dim=8)
-    decisions = profitability.plan(m, steps=2)
-    for d in decisions:
-        d.shard = True
-    return print_module(transform.apply(m, decisions, steps_hint=2).main)
-
-
 def inputs():
     for label, text in texts():
         yield f"fuzz/{label}", text
-    program = truncated_program()
+    program = forced_shard_programs()["main"]
     for k in range(len(program) + 1):
         yield f"truncated/{k}", program[:k]
     for label, text in HAND.items():

@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from shardgraph import profitability, transform
 from shardgraph.cli import main
+from shardgraph.generators import gen_module
 from shardgraph.ir import modules_equal
-from shardgraph.textfmt import parse_module
+from shardgraph.textfmt import parse_module, print_module
 from shardgraph.verify import verify
 
 
@@ -346,3 +348,41 @@ def test_a_bug_in_a_pass_is_not_swallowed(cmd, target, mlp_ir, monkeypatch):
     monkeypatch.setattr(getattr(shardgraph, mod_name), fn_name, broken)
     with pytest.raises(KeyError):
         main([cmd, str(mlp_ir), "--cost-only"] if cmd == "compare" else [cmd, str(mlp_ir)])
+
+
+@pytest.fixture(scope="module")
+def forced_shard_transformer_main():
+    """The main program of a 2-layer transformer-like with every cluster
+    sharded: it carries `spec="..."` strings."""
+    m = gen_module("transformer-like", layers=2)
+    decisions = profitability.plan(m, steps=2)
+    for d in decisions:
+        d.shard = True
+    return print_module(transform.apply(m, decisions, steps_hint=2).main)
+
+
+@pytest.mark.parametrize("spec", ["garbage", "[8] slicex/4", "[8,a] slice0/4", "[8] pad0 slice0/4", "[8] slice5/4"])
+def test_malformed_spec_string_is_a_parse_error(spec, forced_shard_transformer_main, tmp_path, capsys):
+    text = forced_shard_transformer_main
+    start = text.index('spec="') + len("spec=")
+    end = text.index('"', start + 1) + 1
+    path = tmp_path / "bad.ir"
+    path.write_text(text[:start] + f'"{spec}"' + text[end:])
+    capsys.readouterr()
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    line, col = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+    assert err.startswith(f"[parse] {path}:{line}:{col}: bad sharding spec {spec!r}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("header", ["topology=mesh 2x²", "topology=mesh 2x2 tile=8x²"])
+def test_non_ascii_digit_in_dimensions_is_a_parse_error(header, tmp_path, capsys):
+    path = tmp_path / "m.ir"
+    assert main(["gen", "mlp", "--layers", "1", "--dim", "8", "--topology", "2x2", "--out", str(path)]) == 0
+    text = path.read_text()
+    assert "topology=mesh 2x2 {" in text
+    path.write_text(text.replace("topology=mesh 2x2", header, 1))
+    capsys.readouterr()
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"[parse] {path}:1:{len('module N=4 ' + header)}: unexpected character '²'\n"

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from randmod import random_module
+from shardgraph import profitability, transform
 from shardgraph.cli import main
+from shardgraph.generators import gen_module
+from shardgraph.ir import mesh_topology
 from shardgraph.textfmt import print_module
 
 SUBCOMMANDS = {
@@ -61,6 +64,26 @@ def texts(seeds=range(24), mutants=4):
             yield f"randmod {seed} mutant {k}", mutate(text, rng)
 
 
+def forced_shard_programs() -> dict[str, str]:
+    """The main, shard and unshard programs of a forced-shard mlp on a 2x2
+    mesh: spec strings, replica groups, fusions and a while loop."""
+    m = gen_module("mlp", topology=mesh_topology(2, 2), steps=2, layers=1, dim=8)
+    decisions = profitability.plan(m, steps=2)
+    for d in decisions:
+        d.shard = True
+    res = transform.apply(m, decisions, steps_hint=2)
+    return {"main": print_module(res.main), "shard": print_module(res.shard_program),
+            "unshard": print_module(res.unshard_program)}
+
+
+def spec_texts(mutants=32):
+    rng = np.random.default_rng(11)
+    for name, text in forced_shard_programs().items():
+        yield f"forced-shard {name}", text
+        for k in range(mutants):
+            yield f"forced-shard {name} mutant {k}", mutate(text, rng)
+
+
 def test_no_subcommand_ends_in_a_traceback(tmp_path):
     path = tmp_path / "m.ir"
     codes = {}
@@ -79,3 +102,24 @@ def test_no_subcommand_ends_in_a_traceback(tmp_path):
     # the mix must exercise accepted modules, mutants among them, and
     # rejected ones
     assert codes.get(0, 0) > 100 and codes.get(2, 0) > 100 and accepted_mutants > 20, (codes, accepted_mutants)
+
+
+def test_spec_bearing_programs_end_in_no_traceback(tmp_path):
+    """The same contract on emitted programs, whose spec strings and replica
+    groups the random modules do not have."""
+    path = tmp_path / "m.ir"
+    codes = {}
+    accepted_mutants = 0
+    for label, text in spec_texts():
+        path.write_text(text)
+        for cmd, extra in SUBCOMMANDS.items():
+            argv = [cmd, str(path)] + [a.format(dir=tmp_path / "out") for a in extra]
+            try:
+                code = exit_code(argv)
+            except Exception as e:
+                pytest.fail(f"{cmd} on {label} raised {type(e).__name__}: {e}\n--- module\n{text}")
+            assert code in (0, 1, 2), (cmd, label, code)
+            assert code == 0 or "mutant" in label, (cmd, label, code)
+            codes[code] = codes.get(code, 0) + 1
+            accepted_mutants += code == 0 and "mutant" in label
+    assert codes.get(2, 0) > 200 and accepted_mutants > 40, (codes, accepted_mutants)

@@ -176,6 +176,35 @@ class TestReplicaEqualInputs:
             run(self.doubled(), {"w": PerReplica([w, np.array([2.0, np.nan], np.float32)])})
 
 
+class TestReadOnlyOutputs:
+    """`run`'s rows share memory with each other and with the inputs, so they
+    are read-only views; the caller's own arrays are left as they were."""
+
+    @staticmethod
+    def identity(shape):
+        gb = GraphBuilder("main")
+        return module_of(gb.finish(gb.parameter(0, shape, "w")), 2)
+
+    def test_uniform_output_of_a_shared_input(self):
+        w = np.array([1.0, 2.0], np.float32)
+        res = run(self.identity(Shape((2,), F32)), {"w": w})
+        with pytest.raises(ValueError, match="read-only"):
+            res.outputs[0][0] = 5.0
+        assert w.flags.writeable
+        assert w.tolist() == [1.0, 2.0] and res.outputs[1].tolist() == [1.0, 2.0]
+
+    def test_varying_and_tuple_outputs(self):
+        w = [np.array([1.0, 2.0], np.float32), np.array([3.0, 4.0], np.float32)]
+        res = run(self.identity(Shape((2,), F32)), {"w": PerReplica(w)})
+        with pytest.raises(ValueError, match="read-only"):
+            res.outputs[0][0] = 5.0
+        assert res.outputs[1].tolist() == [3.0, 4.0]
+        pair = TupleShape((Shape((2,), F32), scalar(S32)))
+        res = run(self.identity(pair), {"w": (w[0], np.int32(7))})
+        with pytest.raises(ValueError, match="read-only"):
+            res.outputs[1][0][1] = 5.0
+        assert all(a.flags.writeable for a in w) and w[0].tolist() == [1.0, 2.0]
+
 def counted_while(gb, value, bound):
     """A while loop carrying (i, value) that halves the value while
     i < bound(cond builder, i); returns the loop's result value."""

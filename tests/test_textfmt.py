@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_cli_fuzz import ODD_TOKENS, TOKEN, forced_shard_programs
 from shardgraph.generators import GenConfig, _chain, build_training_module, gen_module
 from shardgraph.ir import modules_equal, ring_topology
 from shardgraph.textfmt import ParseError, parse_module, print_module
@@ -203,3 +206,95 @@ module N=1 topology=ring {
     m = parse_module(text)
     assert m.entry.find("x").value[0] == float("inf")
     assert modules_equal(m, parse_module(print_module(m)))
+
+
+MESH = """module N=4 topology=mesh 2x2 {
+  entry computation main (%p: f32[4]) -> f32[4] {
+    %p = f32[4] parameter(0)
+    return (%p)
+  }
+}
+"""
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("2x2 {", "2x² {"),  # superscript two: str.isdigit(), but int() rejects it
+    ("2x2 {", "2x2 tile=8x² {"),
+    ("N=4", "N=١"),  # Arabic-Indic one: int() reads it as 1
+    ("%p:", "%pé:"),  # a letter: names are ASCII too
+], ids=["mesh-superscript", "tile-superscript", "arabic-indic-digit", "letter-in-name"])
+def test_non_ascii_outside_strings_and_comments_is_an_unexpected_character(old, new):
+    text = MESH.replace(old, new, 1)
+    offset = next(i for i, c in enumerate(text) if not c.isascii())
+    with pytest.raises(ParseError, match=f"unexpected character '{text[offset]}'") as e:
+        parse_module(text)
+    assert (e.value.line, e.value.col) == _line_col(text, offset)
+
+
+def test_non_ascii_in_comments_is_ignored():
+    commented = MESH.replace(" {\n", " {  # ² ١ é\n", 1)
+    assert modules_equal(parse_module(MESH), parse_module(commented))
+
+
+@pytest.mark.parametrize("old, new, message, at", [
+    ("N=4", "N=0", "replica_count must be >= 1", "0 "),
+    ("N=4", "N=3", "topology size 4 != replica_count 3", "3 "),
+    ("f32[4] parameter", "f32[-1] parameter", "negative dimension in shape", "f32[-1]"),
+    ("  entry computation main (%p: f32[4]) -> f32[4] {\n    %p = f32[4] parameter(0)\n    return (%p)\n  }\n",
+     "", "module has no computations", "}\n"),
+], ids=["zero-replicas", "topology-size", "negative-dim", "no-computations"])
+def test_values_the_ir_rejects_are_parse_errors(old, new, message, at):
+    text = MESH.replace(old, new, 1)
+    with pytest.raises(ParseError, match=message) as e:
+        parse_module(text)
+    offset = text.index(at) + (len(at) if message == "module has no computations" else 0)
+    assert (e.value.line, e.value.col) == _line_col(text, offset)
+
+
+def _raises_only_parse_error(text: str) -> None:
+    try:
+        parse_module(text)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text())
+def test_any_text_raises_nothing_but_parse_error(text):
+    _raises_only_parse_error(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(forced_shard_programs().items())),
+    st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.sampled_from(["delete", "insert", "replace"]),
+            st.one_of(st.sampled_from(ODD_TOKENS + ['"', "-i", "%", "²", "١", "é"]), st.text(max_size=4)),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_token_mutants_of_emitted_programs_raise_nothing_but_parse_error(program, edits):
+    tokens = TOKEN.findall(program[1])
+    for k, op, token in edits:
+        k %= len(tokens)
+        if op == "delete":
+            del tokens[k]
+        elif op == "insert":
+            tokens.insert(k, token)
+        else:
+            tokens[k] = token
+    _raises_only_parse_error("".join(tokens))
+
+
+def test_deeply_nested_tuple_shapes_are_a_parse_error():
+    text = "module N=1 topology=ring {\n  entry computation main () -> " + "(" * 5000
+    with pytest.raises(ParseError, match="nested tuple shapes are not supported"):
+        parse_module(text)
