@@ -186,6 +186,9 @@ _KINDS.update((c, "number") for c in "0123456789")
 _KINDS.update((c, "word") for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
+_LEX_ERRORS = {'"': "unterminated string", "%": "empty instruction id after '%'", "-i": "bad number"}
+
+
 def _kind(tok: str) -> str:
     return "->" if tok == "->" else _KINDS[tok[:1]]
 
@@ -202,14 +205,7 @@ def _tokenize(text: str) -> list[str]:
     while toks and not toks[-1]:
         toks.pop()
     if toks and not _TOKEN.fullmatch(bad := toks[-1]):
-        if bad[0] == '"':
-            msg = "unterminated string"
-        elif bad[0] == "%":
-            msg = "empty instruction id after '%'"
-        elif bad.startswith("-i"):
-            msg = "bad number"
-        else:
-            msg = f"unexpected character {bad[0]!r}"
+        msg = _LEX_ERRORS.get(bad[:2] if bad[:2] == "-i" else bad[0], f"unexpected character {bad[0]!r}")
         raise ParseError(msg, *_position(text, len(toks) - 1))
     toks.append("")
     return toks
@@ -460,9 +456,13 @@ class _Parser:
             self.error("expected RxC dimensions", at)
         text = t + (self.expect_kind("word") if kind == "number" else "")
         r, x, c = text.partition("x")
-        if not (x and r.isdigit() and c.isdigit()):
+        try:  # int() also rejects numbers too long to convert
+            dims = (int(r), int(c)) if x and r.isdigit() and c.isdigit() else (0, 0)
+        except ValueError:
+            dims = (0, 0)
+        if not all(dims):
             self.error(f"bad dimensions {text!r}", at)
-        return int(r), int(c)
+        return dims
 
     def parse_computation(self, known: dict[str, Computation]) -> Computation:
         self.expect_word("computation")

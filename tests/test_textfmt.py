@@ -298,3 +298,16 @@ def test_deeply_nested_tuple_shapes_are_a_parse_error():
     text = "module N=1 topology=ring {\n  entry computation main () -> " + "(" * 5000
     with pytest.raises(ParseError, match="nested tuple shapes are not supported"):
         parse_module(text)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("2x2 {", "0x4 {"),
+    ("2x2 {", "2x2 tile=8x0 {"),
+    ("2x2 {", "2x2 tile=0x0 {"),
+    ("2x2 {", "2x2 tile=8x" + "1" * 5000 + " {"),  # more digits than int() converts
+], ids=["zero-rows", "zero-tile-cols", "zero-tile", "5000-digits"])
+def test_zero_or_unconvertible_grid_dimensions_are_a_parse_error(old, new):
+    text = MESH.replace(old, new, 1)
+    with pytest.raises(ParseError, match="bad dimensions") as e:
+        parse_module(text)
+    assert e.value.line == 1
