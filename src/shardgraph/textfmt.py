@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import string
 
 from .ir import (
     ALL_REPLICAS,
@@ -182,8 +183,8 @@ _SCAN = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(" + _TOKEN.pattern + r"|[\
 
 _KINDS = {"": "eof", "%": "ref", '"': "string", "-": "number"}
 _KINDS.update((c, c) for c in "{}()[]=,:")
-_KINDS.update((c, "number") for c in "0123456789")
-_KINDS.update((c, "word") for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_KINDS.update((c, "number") for c in string.digits)
+_KINDS.update((c, "word") for c in string.ascii_letters + "_")
 
 
 _LEX_ERRORS = {'"': "unterminated string", "%": "empty instruction id after '%'", "-i": "bad number"}
@@ -194,8 +195,7 @@ def _kind(tok: str) -> str:
 
 
 def _shown(tok: str) -> str:
-    """A token as messages quote it: references without `%`, strings
-    without quotes."""
+    """A token as messages quote it: a reference without `%`, a string unquoted."""
     return tok[1:-1] if tok[:1] == '"' else tok[1:] if tok[:1] == "%" else tok
 
 
