@@ -345,7 +345,7 @@ def cmd_compare(args) -> int:
     seed = _seed(args)
     steps = args.steps
 
-    loop = next((i for i in m.entry.instructions if i.opcode == "while"), None)
+    loop = m.training_loop()
     loop_steps = profitability.loop_trip_count(loop) if loop is not None else None
     amortize = loop_steps or steps or profitability.DEFAULT_TRIP_COUNT
 

@@ -5,7 +5,9 @@ The IR is a static-shape dataflow graph. Each computation holds instructions in
 def-before-use order; control flow (`while`, `conditional`) and `fusion` call
 nested computations. Values are either dense arrays (`Shape`) or flat tuples of
 arrays (`TupleShape`). All structures are treated as immutable once a module is
-built; passes construct fresh modules instead of mutating.
+built; passes construct fresh modules instead of mutating. Because nothing is
+changed in place, passes share every computation they leave unchanged between
+their input and their output (`transform.rebuild_module`).
 """
 
 from __future__ import annotations
@@ -384,11 +386,9 @@ class Module:
             out.extend(c.instructions)
         return out
 
-    def find(self, instr_id: str) -> Instruction:
-        for i in self.all_instructions():
-            if i.id == instr_id:
-                return i
-        raise KeyError(instr_id)
+    def training_loop(self) -> Instruction | None:
+        """The entry's training loop (its first `while`), or None."""
+        return next((i for i in self.entry.instructions if i.opcode == "while"), None)
 
 
 # --------------------------------------------------------------------------- #

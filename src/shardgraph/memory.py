@@ -241,7 +241,5 @@ def memory_plan(
 def step_computation(m: Module) -> Computation:
     """The computation whose per-step footprint matters: the body of the
     training loop when one exists, otherwise the entry."""
-    for ins in m.entry.instructions:
-        if ins.opcode == "while":
-            return ins.body
-    return m.entry
+    loop = m.training_loop()
+    return loop.body if loop is not None else m.entry

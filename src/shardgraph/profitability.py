@@ -617,7 +617,7 @@ def plan(m: Module, cm: CostModel | None = None, steps: int | None = None) -> li
     computation, and a decision per cluster. The users map of the step
     computation is built once and shared by all."""
     rmap = analyze(m)
-    loop = next((i for i in m.entry.instructions if i.opcode == "while"), None)
+    loop = m.training_loop()
     comp = loop.body if loop is not None else m.entry
     users = users_map(comp)
     clusters = find_clusters(comp, rmap, m, users, loop)

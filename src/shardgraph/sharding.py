@@ -7,11 +7,14 @@ and the all-gather that reconstructs the full tensor, so piece boundaries in
 the ring collectives always line up with the slice.
 
 Spec strings are bit-exact: `[3,3,256,256] reshape[9,256,256] pad0+1 slice0/10`.
+Every number in one is ASCII `[0-9]+`, and every pad and slice dimension is
+below the rank it indexes; anything else raises ValueError.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass
 
 from .ir import (
@@ -64,6 +67,8 @@ Step = TrivialReshape | Bitcast | Pad
 def apply_step_dims(dims: tuple[int, ...], step: Step) -> tuple[int, ...]:
     if isinstance(step, (TrivialReshape, Bitcast)):
         return step.new_dims
+    if not 0 <= step.dim < len(dims):
+        raise ValueError(f"pad dim {step.dim} out of range for {dims}")
     out = list(dims)
     out[step.dim] += step.amount
     return tuple(out)
@@ -81,6 +86,8 @@ class ShardingSpec:
         object.__setattr__(self, "source_dims", tuple(self.source_dims))
         object.__setattr__(self, "steps", tuple(self.steps))
         full = self.padded_dims
+        if not 0 <= self.shard_dim < max(len(full), 1):
+            raise ValueError(f"slice dim {self.shard_dim} out of range for {full}")
         if self.shard_count < 1:
             raise ValueError("shard_count must be >= 1")
         if full and full[self.shard_dim] % self.shard_count != 0:
@@ -134,10 +141,20 @@ class ShardingSpec:
         return " ".join(parts)
 
 
+_NUMBER = re.compile(r"[0-9]+")
+
+
 def parse_spec_string(text: str) -> ShardingSpec:
+    def num(digits: str) -> int:
+        if not _NUMBER.fullmatch(digits):
+            raise ValueError(f"bad number {digits!r}")
+        return int(digits)
+
     def dims_of(body: str) -> tuple[int, ...]:
-        body = body.strip("[]")
-        return tuple(int(d) for d in body.split(",")) if body else ()
+        if not (body.startswith("[") and body.endswith("]")):
+            raise ValueError(f"bad dims {body!r}")
+        body = body[1:-1]
+        return tuple(num(d) for d in body.split(",")) if body else ()
 
     parts = text.split()
     if len(parts) < 2 or not parts[0].startswith("["):
@@ -151,14 +168,14 @@ def parse_spec_string(text: str) -> ShardingSpec:
             steps.append(Bitcast(dims_of(p[len("bitcast") :])))
         elif p.startswith("pad"):
             dim, amount = p[len("pad") :].split("+")
-            steps.append(Pad(int(dim), int(amount)))
+            steps.append(Pad(num(dim), num(amount)))
         else:
             raise ValueError(f"unknown sharding step {p!r}")
     tail = parts[-1]
     if not tail.startswith("slice"):
         raise ValueError(f"sharding spec missing slice: {text!r}")
     dim, count = tail[len("slice") :].split("/")
-    return ShardingSpec(source, tuple(steps), int(dim), int(count))
+    return ShardingSpec(source, tuple(steps), num(dim), num(count))
 
 
 # --------------------------------------------------------------------------- #

@@ -589,7 +589,7 @@ class _Parser:
                 spec = self.expect_kind("string")[1:-1]
                 try:
                     attrs["spec"] = parse_spec_string(spec)
-                except (ValueError, IndexError) as e:
+                except ValueError as e:
                     self.error(f"bad sharding spec {spec!r}: {e}", self.pos - 1)
             else:
                 self.error(f"unknown attribute {key!r}")

@@ -61,6 +61,8 @@ class TransformResult:
 
 
 def _copy_attrs(instr: Instruction, comp_map: dict[str, Computation]) -> dict:
+    """The attributes of `instr`; a callee rebuilt in `comp_map` replaces the
+    old one, and any other callee is kept."""
     attrs = dict(
         value=instr.value,
         index=instr.index,
@@ -75,13 +77,13 @@ def _copy_attrs(instr: Instruction, comp_map: dict[str, Computation]) -> dict:
         spec=instr.spec,
     )
     if instr.cond is not None:
-        attrs["cond"] = comp_map[instr.cond.name]
+        attrs["cond"] = comp_map.get(instr.cond.name, instr.cond)
     if instr.body is not None:
-        attrs["body"] = comp_map[instr.body.name]
+        attrs["body"] = comp_map.get(instr.body.name, instr.body)
     if instr.branches is not None:
-        attrs["branches"] = tuple(comp_map[b.name] for b in instr.branches)
+        attrs["branches"] = tuple(comp_map.get(b.name, b) for b in instr.branches)
     if instr.fused is not None:
-        attrs["fused"] = comp_map[instr.fused.name]
+        attrs["fused"] = comp_map.get(instr.fused.name, instr.fused)
     return attrs
 
 
@@ -90,30 +92,45 @@ def _clone_instruction(instr: Instruction, gb: GraphBuilder, mapping: dict, comp
     return gb.emit(instr.opcode, instr.shape, operands, id=instr.id, **_copy_attrs(instr, comp_map))
 
 
-def rebuild_module(m: Module, rewriter=None) -> Module:
-    """Deep-copy a module, letting `rewriter(instr, gb, mapping, comp_map)`
-    substitute instructions (return the replacement, or None for a plain
-    clone). Computations are rebuilt callees-first."""
+def rebuild_module(m: Module, rewrite) -> Module:
+    """Copy-on-write rebuild. `rewrite(comp, comp_map)` returns the new
+    computation, or None to leave `comp` alone; `comp_map` holds the callees
+    rebuilt so far. A computation left alone is re-emitted only when one of
+    its callees was rebuilt. Every other computation object is shared with
+    `m`, and `m` itself comes back when nothing changed."""
     comp_map: dict[str, Computation] = {}
     for comp in m.computations():
-        comp_map[comp.name] = _rebuild_computation(comp, comp_map, rewriter)
-    return Module(
-        entry=comp_map[m.entry.name],
-        replica_count=m.replica_count,
-        topology=m.topology,
-        tile=m.tile,
-    )
+        new = rewrite(comp, comp_map)
+        if new is None and comp_map and any(
+            c.name in comp_map for i in comp.instructions for c in i.called_computations
+        ):
+            new = _rebuild_computation(comp, comp_map)
+        if new is not None:
+            comp_map[comp.name] = new
+    if m.entry.name not in comp_map:
+        return m
+    return Module(comp_map[m.entry.name], m.replica_count, m.topology, m.tile)
 
 
-def _rebuild_computation(comp: Computation, comp_map: dict[str, Computation], rewriter=None) -> Computation:
-    gb = GraphBuilder(comp.name)
+def _rebuild_computation(comp: Computation, comp_map: dict[str, Computation], rewriter=None, name=None) -> Computation:
+    """Re-emit `comp` (as `name` when given), letting
+    `rewriter(instr, gb, mapping, comp_map)` substitute instructions: it
+    returns the replacement, or None for a plain clone."""
+    gb = GraphBuilder(name or comp.name)
     mapping: dict[str, Instruction] = {}
     for instr in comp.instructions:
         new = rewriter(instr, gb, mapping, comp_map) if rewriter else None
         if new is None:
             new = _clone_instruction(instr, gb, mapping, comp_map)
         mapping[instr.id] = new
-    return Computation(comp.name, gb.instructions, mapping[comp.root.id])
+    return gb.finish(mapping[comp.root.id])
+
+
+def _replica_id(gb: GraphBuilder, cache: dict) -> Instruction:
+    """The replica-id of the computation `gb` builds, emitted on first use."""
+    if gb not in cache:
+        cache[gb] = gb.emit("replica-id", scalar(S32), id=gb.fresh_id("rid"))
+    return cache[gb]
 
 
 # --------------------------------------------------------------------------- #
@@ -124,9 +141,7 @@ def _rebuild_computation(comp: Computation, comp_map: dict[str, Computation], re
 @dataclass
 class _ClusterPlan:
     decision: ShardingDecision
-    spec: ShardingSpec
     cross_groups: ReplicaGroups | None  # column all-reduce for partial sharding
-    sharded_state_slots: set[int]  # loop slots
     sharded_params: dict[int, tuple[str, int | None]]  # entry param index -> (name, output slot)
 
 
@@ -148,7 +163,7 @@ class _BodyRewriter:
         self.shard_of: dict[str, Instruction] = {}  # member id -> shard value
         self.full_of: dict[str, Instruction] = {}  # member id -> gathered value
         self.placements: list[tuple[str, str]] = []  # (variable/member, placement)
-        self._rid: Instruction | None = None
+        self._rids: dict = {}
         self._plan_of: dict[str, _ClusterPlan] = {}
         for p in plans:
             for mid in p.decision.cluster.members:
@@ -156,11 +171,6 @@ class _BodyRewriter:
         self._branch_args = {  # ids of the values passed to a conditional branch
             a.id for i in comp.instructions if i.opcode == "conditional" for a in i.operands[1:]
         }
-
-    def rid(self) -> Instruction:
-        if self._rid is None:
-            self._rid = self.gb.emit("replica-id", scalar(S32), id=self.gb.fresh_id("rid"))
-        return self._rid
 
     def full_value(self, instr: Instruction) -> Instruction:
         """Full tensor for a member value, gathered on first demand."""
@@ -170,7 +180,7 @@ class _BodyRewriter:
             return self.full_of[instr.id]
         p = self._plan_of[instr.id]
         ag = build_unshard_ops(
-            p.spec, self.shard_of[instr.id], self.gb, kind="all_gather", name_hint=f"ag_{instr.id}"
+            p.decision.spec, self.shard_of[instr.id], self.gb, kind="all_gather", name_hint=f"ag_{instr.id}"
         )
         self.full_of[instr.id] = ag
         self.placements.append((instr.id, "in-loop"))
@@ -196,7 +206,7 @@ class _BodyRewriter:
         return self.emit_other(instr)
 
     def emit_member(self, instr: Instruction, plan: _ClusterPlan) -> Instruction:
-        spec = plan.spec
+        spec = plan.decision.spec
         etype = instr.shape.etype if isinstance(instr.shape, Shape) else None
         shard_shape = spec.shard_shape(etype)
         op = instr.opcode
@@ -204,7 +214,7 @@ class _BodyRewriter:
             rs = build_reduce_scatter(
                 spec,
                 self.operand(instr.operands[0]),
-                self.rid(),
+                _replica_id(self.gb, self._rids),
                 self.gb,
                 self.m.topology,
                 reduce_kind=instr.kind,
@@ -240,7 +250,7 @@ class _BodyRewriter:
         for o in instr.operands:
             if o.id in self._plan_of:
                 operands.append(self.shard_of[o.id])
-            elif isinstance(o.shape, Shape) and o.shape.dims == plan.spec.source_dims:
+            elif isinstance(o.shape, Shape) and o.shape.dims == spec.source_dims:
                 operands.append(self.input_shard(o, plan))
             else:
                 operands.append(self.mapping[o.id])
@@ -258,7 +268,7 @@ class _BodyRewriter:
         if key in self.full_of:
             return self.full_of[key]
         sh = build_shard_ops(
-            plan.spec, self.mapping[o.id], self.rid(), self.gb, self.m.topology,
+            plan.decision.spec, self.mapping[o.id], _replica_id(self.gb, self._rids), self.gb, self.m.topology,
             name_hint=f"slice_{o.id}",
         )
         self.full_of[key] = sh
@@ -287,8 +297,7 @@ class _BodyRewriter:
         if instr.opcode == "conditional":
             return self.emit_conditional(instr)
         operands = tuple(self.operand(o) for o in instr.operands)
-        return self.gb.emit(instr.opcode, instr.shape, operands, id=instr.id,
-                            **_copy_attrs(instr, {c.name: c for c in instr.called_computations}))
+        return self.gb.emit(instr.opcode, instr.shape, operands, id=instr.id, **_copy_attrs(instr, {}))
 
     def _feeds_conditional(self, instr: Instruction) -> bool:
         return instr.id in self._branch_args and any(o.id in self._plan_of for o in instr.operands)
@@ -304,12 +313,11 @@ class _BodyRewriter:
             if arg.opcode == "tuple":
                 for i, o in enumerate(arg.operands):
                     if o.id in self._plan_of:
-                        specs_by_slot[i] = self._plan_of[o.id].spec
+                        specs_by_slot[i] = self._plan_of[o.id].decision.spec
             new_branches.append(_rewrite_branch(branch, new_arg.shape, specs_by_slot))
             for i in specs_by_slot:
                 self.placements.append((f"{arg.id}[{i}]", "branch"))
-        operands = (self.mapping[instr.operands[0].id],)
-        operands += tuple(self.mapping[a.id] for a in instr.operands[1:])
+        operands = tuple(self.mapping[o.id] for o in instr.operands)
         return self.gb.emit(
             "conditional", instr.shape, operands, id=instr.id, branches=tuple(new_branches)
         )
@@ -318,35 +326,24 @@ class _BodyRewriter:
 def _rewrite_branch(branch: Computation, arg_shape, specs_by_slot: dict[int, ShardingSpec]) -> Computation:
     """Clone a conditional branch whose argument now carries shards: slots in
     `specs_by_slot` are gathered inside the branch before use."""
-    gb = GraphBuilder(branch.name + ".sharded")
-    mapping: dict[str, Instruction] = {}
-    param = None
-    for instr in branch.instructions:
+
+    def rewriter(instr: Instruction, gb: GraphBuilder, mapping, comp_map):
         if instr.opcode == "parameter":
-            param = gb.emit("parameter", arg_shape, id=instr.id, index=instr.index)
-            mapping[instr.id] = param
-            continue
+            return gb.emit("parameter", arg_shape, id=instr.id, index=instr.index)
         if (
             instr.opcode == "get-tuple-element"
-            and instr.operands[0].id in mapping
-            and mapping[instr.operands[0].id] is param
+            and instr.operands[0].opcode == "parameter"
             and instr.index in specs_by_slot
         ):
             spec = specs_by_slot[instr.index]
-            etype = instr.shape.etype
             gte = gb.emit(
-                "get-tuple-element", spec.shard_shape(etype), (param,),
+                "get-tuple-element", spec.shard_shape(instr.shape.etype), (mapping[instr.operands[0].id],),
                 id=instr.id, index=instr.index,
             )
-            ag = build_unshard_ops(spec, gte, gb, kind="all_gather", name_hint=f"brag_{instr.id}")
-            mapping[instr.id] = ag
-            continue
-        operands = tuple(mapping[o.id] for o in instr.operands)
-        mapping[instr.id] = gb.emit(
-            instr.opcode, instr.shape, operands, id=instr.id,
-            **_copy_attrs(instr, {c.name: c for c in instr.called_computations}),
-        )
-    return Computation(gb.name, gb.instructions, mapping[branch.root.id])
+            return build_unshard_ops(spec, gte, gb, kind="all_gather", name_hint=f"brag_{instr.id}")
+        return None
+
+    return _rebuild_computation(branch, {}, rewriter, name=branch.name + ".sharded")
 
 
 def apply(m: Module, decisions: list[ShardingDecision], steps_hint: int | None = None) -> TransformResult:
@@ -360,7 +357,7 @@ def apply(m: Module, decisions: list[ShardingDecision], steps_hint: int | None =
     programs are positional pass-throughs.
     """
     check(m)
-    loop = next((i for i in m.entry.instructions if i.opcode == "while"), None)
+    loop = m.training_loop()
     body = loop.body if loop is not None else m.entry
 
     body_ids = {i.id for i in body.instructions}
@@ -399,16 +396,19 @@ def apply(m: Module, decisions: list[ShardingDecision], steps_hint: int | None =
         plans.append(
             _ClusterPlan(
                 decision=d,
-                spec=d.spec,
                 cross_groups=cross,
-                sharded_state_slots=set(cluster.state_slots),
                 sharded_params=sharded_params,
             )
         )
 
-    if loop is not None:
-        return _apply_loop(m, loop, plans, steps_hint)
-    return _apply_entry(m, plans, steps_hint)
+    main, manifest = _apply_loop(m, loop, plans) if loop is not None else _apply_entry(m, plans)
+    manifest.notes["steps_assumed"] = steps_hint or 0
+    manifest.notes["unshard_idempotent"] = False
+    shard_prog = _build_shard_program(m, main, manifest)
+    unshard_prog = _build_unshard_program(m, main, manifest)
+    for prog in (main, shard_prog, unshard_prog):
+        check(prog)
+    return TransformResult(main, shard_prog, unshard_prog, manifest, [p.decision for p in plans])
 
 
 def _new_state_shape(old: TupleShape, sharded: dict[int, ShardingSpec]) -> TupleShape:
@@ -421,22 +421,20 @@ def _new_state_shape(old: TupleShape, sharded: dict[int, ShardingSpec]) -> Tuple
     return TupleShape(tuple(elems))
 
 
-def _apply_loop(m: Module, loop: Instruction, plans: list[_ClusterPlan], steps_hint) -> TransformResult:
+def _apply_loop(m: Module, loop: Instruction, plans: list[_ClusterPlan]) -> tuple[Module, Manifest]:
     body = loop.body
     sharded_slots: dict[int, ShardingSpec] = {}
     for p in plans:
-        for slot in p.sharded_state_slots:
-            sharded_slots[slot] = p.spec
-    old_state: TupleShape = loop.operands[0].shape
-    new_state = _new_state_shape(old_state, sharded_slots)
+        for slot in p.decision.cluster.state_slots:
+            sharded_slots[slot] = p.decision.spec
+    init = loop.operands[0]
+    new_state = _new_state_shape(init.shape, sharded_slots)
 
     body_rw = _BodyRewriter(m, body, plans, new_state, sharded_slots)
     new_body = body_rw.run()
-    cond_rw = _BodyRewriter(m, loop.cond, [], new_state, {})
-    new_cond = cond_rw.run()
+    new_cond = _BodyRewriter(m, loop.cond, [], new_state, {}).run()
 
     # Entry: re-type parameters feeding sharded slots, rebuild init and loop.
-    init = loop.operands[0]
     shard_param_specs: dict[str, ShardingSpec] = {}
     if init.opcode == "tuple":
         for slot, spec in sharded_slots.items():
@@ -444,60 +442,43 @@ def _apply_loop(m: Module, loop: Instruction, plans: list[_ClusterPlan], steps_h
             if src.opcode == "parameter":
                 shard_param_specs[src.id] = spec
 
-    gb = GraphBuilder(m.entry.name)
-    mapping: dict[str, Instruction] = {}
-    rid_holder: list[Instruction | None] = [None]
+    rids: dict = {}
 
-    def rid() -> Instruction:
-        if rid_holder[0] is None:
-            rid_holder[0] = gb.emit("replica-id", scalar(S32), id=gb.fresh_id("rid"))
-        return rid_holder[0]
-
-    manifest = Manifest()
-    for instr in m.entry.instructions:
-        if instr.opcode == "parameter":
-            if instr.id in shard_param_specs:
-                spec = shard_param_specs[instr.id]
-                mapping[instr.id] = gb.emit(
-                    "parameter",
-                    spec.shard_shape(instr.shape.etype),
-                    id=instr.id,
-                    index=instr.index,
-                    replica_equal=False,
-                )
-            else:
-                mapping[instr.id] = _clone_instruction(instr, gb, mapping, {})
-            continue
+    def rewriter(instr: Instruction, gb: GraphBuilder, mapping, comp_map):
+        if instr.id in shard_param_specs:
+            spec = shard_param_specs[instr.id]
+            return gb.emit(
+                "parameter",
+                spec.shard_shape(instr.shape.etype),
+                id=instr.id,
+                index=instr.index,
+                replica_equal=False,
+            )
         if instr is init and instr.opcode == "tuple":
             operands = []
             for slot, o in enumerate(instr.operands):
                 v = mapping[o.id]
                 if slot in sharded_slots and o.id not in shard_param_specs:
                     v = build_shard_ops(
-                        sharded_slots[slot], v, rid(), gb, m.topology, name_hint=f"shard_init{slot}"
+                        sharded_slots[slot], v, _replica_id(gb, rids), gb, m.topology,
+                        name_hint=f"shard_init{slot}",
                     )
                 operands.append(v)
-            mapping[instr.id] = gb.emit(
+            return gb.emit(
                 "tuple", TupleShape(tuple(o.shape for o in operands)), tuple(operands), id=instr.id
             )
-            continue
         if instr is loop:
-            mapping[instr.id] = gb.emit(
+            return gb.emit(
                 "while", new_state, (mapping[init.id],), id=instr.id, cond=new_cond, body=new_body
             )
-            continue
         if instr.opcode == "get-tuple-element" and instr.operands[0] is loop:
             slot = instr.index
             shape = new_state.elements[slot]
-            mapping[instr.id] = gb.emit(
-                "get-tuple-element", shape, (mapping[loop.id],), id=instr.id, index=slot
-            )
-            continue
-        mapping[instr.id] = _clone_instruction(
-            instr, gb, mapping, {c.name: c for c in instr.called_computations}
-        )
-    new_entry = Computation(m.entry.name, gb.instructions, mapping[m.entry.root.id])
-    main = Module(new_entry, m.replica_count, m.topology, m.tile)
+            return gb.emit("get-tuple-element", shape, (mapping[loop.id],), id=instr.id, index=slot)
+        return None
+
+    main = Module(_rebuild_computation(m.entry, {}, rewriter), m.replica_count, m.topology, m.tile)
+    manifest = Manifest()
 
     # Variable records: classify by whether the body gathers the slot's value.
     gathered_members = set(body_rw.full_of)
@@ -525,15 +506,8 @@ def _apply_loop(m: Module, loop: Instruction, plans: list[_ClusterPlan], steps_h
                 + ("loop-boundary",),
             )
         )
-    _add_full_slot_records(manifest, m, init, old_state, sharded_slots, out_slots)
-    manifest.notes["steps_assumed"] = steps_hint or 0
-    manifest.notes["unshard_idempotent"] = False
-
-    shard_prog = _build_shard_program(m, main, manifest)
-    unshard_prog = _build_unshard_program(m, main, manifest)
-    result = TransformResult(main, shard_prog, unshard_prog, manifest, [p.decision for p in plans])
-    _check_result(result)
-    return result
+    _add_full_slot_records(manifest, init, sharded_slots, out_slots)
+    return main, manifest
 
 
 def _slot_gtes(body: Computation) -> dict[int, Instruction]:
@@ -562,7 +536,7 @@ def _root_slot_index(entry: Computation, loop: Instruction) -> dict[int, int]:
     return out
 
 
-def _add_full_slot_records(manifest, m, init, old_state, sharded_slots, out_slots):
+def _add_full_slot_records(manifest, init, sharded_slots, out_slots):
     if init.opcode != "tuple":
         return
     for slot, o in enumerate(init.operands):
@@ -581,7 +555,7 @@ def _add_full_slot_records(manifest, m, init, old_state, sharded_slots, out_slot
         )
 
 
-def _apply_entry(m: Module, plans: list[_ClusterPlan], steps_hint) -> TransformResult:
+def _apply_entry(m: Module, plans: list[_ClusterPlan]) -> tuple[Module, Manifest]:
     """Transform a module with no compiler-visible loop: the step computation
     is the entry itself; sharded variables enter as shard-shaped parameters
     and leave sharded in the corresponding outputs."""
@@ -589,20 +563,18 @@ def _apply_entry(m: Module, plans: list[_ClusterPlan], steps_hint) -> TransformR
     sharded_out_slots: dict[int, ShardingSpec] = {}
     for p in plans:
         for pidx, (name, out_slot) in p.sharded_params.items():
-            sharded_params[pidx] = p.spec
+            sharded_params[pidx] = p.decision.spec
             if out_slot is not None:
-                sharded_out_slots[out_slot] = p.spec
+                sharded_out_slots[out_slot] = p.decision.spec
 
     body_rw = _BodyRewriter(m, m.entry, plans, None, sharded_out_slots)
-    new_entry = body_rw.run()
-    main = Module(new_entry, m.replica_count, m.topology, m.tile)
+    main = Module(body_rw.run(), m.replica_count, m.topology, m.tile)
 
     manifest = Manifest()
     gathered_members = set(body_rw.full_of)
     for p in plans:
         for pidx, (name, out_slot) in sorted(p.sharded_params.items()):
-            member = next(i for i in p.decision.cluster.members.values() if i.opcode == "parameter" and i.index == pidx)
-            gathered = member.id in gathered_members
+            gathered = name in gathered_members  # the name is the parameter member's id
             manifest.variables.append(
                 VariableInfo(
                     name=name,
@@ -611,7 +583,7 @@ def _apply_entry(m: Module, plans: list[_ClusterPlan], steps_hint) -> TransformR
                     slot=None,
                     output_index=out_slot,
                     residency="sharded",
-                    spec=p.spec,
+                    spec=p.decision.spec,
                     gathered_in_body=gathered,
                     placements=("in-loop",) if gathered else ("loop-boundary",),
                 )
@@ -628,20 +600,13 @@ def _apply_entry(m: Module, plans: list[_ClusterPlan], steps_hint) -> TransformR
                     residency="full",
                 )
             )
-    manifest.notes["steps_assumed"] = steps_hint or 0
-    manifest.notes["unshard_idempotent"] = False
-
-    shard_prog = _build_shard_program(m, main, manifest)
-    unshard_prog = _build_unshard_program(m, main, manifest)
-    result = TransformResult(main, shard_prog, unshard_prog, manifest, [p.decision for p in plans])
-    _check_result(result)
-    return result
+    return main, manifest
 
 
 def _build_shard_program(baseline: Module, main: Module, manifest: Manifest) -> Module:
     """Full state in (baseline entry signature), main-program state out."""
     gb = GraphBuilder("shard_state")
-    rid: Instruction | None = None
+    rids: dict = {}
     outs = []
     by_param = {v.param_index: v for v in manifest.variables}
     main_params = {p.index: p for p in main.entry.parameters}
@@ -651,10 +616,8 @@ def _build_shard_program(baseline: Module, main: Module, manifest: Manifest) -> 
         )
         var = by_param.get(p.index)
         if var is not None and var.residency == "sharded":
-            if rid is None:
-                rid = gb.emit("replica-id", scalar(S32), id=gb.fresh_id("rid"))
             sh = build_shard_ops(
-                var.spec, full, rid, gb, baseline.topology, name_hint=f"shard_{p.id}"
+                var.spec, full, _replica_id(gb, rids), gb, baseline.topology, name_hint=f"shard_{p.id}"
             )
             outs.append(sh)
         else:
@@ -697,12 +660,6 @@ def _build_unshard_program(baseline: Module, main: Module, manifest: Manifest) -
     return Module(comp, baseline.replica_count, baseline.topology, baseline.tile)
 
 
-def _check_result(result: TransformResult):
-    check(result.main)
-    check(result.shard_program)
-    check(result.unshard_program)
-
-
 # --------------------------------------------------------------------------- #
 # Precision demotion of in-loop all-gathers
 # --------------------------------------------------------------------------- #
@@ -716,9 +673,12 @@ def demote_allgather_precision(m: Module) -> Module:
     When every transitive consumer of an all-gather converts the value to
     reduced precision before any arithmetic, the gather itself can run in the
     smaller type: convert the shard, gather half the bytes, and feed the old
-    converts' users directly. No-op when any consumer needs full precision.
+    converts' users directly. No-op when any consumer needs full precision;
+    only the computations holding a demotable gather are rewritten, and `m`
+    comes back itself when there is none.
     """
     demotable: dict[str, tuple[list[Instruction], set[str]]] = {}
+    touched: set[str] = set()  # names of the computations to rewrite
     for comp in m.computations():
         users = users_map(comp)
         for ins in comp.instructions:
@@ -729,8 +689,7 @@ def demote_allgather_precision(m: Module) -> Module:
             found = _all_consumers_convert(ins, users)
             if found is not None:
                 demotable[ins.id] = found
-    if not demotable:
-        return rebuild_module(m)
+                touched.add(comp.name)
 
     drop: set[str] = set()  # converts made redundant by the moved conversion
     retype: set[str] = set()  # transparent formatting between gather and converts
@@ -762,7 +721,9 @@ def demote_allgather_precision(m: Module) -> Module:
             return mapping[instr.operands[0].id]
         return None
 
-    return rebuild_module(m, rewriter)
+    return rebuild_module(
+        m, lambda comp, comp_map: _rebuild_computation(comp, comp_map, rewriter) if comp.name in touched else None
+    )
 
 
 def _all_consumers_convert(
@@ -800,9 +761,10 @@ def batch_collectives(m: Module) -> Module:
     """Merge independent all-reduces with identical groups and reduction kind
     into variadic all-reduces. Greedy in instruction order within each
     computation; batches never span side-effecting operators; values are
-    unchanged because each operand still reduces over the same group."""
+    unchanged because each operand still reduces over the same group. A
+    computation with no merged batch is left alone."""
 
-    def rebuild(comp: Computation, comp_map: dict[str, Computation]) -> Computation:
+    def rebuild(comp: Computation, comp_map: dict[str, Computation]) -> Computation | None:
         instrs = comp.instructions
         index = {ins.id: i for i, ins in enumerate(instrs)}
         candidates = [
@@ -844,7 +806,7 @@ def batch_collectives(m: Module) -> Module:
                 batches.append(([c], {c.id}))
         merged = {b[0].id: b for b, _ in batches if len(b) > 1}
         if not merged:
-            return _rebuild_computation(comp, comp_map)
+            return None
 
         member_to_batch: dict[str, tuple[str, int]] = {}  # member -> (lead, position)
         for lead, batch in merged.items():
@@ -911,12 +873,9 @@ def batch_collectives(m: Module) -> Module:
                 raise TransformError("collective batching could not schedule the computation")
             if guard > len(instrs) + 4:
                 raise TransformError("collective batching did not converge")
-        return Computation(comp.name, gb.instructions, mapping[comp.root.id])
+        return gb.finish(mapping[comp.root.id])
 
-    comp_map: dict[str, Computation] = {}
-    for comp in m.computations():
-        comp_map[comp.name] = rebuild(comp, comp_map)
-    out = Module(comp_map[m.entry.name], m.replica_count, m.topology, m.tile)
+    out = rebuild_module(m, rebuild)
     check(out)
     return out
 

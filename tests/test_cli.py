@@ -361,7 +361,11 @@ def forced_shard_transformer_main():
     return print_module(transform.apply(m, decisions, steps_hint=2).main)
 
 
-@pytest.mark.parametrize("spec", ["garbage", "[8] slicex/4", "[8,a] slice0/4", "[8] pad0 slice0/4", "[8] slice5/4"])
+@pytest.mark.parametrize(
+    "spec",
+    ["garbage", "[8] slicex/4", "[8,a] slice0/4", "[8] pad0 slice0/4", "[8] slice5/4",
+     "[8] pad3+1 slice0/4", "[8,8] slice0/\u0662"],
+)
 def test_malformed_spec_string_is_a_parse_error(spec, forced_shard_transformer_main, tmp_path, capsys):
     text = forced_shard_transformer_main
     start = text.index('spec="') + len("spec=")
@@ -386,3 +390,49 @@ def test_non_ascii_digit_in_dimensions_is_a_parse_error(header, tmp_path, capsys
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"[parse] {path}:1:{len('module N=4 ' + header)}: unexpected character '²'\n"
+
+
+@pytest.fixture
+def mixed_adam_mlp_ir(tmp_path):
+    """A mixed-precision adam mlp on a 4-ring: sharded at 1000 steps, kept
+    at its 3-step loop, where its two gradient all-reduces batch."""
+    from shardgraph.generators import GenConfig, _chain, build_training_module
+    from shardgraph.ir import ring_topology
+
+    cfg = GenConfig("t", _chain([64, 64, 64]), batch=4, optimizer="adam", replicas=4,
+                    topology=ring_topology(4), steps=3, mixed_precision=True)
+    path = tmp_path / "mixed.ir"
+    path.write_text(print_module(build_training_module(cfg)))
+    return path
+
+
+def _main_program(module, tmp_path, *flags):
+    out = tmp_path / ("out" + "".join(flags))
+    assert main(["transform", str(module), "--out-dir", str(out), *flags]) == 0
+    return parse_module((out / "main.ir").read_text()).all_instructions()
+
+
+def test_no_demote_keeps_f32_all_gathers(mixed_adam_mlp_ir, tmp_path):
+    def gather_types(*flags):
+        instrs = _main_program(mixed_adam_mlp_ir, tmp_path, "--steps", "1000", *flags)
+        return [i.shape.etype.value for i in instrs if i.opcode == "fusion" and i.kind == "all_gather"]
+
+    assert gather_types() == ["f16r", "f16r"]
+    assert gather_types("--no-demote") == ["f32", "f32"]
+
+
+def test_no_batch_leaves_no_variadic_all_reduce(mixed_adam_mlp_ir, tmp_path):
+    def all_reduce_arities(*flags):
+        return [len(i.operands) for i in _main_program(mixed_adam_mlp_ir, tmp_path, *flags) if i.opcode == "all-reduce"]
+
+    assert all_reduce_arities() == [2]
+    assert all_reduce_arities("--no-batch") == [1, 1]
+
+
+def test_compare_without_demote_and_batch(mixed_adam_mlp_ir, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    args = ["compare", str(mixed_adam_mlp_ir), "--no-demote", "--no-batch", "--json", str(report)]
+    assert main(args) == 0
+    out = json.loads(report.read_text())
+    # kept at the loop's 3 steps: nothing shards, and nothing batches either
+    assert out["speedup"] == 1.0 and out["max_rel_diff"] == 0.0

@@ -68,6 +68,36 @@ class TestChooseSpec:
             spec = choose_spec(Shape(dims, F32), s)
             assert str(parse_spec_string(str(spec))) == str(spec)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[8] slice0/\u0662", "bad number '\u0662'"),  # Arabic-Indic two
+            ("[8] slice0/\uff18", "bad number '\uff18'"),  # fullwidth eight
+            ("[\u0668] slice0/4", "bad number '\u0668'"),
+            ("[8] slice0/+2", "bad number '+2'"),
+            ("[8] slice0/2_0", "bad number '2_0'"),
+            ("[8] slice-1/2", "bad number '-1'"),
+            ("[8] pad-1+0 slice0/4", "bad number '-1'"),
+            ("[8] slice5/4", "slice dim 5 out of range for (8,)"),
+            ("[8] slice1/4", "slice dim 1 out of range for (8,)"),
+            ("[8] pad3+1 slice0/4", "pad dim 3 out of range for (8,)"),
+            ("[2,8] reshape[16] pad1+0 slice0/4", "pad dim 1 out of range for (16,)"),
+            ("[] slice1/1", "slice dim 1 out of range for ()"),
+            ("[[8]] slice0/4", "bad number '[8]'"),
+            ("[8] reshape[8 slice0/4", "bad dims '[8'"),
+        ],
+    )
+    def test_malformed_spec_string_raises_value_error(self, text, message):
+        with pytest.raises(ValueError) as e:
+            parse_spec_string(text)
+        assert str(e.value) == message
+
+    def test_spec_dims_index_the_rank_they_apply_to(self):
+        # the slice and pad dims count in the reformatted shape, not the source
+        spec = parse_spec_string("[2,3,8] reshape[6,8] pad1+8 slice1/4")
+        assert spec.shard_dims == (6, 4)
+        assert str(parse_spec_string("[] slice0/1")) == "[] slice0/1"
+
     def test_scalar_pads_to_shards(self):
         spec = choose_spec(Shape((), F32), 4)
         assert spec.shard_dims == (1,)

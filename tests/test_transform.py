@@ -13,6 +13,7 @@ from shardgraph.ir import (
     S32,
     Shape,
     TupleShape,
+    computations_equal,
     mesh_topology,
     modules_equal,
     physical_bytes,
@@ -21,7 +22,7 @@ from shardgraph.ir import (
 )
 from shardgraph.sharding import build_reduce_scatter, build_unshard_ops, choose_spec
 from shardgraph.simulator import PerReplica, cost, run
-from shardgraph.textfmt import parse_module
+from shardgraph.textfmt import parse_module, print_module
 from shardgraph.verify import verify
 
 
@@ -451,3 +452,65 @@ class TestMemoryPlan:
         res = forced_transform(m, 2)
         trans = transform.memory_plan_for(res.main, res.manifest, m)
         assert trans.aux_bytes == 0
+
+
+def _assert_unchanged_computations_shared(before: Module, after: Module) -> int:
+    """Every computation of `after` that matches its namesake in `before`
+    instruction for instruction, and calls only shared computations, must be
+    that very object. Returns how many are shared."""
+    old = {c.name: c for c in before.computations()}
+    shared: set[int] = set()  # ids of the computations taken over from `before`
+    for c in after.computations():  # callees first
+        o = old.get(c.name)
+        if (
+            o is not None
+            and all(id(k) in shared for i in c.instructions for k in i.called_computations)
+            and computations_equal(o, c)
+        ):
+            assert c is o, f"computation {c.name} is unchanged but was copied"
+            shared.add(id(c))
+    return len(shared)
+
+
+class TestCopyOnWrite:
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("topology", [ring_topology(4), mesh_topology(2, 2)], ids=["ring4", "mesh2x2"])
+    def test_passes_leave_their_input_unchanged(self, model, topology):
+        m = small_preset(model, topology)
+        text = print_module(m)
+        decisions = profitability.plan(m, steps=2)
+        assert print_module(m) == text
+        for d in decisions:
+            d.shard = True
+        main = transform.apply(m, decisions, steps_hint=2).main
+        assert print_module(m) == text
+        for p in (transform.demote_allgather_precision, transform.batch_collectives):
+            before = print_module(main)
+            out = p(main)
+            assert print_module(main) == before
+            assert _assert_unchanged_computations_shared(main, out) > 0
+            main = out
+
+    def test_demote_with_nothing_to_demote_returns_its_input(self):
+        res = forced_transform(gen_module("mlp", replicas=4, steps=3, layers=1, dim=8), 3)
+        assert transform.demote_allgather_precision(res.main) is res.main
+
+    def test_batch_with_nothing_to_merge_returns_its_input(self):
+        res = forced_transform(gen_module("mlp", replicas=4, steps=3, layers=1, dim=8), 3)
+        assert transform.batch_collectives(res.main) is res.main
+
+    def test_demote_and_batch_share_what_they_leave_unchanged(self):
+        # both passes rewrite the loop body; its condition and the
+        # reduce-scatter computations it calls are shared
+        main = forced_transform(small_preset("transformer-like", mesh_topology(2, 2)), 2).main
+        demoted = transform.demote_allgather_precision(main)
+        batched = transform.batch_collectives(demoted)
+
+        def scatters(m):
+            return [i.fused for i in m.training_loop().body.instructions if i.kind == "reduce_scatter"]
+
+        for before, after in ((main, demoted), (demoted, batched)):
+            _assert_unchanged_computations_shared(before, after)
+            assert after.training_loop().body is not before.training_loop().body
+            assert after.training_loop().cond is before.training_loop().cond
+            assert scatters(after) and all(a is b for a, b in zip(scatters(after), scatters(before)))
