@@ -39,27 +39,17 @@ from .sharding import (
     validate_for_reduce,
 )
 from .redundancy import RedundancyMap, analyze, analyze_conditional, analyze_loop
-from .costmodel import CostModel
-from .memory import Manifest, MemoryReport, VariableInfo, memory_plan
+from .costmodel import CostModel, CostReport, amortization_steps, cost, estimate_branch_frequency, loop_trip_count
+from .memory import Manifest, MemoryReport, VariableInfo, baseline_manifest, memory_plan, memory_plan_for
 from .simulator import (
     CollectiveStats,
-    CostReport,
     PerReplica,
     RunResult,
     SimulationError,
-    cost,
     ring_all_gather,
     ring_reduce_scatter,
     run,
 )
-from .profitability import (
-    Cluster,
-    ShardingDecision,
-    estimate_branch_frequency,
-    evaluate,
-    find_clusters,
-    loop_trip_count,
-    plan,
-)
+from .profitability import Cluster, ShardingDecision, evaluate, find_clusters, plan
 
 __version__ = "0.1.0"

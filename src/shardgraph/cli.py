@@ -25,10 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from . import generators, profitability, transform
-from .costmodel import CostModel
+from .costmodel import DEFAULT_TRIP_COUNT, CostModel, amortization_steps, cost
 from .ir import Module, Topology, TupleShape, mesh_topology, ring_topology
+from .memory import baseline_manifest, memory_plan_for
 from .redundancy import analyze
-from .simulator import PerReplica, SimulationError, cost, run
+from .simulator import PerReplica, SimulationError, run
 from .textfmt import ParseError, parse_module, print_module
 from .transform import TransformError
 from .verify import verify
@@ -120,6 +121,13 @@ def _json_default(o):
     raise TypeError(f"not JSON-serializable: {type(o)}")
 
 
+def _steps(args) -> int | None:
+    """The --steps horizon of `analyze`, `transform` and `compare`, if given."""
+    if args.steps is not None and args.steps < 1:
+        raise CLIError("args", "--steps must be at least 1")
+    return args.steps
+
+
 def _cost_model(args) -> CostModel:
     path = getattr(args, "cost_model", None)
     if not path:
@@ -163,20 +171,22 @@ def _compile(m: Module, decisions, steps: int | None, args):
 
 
 def cmd_analyze(args) -> int:
+    steps = _steps(args)
     m = _load_verified(args.module)
     rmap = analyze(m)
     out = {"verdicts": rmap.to_dict(), "summary": rmap.summary()}
     if args.profit:
-        decisions = _plan(m, _cost_model(args), args.steps)
+        decisions = _plan(m, _cost_model(args), steps)
         out["clusters"] = [d.to_dict() for d in decisions]
     _emit_json(out, args.json)
     return 0
 
 
 def cmd_transform(args) -> int:
+    steps = _steps(args)
     m = _load_verified(args.module)
-    decisions = _plan(m, _cost_model(args), args.steps)
-    result, main = _compile(m, decisions, args.steps, args)
+    decisions = _plan(m, _cost_model(args), steps)
+    result, main = _compile(m, decisions, steps, args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "main.ir").write_text(print_module(main))
@@ -340,14 +350,12 @@ def _diff_outputs(a, b):
 
 
 def cmd_compare(args) -> int:
+    steps = _steps(args)
     m = _load_verified(args.module, args)
     cm = _cost_model(args)
     seed = _seed(args)
-    steps = args.steps
-
     loop = m.training_loop()
-    loop_steps = profitability.loop_trip_count(loop) if loop is not None else None
-    amortize = loop_steps or steps or profitability.DEFAULT_TRIP_COUNT
+    amortize = amortization_steps(loop, steps)
 
     decisions = _plan(m, cm, amortize)
     result, main = _compile(m, decisions, amortize, args)
@@ -389,8 +397,8 @@ def cmd_compare(args) -> int:
     report["boundary_amortized_sec"] = boundary
     report["speedup"] = speedup
 
-    base_mem = transform.memory_plan_for(m, transform.baseline_manifest(result.manifest), m)
-    trans_mem = transform.memory_plan_for(main, result.manifest, m)
+    base_mem = memory_plan_for(m, baseline_manifest(result.manifest), m)
+    trans_mem = memory_plan_for(main, result.manifest, m)
     report["baseline_memory"] = base_mem.to_dict()
     report["transformed_memory"] = trans_mem.to_dict()
     report["memory_saving_ratio"] = (
@@ -442,6 +450,10 @@ def _print_compare_table(report: dict, cost_only: bool):
 # --------------------------------------------------------------------------- #
 
 
+STEPS_HELP = (f"amortization horizon, at least 1 (default: the loop's trip count, or {DEFAULT_TRIP_COUNT} "
+              "without a loop or when the trip count is unknown or 0)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="shardgraph", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -449,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="redundancy (and profitability) analysis")
     a.add_argument("module")
     a.add_argument("--profit", action="store_true", help="include per-cluster decisions")
-    a.add_argument("--steps", type=int, default=None, help="amortization horizon")
+    a.add_argument("--steps", type=int, default=None, help=STEPS_HELP)
     a.add_argument("--cost-model", default=None)
     a.add_argument("--json", default=None, help="write JSON here instead of stdout")
     a.set_defaults(fn=cmd_analyze)
@@ -457,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("transform", help="apply weight-update sharding")
     t.add_argument("module")
     t.add_argument("--out-dir", required=True)
-    t.add_argument("--steps", type=int, default=None)
+    t.add_argument("--steps", type=int, default=None, help=STEPS_HELP)
     t.add_argument("--cost-model", default=None)
     t.add_argument("--no-demote", action="store_true")
     t.add_argument("--no-batch", action="store_true")
@@ -495,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("module")
     cp.add_argument("--replicas", type=int, default=None)
     cp.add_argument("--topology", default=None)
-    cp.add_argument("--steps", type=int, default=None)
+    cp.add_argument("--steps", type=int, default=None,
+                    help=STEPS_HELP + "; without a loop, also the steps simulated (default 1)")
     cp.add_argument("--seed", type=int, default=None)
     cp.add_argument("--cost-model", default=None)
     cp.add_argument("--tolerance", type=float, default=1e-6,

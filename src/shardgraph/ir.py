@@ -187,6 +187,11 @@ FUSION_KINDS = ("standard", "shard", "unshard", "reduce_scatter", "all_gather")
 COLLECTIVE_FUSION_KINDS = frozenset({"reduce_scatter", "all_gather", "unshard"})
 
 
+def is_collective(instr: Instruction) -> bool:
+    """An all-reduce, or a fusion that runs a ring collective."""
+    return instr.opcode == "all-reduce" or (instr.opcode == "fusion" and instr.kind in COLLECTIVE_FUSION_KINDS)
+
+
 def reduce_identity(kind: str) -> float:
     if kind == "add":
         return 0.0

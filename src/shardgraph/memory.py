@@ -1,4 +1,9 @@
-"""Peak-memory accounting.
+"""Peak-memory accounting, the oracle's memory model.
+
+`memory_plan_for` is the entry point: it charges the step computation of a
+module (the loop body, or the entry) against a manifest of variable
+residency, and `baseline_manifest` gives the manifest of the untransformed
+module. The transform writes the manifest; nothing here imports the transform.
 
 The accountant separates buffers into three categories using the transform
 manifest: weight state (W), auxiliary/optimizer state (V) and everything else
@@ -17,11 +22,12 @@ being the point where the unsharding program materializes the full state.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .ir import Computation, Instruction, Module, Shape, TupleShape, physical_bytes, topo_order
-from .sharding import ShardingSpec, parse_spec_string
+from .ir import Computation, ElementType, Instruction, Module, Shape, TupleShape, physical_bytes, topo_order
+from .sharding import ShardingSpec
 
 
 @dataclass
@@ -50,20 +56,6 @@ class VariableInfo:
             "placements": list(self.placements),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "VariableInfo":
-        return cls(
-            name=d["name"],
-            kind=d["kind"],
-            param_index=d["param_index"],
-            slot=d.get("slot"),
-            output_index=d.get("output_index"),
-            residency=d.get("residency", "full"),
-            spec=parse_spec_string(d["spec"]) if d.get("spec") else None,
-            gathered_in_body=bool(d.get("gathered_in_body", False)),
-            placements=tuple(d.get("placements", ())),
-        )
-
 
 @dataclass
 class Manifest:
@@ -77,14 +69,6 @@ class Manifest:
         return json.dumps(
             {"variables": [v.to_dict() for v in self.variables], "notes": self.notes},
             indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Manifest":
-        d = json.loads(text)
-        return cls(
-            variables=[VariableInfo.from_dict(v) for v in d.get("variables", [])],
-            notes=d.get("notes", {}),
         )
 
 
@@ -154,43 +138,26 @@ def _state_image_ids(comp: Computation, manifest: Manifest) -> set[str]:
     slots = manifest.by_slot()
     state_ids: set[str] = set()
     params = comp.parameters
-    if len(params) == 1 and isinstance(params[0].shape, TupleShape):
-        state_param = params[0]
-        state_ids.add(state_param.id)
-        tracked: set[str] = set()
+    looped = len(params) == 1 and isinstance(params[0].shape, TupleShape)
+    if looped:
+        state_ids.add(params[0].id)
         for ins in comp.instructions:
-            if (
-                ins.opcode == "get-tuple-element"
-                and ins.operands
-                and ins.operands[0] is state_param
-                and ins.index in slots
-            ):
+            if ins.opcode == "get-tuple-element" and ins.operands and ins.operands[0] is params[0] and ins.index in slots:
                 state_ids.add(ins.id)
-                tracked.add(ins.id)
-        for ins in comp.instructions:
-            if ins.opcode == "fusion" and ins.kind in ("shard", "unshard", "all_gather"):
-                if any(op.id in tracked or op.id in state_ids for op in ins.operands):
-                    state_ids.add(ins.id)
-        if comp.root.opcode == "tuple":
-            state_ids.add(comp.root.id)
-            for idx, op in enumerate(comp.root.operands):
-                if idx in slots and slots[idx].kind in ("weight", "aux"):
-                    state_ids.add(op.id)
     else:
         by_name = {v.name: v for v in manifest.variables}
-        for p in params:
-            if p.id in by_name and by_name[p.id].kind in ("weight", "aux"):
-                state_ids.add(p.id)
-        for ins in comp.instructions:
-            if ins.opcode == "fusion" and ins.kind in ("shard", "unshard", "all_gather"):
-                if any(op.id in state_ids for op in ins.operands):
-                    state_ids.add(ins.id)
-        if comp.root.opcode == "tuple":
-            state_ids.add(comp.root.id)
-            for idx, op in enumerate(comp.root.operands):
-                for v in manifest.variables:
-                    if v.output_index == idx and v.kind in ("weight", "aux"):
-                        state_ids.add(op.id)
+        state_ids.update(p.id for p in params if p.id in by_name and by_name[p.id].kind in ("weight", "aux"))
+    for ins in comp.instructions:
+        if ins.opcode == "fusion" and ins.kind in ("shard", "unshard", "all_gather"):
+            if any(op.id in state_ids for op in ins.operands):
+                state_ids.add(ins.id)
+    if comp.root.opcode == "tuple":
+        state_ids.add(comp.root.id)
+        for idx, op in enumerate(comp.root.operands):
+            if looped and idx in slots and slots[idx].kind in ("weight", "aux"):
+                state_ids.add(op.id)
+            elif not looped and any(v.output_index == idx and v.kind in ("weight", "aux") for v in manifest.variables):
+                state_ids.add(op.id)
     return state_ids
 
 
@@ -243,3 +210,21 @@ def step_computation(m: Module) -> Computation:
     training loop when one exists, otherwise the entry."""
     loop = m.training_loop()
     return loop.body if loop is not None else m.entry
+
+
+def memory_plan_for(m: Module, manifest: Manifest, baseline: Module | None = None) -> MemoryReport:
+    """Accountant over the step computation of `m` using full shapes from the
+    baseline entry signature (or from `m` itself for unsharded modules)."""
+    source = baseline or m
+    full_shapes = {p.id: p.shape for p in source.entry.parameters if isinstance(p.shape, Shape)}
+    # variables whose init was not a parameter: take the full shape from the spec
+    for v in manifest.variables:
+        if v.name not in full_shapes and v.spec is not None:
+            full_shapes[v.name] = v.spec.source_shape(ElementType.F32)
+    return memory_plan(step_computation(m), manifest, full_shapes, m.tile)
+
+
+def baseline_manifest(manifest: Manifest) -> Manifest:
+    """The same variables at full residency, for accounting the input module."""
+    vars = [dataclasses.replace(v, residency="full", gathered_in_body=False) for v in manifest.variables]
+    return Manifest(variables=vars, notes=dict(manifest.notes))

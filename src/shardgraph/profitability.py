@@ -9,7 +9,8 @@ The benefit of sharding a cluster is the memory-bound time of its non-fusible
 inputs and outputs scaled by (1 - 1/S); the cost is the modeled time of the
 all-gathers weighted by how often they run. One every-step all-gather per
 cluster is free: decomposing the anchor all-reduce into reduce-scatter plus
-all-gather already pays for it.
+all-gather already pays for it. Trip counts, branch frequencies and the
+amortization horizon are `costmodel`'s rules, the ones `cost` uses too.
 
 This module makes every sharding decision: whether a cluster shards (a
 cluster whose loop state cannot stay sharded is kept, see `state_veto`), and
@@ -22,7 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .costmodel import CostModel, all_reduce_phases, collective_phases
+from .costmodel import (  # `DEFAULT_TRIP_COUNT` and `loop_trip_count` are re-exported here
+    DEFAULT_TRIP_COUNT,
+    CostModel,
+    all_reduce_phases,
+    amortization_steps,
+    collective_phases,
+    estimate_branch_frequency,
+    loop_trip_count,
+    predicate_mod_frequency,
+)
 from .ir import (
     ALL_REPLICAS,
     Computation,
@@ -38,7 +48,6 @@ from .ir import (
 from .redundancy import RedundancyMap, analyze
 from .sharding import ShardingSpec, choose_spec
 
-DEFAULT_TRIP_COUNT = 1000
 PARTIAL_SHARDING_THRESHOLD_BYTES = 64 * 1024
 
 
@@ -249,135 +258,6 @@ def find_clusters(
 
 
 # --------------------------------------------------------------------------- #
-# Loop shape analysis: induction variable, trip count, branch frequency
-# --------------------------------------------------------------------------- #
-
-
-def _constant_scalar(instr: Instruction) -> float | None:
-    if instr.opcode == "constant" and isinstance(instr.shape, Shape) and instr.shape.rank == 0:
-        return instr.value[0]
-    return None
-
-
-def induction_slot(w: Instruction) -> tuple[int, float, str] | None:
-    """(slot, bound, direction) for a counted loop `while i < K`."""
-    cond = w.cond
-    root = cond.root
-    if root.opcode != "compare" or root.direction not in ("lt", "le"):
-        return None
-    lhs, rhs = root.operands
-    bound = _constant_scalar(rhs)
-    if bound is None:
-        return None
-    param = cond.parameters[0] if cond.parameters else None
-    if lhs.opcode != "get-tuple-element" or lhs.operands[0] is not param:
-        return None
-    slot = lhs.index
-    # the body must step the slot by one
-    body_root = w.body.root
-    if body_root.opcode != "tuple" or slot >= len(body_root.operands):
-        return None
-    upd = body_root.operands[slot]
-    if upd.opcode != "add":
-        return None
-    ops = upd.operands
-    body_param = w.body.parameters[0]
-    is_ind = (
-        lambda x: x.opcode == "get-tuple-element"
-        and x.operands[0] is body_param
-        and x.index == slot
-    )
-    if is_ind(ops[0]) and _constant_scalar(ops[1]) == 1.0:
-        pass
-    elif is_ind(ops[1]) and _constant_scalar(ops[0]) == 1.0:
-        pass
-    else:
-        return None
-    return slot, bound, root.direction
-
-
-def loop_trip_count(w: Instruction) -> int | None:
-    """Trip count when the loop is a counted `i = c0; while i < K: i += 1`."""
-    ind = induction_slot(w)
-    if ind is None:
-        return None
-    slot, bound, direction = ind
-    init = w.operands[0]
-    if init.opcode != "tuple" or slot >= len(init.operands):
-        return None
-    c0 = _constant_scalar(init.operands[slot])
-    if c0 is None:
-        return None
-    trips = int(bound - c0)
-    if direction == "le":
-        trips += 1
-    return max(trips, 0)
-
-
-def predicate_mod_frequency(pred: Instruction) -> Fraction | None:
-    """Match `compare(i - (i div k) * k, c, eq)` and return 1/k.
-
-    The subtraction pattern is the remainder of the loop counter; anything
-    else is Unknown (None) and treated as running every step.
-    """
-    if pred.opcode != "compare" or pred.direction != "eq":
-        return None
-    lhs, rhs = pred.operands
-    if _constant_scalar(rhs) is None:
-        lhs, rhs = rhs, lhs
-    c = _constant_scalar(rhs)
-    if c is None:
-        return None
-    if lhs.opcode != "sub":
-        return None
-    i_expr, prod = lhs.operands
-    if prod.opcode != "mul":
-        return None
-    a, b = prod.operands
-    k = _constant_scalar(b)
-    quot = a
-    if k is None:
-        k = _constant_scalar(a)
-        quot = b
-    if k is None or quot.opcode != "div":
-        return None
-    if quot.operands[0] is not i_expr:
-        return None
-    k2 = _constant_scalar(quot.operands[1])
-    if k2 != k or k is None or k < 1:
-        return None
-    if not 0 <= c < k:
-        return None  # remainder never equals c; treat as unknown
-    return Fraction(1, int(k))
-
-
-def estimate_branch_frequency(cond: Instruction, loop: Instruction) -> Fraction | None:
-    """Execution frequency of `cond`'s true branch inside `loop`'s body.
-
-    Recognizes predicates testing the loop induction variable modulo a
-    constant; everything else is Unknown (None, treated as every step).
-    """
-    freq = predicate_mod_frequency(cond.operands[0])
-    if freq is None:
-        return None
-    ind = induction_slot(loop)
-    if ind is None:
-        return None
-    # the counter in the predicate must be the loop induction variable
-    pred = cond.operands[0]
-    lhs = pred.operands[0] if pred.operands[0].opcode == "sub" else pred.operands[1]
-    i_expr = lhs.operands[0]
-    body_param = loop.body.parameters[0] if loop.body.parameters else None
-    if (
-        i_expr.opcode != "get-tuple-element"
-        or i_expr.operands[0] is not body_param
-        or i_expr.index != ind[0]
-    ):
-        return None
-    return freq
-
-
-# --------------------------------------------------------------------------- #
 # Decisions
 # --------------------------------------------------------------------------- #
 
@@ -533,7 +413,8 @@ def evaluate(
     already pays for. Ties keep the cluster unsharded, and so do the vetoes:
     an unconditioned outfeed of a member, or loop state that cannot stay
     sharded (`state_veto`; `loop` is the loop whose body holds the cluster).
-    A vetoed decision's reason names the veto.
+    A vetoed decision's reason names the veto. The loop-boundary gathers are
+    amortized over `costmodel.amortization_steps(loop, steps)`.
 
     `plan` passes `users`, the users map of the cluster's computation, which
     it builds once for all clusters; it is built here when not given."""
@@ -544,12 +425,7 @@ def evaluate(
     s = groups.group_size(n)
     spec = choose_spec(shape, s, m.tile, groups)
 
-    if steps is None:
-        steps = loop_trip_count(loop) if loop is not None else None
-        if steps is None:
-            steps = DEFAULT_TRIP_COUNT
-        steps = max(steps, 1)
-
+    steps = amortization_steps(loop, steps)
     update_bytes = cluster_io_bytes(cluster, m, users)
     benefit = cm.compute_time(update_bytes) * (1.0 - 1.0 / s) if s > 1 else 0.0
 
@@ -574,19 +450,16 @@ def evaluate(
         if paired:
             ag_sites.append(AgSite(gte.id, "loop-boundary", 1.0 / steps))
 
-    def time_of(phases):
-        return sum(cm.phase_time(p.rounds, p.piece_bytes) for p in phases)
-
     # Communication delta: the reduce-scatter plus the weighted all-gathers
     # replace the anchoring all-reduce. With a low-waste format one in-loop
     # gather comes out free; pad-heavy formats pay their padding here.
-    ag_time = time_of(collective_phases("all_gather", shape, m.topology, groups, spec, m.tile))
-    rs_time = time_of(collective_phases("reduce_scatter", shape, m.topology, groups, spec, m.tile))
-    ar_time = time_of(all_reduce_phases(physical_bytes(shape, m.tile), m.topology, ALL_REPLICAS))
+    ag_time = cm.phases_time(collective_phases("all_gather", shape, m.topology, groups, spec, m.tile))
+    rs_time = cm.phases_time(collective_phases("reduce_scatter", shape, m.topology, groups, spec, m.tile))
+    ar_time = cm.phases_time(all_reduce_phases(physical_bytes(shape, m.tile), m.topology, ALL_REPLICAS))
     if not groups.is_all:
         # partial sharding adds a cross-group all-reduce on the shard
         shard_bytes = physical_bytes(Shape(spec.shard_dims, shape.etype), m.tile)
-        rs_time += time_of(all_reduce_phases(shard_bytes, m.topology, m.topology.col_groups()))
+        rs_time += cm.phases_time(all_reduce_phases(shard_bytes, m.topology, m.topology.col_groups()))
     cost_sec = rs_time + sum(site.weight * ag_time for site in ag_sites) - ar_time
 
     shard = (
@@ -615,9 +488,11 @@ def evaluate(
 def plan(m: Module, cm: CostModel | None = None, steps: int | None = None) -> list[ShardingDecision]:
     """Full analysis pipeline: redundancy, clusters in the training-step
     computation, and a decision per cluster. The users map of the step
-    computation is built once and shared by all."""
-    rmap = analyze(m)
+    computation and the amortization horizon are worked out once for all; a
+    `steps` below 1 raises `ValueError`."""
     loop = m.training_loop()
+    steps = amortization_steps(loop, steps)
+    rmap = analyze(m)
     comp = loop.body if loop is not None else m.entry
     users = users_map(comp)
     clusters = find_clusters(comp, rmap, m, users, loop)

@@ -13,7 +13,6 @@ below the rank it indexes; anything else raises ValueError.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from dataclasses import dataclass
 

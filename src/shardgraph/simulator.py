@@ -40,16 +40,20 @@ of the per-replica algorithm. `run`, `RunResult`, `PerReplica` and the
 `on_value` callback see one value per replica; values are split into rows
 only at those boundaries. The rows of `run`'s outputs are read-only views:
 they share memory with each other and with the inputs.
+
+The step-time model is `costmodel`'s: a run counts the collectives it
+executes with `costmodel.instruction_phases`, and `simulator.cost` is
+`costmodel.cost`.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .costmodel import CollectiveCost, CostModel, Phase, collective_cost, instruction_phases
+from .costmodel import Phase, cost, instruction_phases  # `cost` is re-exported as `simulator.cost`
 from .ir import (
     Computation,
     ElementType,
@@ -59,12 +63,11 @@ from .ir import (
     Shape,
     Topology,
     TupleShape,
-    physical_bytes,
+    is_collective,
     physical_elements,
     reduce_identity,
     round_up,
 )
-from .profitability import DEFAULT_TRIP_COUNT, loop_trip_count, predicate_mod_frequency
 from .sharding import Bitcast, ShardingSpec, TrivialReshape, choose_spec, shard_id_of
 
 
@@ -468,24 +471,11 @@ class RunResult:
     stats: CollectiveStats
 
 
-def _contains(comp: Computation, pred) -> bool:
-    for ins in comp.instructions:
-        if pred(ins):
-            return True
-        for callee in ins.called_computations:
-            if _contains(callee, pred):
-                return True
-    return False
-
-
-def _is_collective(instr: Instruction) -> bool:
-    return instr.opcode == "all-reduce" or (
-        instr.opcode == "fusion" and instr.kind in ("reduce_scatter", "all_gather", "unshard")
-    )
-
-
 def _has_collective(comp: Computation) -> bool:
-    return _contains(comp, _is_collective)
+    return any(
+        is_collective(ins) or any(_has_collective(c) for c in ins.called_computations)
+        for ins in comp.instructions
+    )
 
 
 class Simulator:
@@ -950,104 +940,3 @@ def run(
     """
     return Simulator(m, seed, max_while_iterations, on_value).run(inputs)
 
-
-# --------------------------------------------------------------------------- #
-# Static cost analysis
-# --------------------------------------------------------------------------- #
-
-
-_FREE_OPCODES = frozenset({"parameter", "tuple", "get-tuple-element", "bitcast", "replica-id"})
-
-
-def _op_bytes(instr: Instruction, tile) -> int:
-    if instr.opcode in _FREE_OPCODES:
-        return 0
-    if instr.opcode in ("constant", "iota", "rng"):
-        return physical_bytes(instr.shape, tile)
-    total = physical_bytes(instr.shape, tile)
-    for o in instr.operands:
-        total += physical_bytes(o.shape, tile)
-    return total
-
-
-@dataclass
-class CostReport:
-    collectives: list[CollectiveCost] = field(default_factory=list)
-    compute_time: float = 0.0
-    collective_time: float = 0.0
-    weight_update_compute: float = 0.0
-    trip_count: int = 1
-    latency_bound: bool = False
-
-    @property
-    def total_step_time(self) -> float:
-        return self.compute_time + self.collective_time
-
-    @property
-    def total_rounds(self) -> float:
-        return sum(c.rounds * c.executions for c in self.collectives)
-
-    def to_dict(self) -> dict:
-        return {
-            "total_step_time": self.total_step_time,
-            "compute_time": self.compute_time,
-            "collective_time": self.collective_time,
-            "weight_update_compute": self.weight_update_compute,
-            "weight_update_share": (
-                self.weight_update_compute / self.total_step_time
-                if self.total_step_time
-                else 0.0
-            ),
-            "trip_count": self.trip_count,
-            "total_rounds": self.total_rounds,
-            "latency_bound": self.latency_bound,
-            "collectives": [vars(c) for c in self.collectives],
-        }
-
-
-def cost(
-    m: Module, cm: CostModel | None = None, update_members: set[str] | frozenset[str] = frozenset()
-) -> CostReport:
-    """Model the per-step time of a module: memory-bound compute plus ring
-    collective phases, loop bodies scaled by the trip count when it is a
-    compile-time constant. `update_members` holds the ids of the instructions
-    whose compute time is attributed to weight update; callers take them from
-    the sharding decisions with `profitability.update_member_ids`."""
-    cm = cm or CostModel()
-    report = CostReport()
-
-    def walk(comp: Computation, weight: float):
-        for instr in comp.instructions:
-            op = instr.opcode
-            if op == "while":
-                trips = loop_trip_count(instr)
-                trips = trips if trips is not None else DEFAULT_TRIP_COUNT
-                report.trip_count = max(report.trip_count, trips)
-                walk(instr.cond, weight * trips)
-                walk(instr.body, weight * trips)
-                continue
-            if op == "conditional":
-                freq = predicate_mod_frequency(instr.operands[0])
-                f = float(freq) if freq is not None else 1.0
-                walk(instr.branches[0], weight * f)
-                walk(instr.branches[1], weight * max(0.0, 1.0 - f) if freq is not None else weight)
-                report.compute_time += weight * cm.compute_time(_op_bytes(instr, m.tile))
-                continue
-            if _is_collective(instr):
-                groups = instr.groups if op == "all-reduce" else instr.spec.group
-                gsize = groups.group_size(m.replica_count)
-                name = "all-reduce" if op == "all-reduce" else instr.kind
-                cc = collective_cost(instr.id, name, instruction_phases(instr, m), cm, gsize)
-                cc.executions = weight
-                report.collectives.append(cc)
-                report.collective_time += cc.modeled_time * weight
-                if op == "all-reduce":
-                    continue  # fusions also pay the memory-bound time of their formatting
-            t = weight * cm.compute_time(_op_bytes(instr, m.tile))
-            report.compute_time += t
-            if instr.id in update_members:
-                report.weight_update_compute += t
-
-    walk(m.entry, 1.0)
-    report.latency_bound = any(c.latency_bound for c in report.collectives)
-    return report

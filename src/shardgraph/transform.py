@@ -14,13 +14,12 @@ all-reduce over the columns), and rejects decisions that do not fit the
 module. Which clusters shard, within which groups, is the planner's call
 (`profitability`).
 
-Also here: precision demotion of in-loop all-gathers, collective batching,
-and the per-step memory accountant.
+Also here: precision demotion of in-loop all-gathers and collective
+batching. The memory accounting of the result is `memory`'s.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from .ir import (
@@ -36,7 +35,7 @@ from .ir import (
     S32,
     users_map,
 )
-from .memory import Manifest, MemoryReport, VariableInfo, memory_plan, step_computation
+from .memory import Manifest, VariableInfo, baseline_manifest, memory_plan_for  # the last two are re-exported
 from .profitability import ShardingDecision, plan, state_veto  # `plan` is re-exported as `transform.plan`
 from .sharding import ShardingSpec, build_reduce_scatter, build_shard_ops, build_unshard_ops
 from .verify import check
@@ -879,26 +878,3 @@ def batch_collectives(m: Module) -> Module:
     check(out)
     return out
 
-
-# --------------------------------------------------------------------------- #
-# Memory plan (re-exported accountant)
-# --------------------------------------------------------------------------- #
-
-
-def memory_plan_for(m: Module, manifest: Manifest, baseline: Module | None = None) -> MemoryReport:
-    """Accountant over the step computation of `m` using full shapes from the
-    baseline entry signature (or from `m` itself for unsharded modules)."""
-    source = baseline or m
-    full_shapes = {p.id: p.shape for p in source.entry.parameters if isinstance(p.shape, Shape)}
-    # variables whose init was not a parameter: take the full shape from the spec
-    for v in manifest.variables:
-        if v.name not in full_shapes and v.spec is not None:
-            full_shapes[v.name] = v.spec.source_shape(ElementType.F32)
-    comp = step_computation(m)
-    return memory_plan(comp, manifest, full_shapes, m.tile)
-
-
-def baseline_manifest(manifest: Manifest) -> Manifest:
-    """The same variables at full residency, for accounting the input module."""
-    vars = [dataclasses.replace(v, residency="full", gathered_in_body=False) for v in manifest.variables]
-    return Manifest(variables=vars, notes=dict(manifest.notes))

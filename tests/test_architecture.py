@@ -1,6 +1,9 @@
-"""The compiler passes must not depend on the simulator, the oracle that
-checks what they emit, and the simulator must not take its uniformity from
-the redundancy analysis it checks."""
+"""The compiler passes must not depend on the simulator, and the oracle (the
+simulator, the cost model and the memory accountant) must not depend on the
+planner and the transform it checks: the simulator takes no uniformity from
+the redundancy analysis, and the cost model no rule from the planner.
+Imports are followed through every module of the package, so a dependency
+cannot hide behind another module."""
 
 import ast
 from pathlib import Path
@@ -11,6 +14,7 @@ import shardgraph
 
 PACKAGE = Path(shardgraph.__file__).parent
 COMPILER = ("profitability", "transform", "sharding", "redundancy")
+ORACLE = ("simulator", "costmodel", "memory")
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -30,14 +34,44 @@ def imported_modules(path: Path) -> set[str]:
     return out
 
 
+def package_imports(name: str) -> set[str]:
+    """The package modules `name` imports, directly or through other package
+    modules."""
+    reached: set[str] = set()
+    work = [name]
+    while work:
+        for imported in imported_modules(PACKAGE / f"{work.pop()}.py"):
+            parts = imported.split(".")
+            if parts[0] != "shardgraph" or len(parts) < 2 or not (PACKAGE / f"{parts[1]}.py").exists():
+                continue
+            if parts[1] not in reached:
+                reached.add(parts[1])
+                work.append(parts[1])
+    return reached
+
+
+def test_imports_are_followed_transitively():
+    # transform reaches redundancy and costmodel only through profitability
+    direct = imported_modules(PACKAGE / "transform.py")
+    assert not {"shardgraph.redundancy", "shardgraph.costmodel"} & direct
+    assert {"profitability", "redundancy", "costmodel"} <= package_imports("transform")
+
+
 @pytest.mark.parametrize("name", COMPILER)
 def test_compiler_pass_does_not_import_simulator(name):
-    imports = imported_modules(PACKAGE / f"{name}.py")
-    assert imports, name
-    assert not [i for i in imports if i.split(".")[:2] == ["shardgraph", "simulator"]]
+    reached = package_imports(name)
+    assert "ir" in reached, name
+    assert "simulator" not in reached
 
 
 def test_simulator_does_not_import_redundancy():
-    imports = imported_modules(PACKAGE / "simulator.py")
-    assert imports
-    assert not [i for i in imports if i.split(".")[:2] == ["shardgraph", "redundancy"]]
+    reached = package_imports("simulator")
+    assert "ir" in reached
+    assert "redundancy" not in reached
+
+
+@pytest.mark.parametrize("name", ORACLE)
+def test_oracle_does_not_import_the_compiler(name):
+    reached = package_imports(name)
+    assert "ir" in reached, name
+    assert not reached & {"profitability", "transform", "redundancy"}

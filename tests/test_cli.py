@@ -270,6 +270,14 @@ def _zero_bandwidth_model(tmp_path):
     return ["cost", str(path), "--model", str(model)]
 
 
+def _small_mlp(tmp_path, loop_steps: str) -> str:
+    """A 1-layer mlp on 4 replicas with a `loop_steps`-step loop (none for 0)."""
+    path = tmp_path / "m.ir"
+    assert main(["gen", "mlp", "--layers", "1", "--dim", "8", "--replicas", "4",
+                 "--steps", loop_steps, "--out", str(path)]) == 0
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "argv, stage",
     [
@@ -277,8 +285,13 @@ def _zero_bandwidth_model(tmp_path):
         (lambda tmp_path: ["simulate", str(tmp_path / "missing.ir")], "read"),
         (lambda tmp_path: ["gen", "mlp", "--topology", "3x"], "args"),
         (_zero_bandwidth_model, "cost-model"),
+        (lambda tmp_path: ["transform", _small_mlp(tmp_path, "3"), "--out-dir", str(tmp_path / "t"),
+                           "--steps", "0"], "args"),
+        (lambda tmp_path: ["analyze", _small_mlp(tmp_path, "3"), "--profit", "--steps", "0"], "args"),
+        (lambda tmp_path: ["compare", _small_mlp(tmp_path, "0"), "--steps", "-5"], "args"),
     ],
-    ids=["truncated-ir", "missing-file", "bad-topology", "zero-bandwidth"],
+    ids=["truncated-ir", "missing-file", "bad-topology", "zero-bandwidth", "transform-steps-0",
+         "analyze-steps-0", "compare-steps-negative"],
 )
 def test_user_error_is_one_line_exit_2(argv, stage, tmp_path, capsys):
     args = argv(tmp_path)
@@ -436,3 +449,20 @@ def test_compare_without_demote_and_batch(mixed_adam_mlp_ir, tmp_path, capsys):
     out = json.loads(report.read_text())
     # kept at the loop's 3 steps: nothing shards, and nothing batches either
     assert out["speedup"] == 1.0 and out["max_rel_diff"] == 0.0
+
+
+def test_compare_steps_set_the_horizon_of_a_looped_module(mixed_adam_mlp_ir, tmp_path):
+    """`compare --steps` plans and amortizes over the steps given, as
+    `transform --steps` does, also when the module has a counted loop."""
+    out = tmp_path / "t"
+    assert main(["transform", str(mixed_adam_mlp_ir), "--out-dir", str(out), "--steps", "1000"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {v["name"] for v in manifest["variables"] if v["residency"] == "sharded"} == {
+        "w0", "m0", "v0", "w1", "m1", "v1"
+    }
+    report = tmp_path / "report.json"
+    assert main(["compare", str(mixed_adam_mlp_ir), "--steps", "1000", "--json", str(report)]) == 0
+    decisions = json.loads(report.read_text())["decisions"]
+    planned = profitability.plan(parse_module(mixed_adam_mlp_ir.read_text()), steps=1000)
+    assert decisions == json.loads(json.dumps([d.to_dict() for d in planned]))
+    assert [d["decision"] for d in decisions] == ["shard", "shard"]

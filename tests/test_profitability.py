@@ -3,7 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shardgraph.costmodel import CostModel
+from shardgraph.costmodel import (
+    DEFAULT_TRIP_COUNT,
+    CostModel,
+    amortization_steps,
+    estimate_branch_frequency,
+    loop_trip_count,
+    predicate_mod_frequency,
+)
 from shardgraph.generators import GenConfig, _chain, build_training_module, gen_module
 from shardgraph.ir import (
     ALL_REPLICAS,
@@ -19,17 +26,9 @@ from shardgraph.ir import (
     ring_topology,
     scalar,
 )
-from shardgraph.profitability import (
-    cluster_io_bytes,
-    estimate_branch_frequency,
-    evaluate,
-    find_clusters,
-    loop_trip_count,
-    plan,
-    predicate_mod_frequency,
-    select_groups,
-)
+from shardgraph.profitability import cluster_io_bytes, evaluate, find_clusters, plan, select_groups
 from shardgraph.redundancy import analyze
+from shardgraph.textfmt import parse_module, print_module
 
 
 def step_computation(m):
@@ -151,6 +150,29 @@ class TestFrequency:
         m = gen_module("mlp", replicas=2, steps=7, layers=1, dim=8)
         _, loop = step_computation(m)
         assert loop_trip_count(loop) == 7
+
+
+class TestAmortization:
+    def test_steps_below_one_is_rejected(self):
+        m = gen_module("mlp", replicas=2, steps=3, layers=1, dim=8)
+        for steps in (0, -5):
+            with pytest.raises(ValueError, match="steps must be at least 1"):
+                plan(m, steps=steps)
+
+    def test_given_steps_override_the_loop(self):
+        m = gen_module("mlp", replicas=2, steps=3, layers=1, dim=8)
+        assert amortization_steps(m.training_loop(), None) == 3
+        assert amortization_steps(m.training_loop(), 50) == 50
+        assert amortization_steps(None, None) == DEFAULT_TRIP_COUNT
+
+    def test_zero_trip_counted_loop_amortizes_over_the_default(self):
+        text = print_module(gen_module("mlp", replicas=2, steps=3, layers=1, dim=8))
+        assert text.count("%c.bound = s32[] constant(3)") == 1
+        m = parse_module(text.replace("%c.bound = s32[] constant(3)", "%c.bound = s32[] constant(0)"))
+        assert loop_trip_count(m.training_loop()) == 0
+        assert amortization_steps(m.training_loop(), None) == DEFAULT_TRIP_COUNT
+        decisions = [d.to_dict() for d in plan(m)]
+        assert decisions and decisions == [d.to_dict() for d in plan(m, steps=DEFAULT_TRIP_COUNT)]
 
 
 class TestEvaluate:
