@@ -104,9 +104,10 @@ def outputs_bitwise_equal(a, b) -> bool:
     return all(bitwise_same(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def small_preset(model: str, topology):
+def small_preset(model: str, topology, steps: int | None = 2):
     """The preset's optimizer, precision and weight ranks with every dim
-    divided by 32 (at least 2), a counted 2-step loop and no outfeed."""
+    divided by 32 (at least 2), a counted loop of `steps` steps (no loop when
+    None) and no outfeed."""
     cfg = preset(model, layers=2)
 
     def small(d):
@@ -116,5 +117,5 @@ def small_preset(model: str, topology):
         WeightDef(w.dims[:-2] + (small(w.dims[-2]), small(w.out_dim)), small(w.in_dim), small(w.out_dim))
         for w in cfg.weights
     ]
-    cfg.batch, cfg.steps, cfg.topology, cfg.replicas = 4, 2, topology, topology.n
+    cfg.batch, cfg.steps, cfg.topology, cfg.replicas = 4, steps, topology, topology.n
     return build_training_module(cfg)
