@@ -23,9 +23,10 @@ all-gathers do expose their format, so their pieces are the format's padded
 shard bytes.
 
 The loop-shape rules (`loop_trip_count`, `predicate_mod_frequency`,
-`estimate_branch_frequency`) and the amortization horizon
-(`amortization_steps`) live here, where the planner and `cost` both read
-them, so the oracle imports nothing from the compiler.
+`estimate_branch_frequency`, and `branch_frequency`, which weights a
+conditional for the planner and for `cost` alike) and the amortization
+horizon (`amortization_steps`) live here, where the planner and `cost` both
+read them, so the oracle imports nothing from the compiler.
 """
 
 from __future__ import annotations
@@ -264,6 +265,16 @@ def estimate_branch_frequency(cond: Instruction, loop: Instruction) -> Fraction 
     return freq
 
 
+def branch_frequency(cond: Instruction, loop: Instruction | None) -> Fraction | None:
+    """How often `cond`'s true branch runs per step, the rule of the planner
+    and the cost model alike: inside `loop`'s body by
+    `estimate_branch_frequency`, outside any loop by the predicate alone.
+    None is Unknown: every step."""
+    if loop is None:
+        return predicate_mod_frequency(cond.operands[0])
+    return estimate_branch_frequency(cond, loop)
+
+
 def amortization_steps(loop: Instruction | None, steps: int | None = None) -> int:
     """The number of steps the one-time shard and unshard programs are
     amortized over: `steps` when given, else the counted trip count of
@@ -353,21 +364,21 @@ def cost(
     cm = cm or CostModel()
     report = CostReport()
 
-    def walk(comp: Computation, weight: float):
+    def walk(comp: Computation, weight: float, loop: Instruction | None):
         for instr in comp.instructions:
             op = instr.opcode
             if op == "while":
                 trips = loop_trip_count(instr)
                 trips = trips if trips is not None else DEFAULT_TRIP_COUNT
                 report.trip_count = max(report.trip_count, trips)
-                walk(instr.cond, weight * trips)
-                walk(instr.body, weight * trips)
+                walk(instr.cond, weight * trips, instr)
+                walk(instr.body, weight * trips, instr)
                 continue
             if op == "conditional":
-                freq = predicate_mod_frequency(instr.operands[0])
+                freq = branch_frequency(instr, loop)
                 f = float(freq) if freq is not None else 1.0
-                walk(instr.branches[0], weight * f)
-                walk(instr.branches[1], weight * max(0.0, 1.0 - f) if freq is not None else weight)
+                walk(instr.branches[0], weight * f, loop)
+                walk(instr.branches[1], weight * max(0.0, 1.0 - f) if freq is not None else weight, loop)
                 report.compute_time += weight * cm.compute_time(_op_bytes(instr, m.tile))
                 continue
             if is_collective(instr):
@@ -394,6 +405,6 @@ def cost(
             if instr.id in update_members:
                 report.weight_update_compute += t
 
-    walk(m.entry, 1.0)
+    walk(m.entry, 1.0, None)
     report.latency_bound = any(c.latency_bound for c in report.collectives)
     return report

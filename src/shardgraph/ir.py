@@ -4,10 +4,14 @@ computations and modules.
 The IR is a static-shape dataflow graph. Each computation holds instructions in
 def-before-use order; control flow (`while`, `conditional`) and `fusion` call
 nested computations. Values are either dense arrays (`Shape`) or flat tuples of
-arrays (`TupleShape`). All structures are treated as immutable once a module is
-built; passes construct fresh modules instead of mutating. Because nothing is
-changed in place, passes share every computation they leave unchanged between
-their input and their output (`transform.rebuild_module`).
+arrays (`TupleShape`).
+
+No IR object is changed after it is built: a computation holds its
+instructions as a tuple, and passes construct fresh instructions and
+computations instead of mutating. Two things rely on this invariant. Passes
+share every computation they leave unchanged between their input and their
+output (`transform.rebuild_module`), and `verify` remembers the computation
+objects it found well-formed and does not check them again.
 """
 
 from __future__ import annotations
@@ -290,7 +294,7 @@ def mesh_topology(rows: int, cols: int) -> Topology:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Instruction:
     id: str
     opcode: str
@@ -319,29 +323,36 @@ class Instruction:
 
     @property
     def called_computations(self) -> tuple["Computation", ...]:
-        out = []
-        if self.cond is not None:
-            out.append(self.cond)
-        if self.body is not None:
-            out.append(self.body)
-        if self.branches is not None:
-            out.extend(self.branches)
-        if self.fused is not None:
-            out.append(self.fused)
-        return tuple(out)
+        """The computations a `while`, `conditional` or `fusion` calls; ()
+        for every other opcode."""
+        op = self.opcode
+        if op not in CALLING_OPCODES:
+            return ()
+        if op == "fusion":
+            return () if self.fused is None else (self.fused,)
+        if op == "conditional":
+            return self.branches or ()
+        return tuple(c for c in (self.cond, self.body) if c is not None)
+
+
+CALLING_OPCODES = frozenset({"while", "conditional", "fusion"})
 
 
 @dataclass(eq=False)
 class Computation:
     name: str
-    instructions: list[Instruction]
+    instructions: tuple[Instruction, ...]
     root: Instruction
 
-    @property
-    def parameters(self) -> list[Instruction]:
+    def __post_init__(self):
+        self.instructions = tuple(self.instructions)
+
+    @cached_property
+    def parameters(self) -> tuple[Instruction, ...]:
+        """The parameter instructions in index order, found once."""
         params = [i for i in self.instructions if i.opcode == "parameter"]
         params.sort(key=lambda p: p.index or 0)
-        return params
+        return tuple(params)
 
     def find(self, instr_id: str) -> Instruction:
         for i in self.instructions:
@@ -378,8 +389,9 @@ class Module:
                 return
             seen[id(c)] = c
             for instr in c.instructions:
-                for callee in instr.called_computations:
-                    visit(callee)
+                if instr.opcode in CALLING_OPCODES:
+                    for callee in instr.called_computations:
+                        visit(callee)
             order.append(c)
 
         visit(self.entry)
@@ -530,10 +542,13 @@ class GraphBuilder:
 
     def emit(self, opcode: str, shape: Shape | TupleShape, operands=(), id: str | None = None, **attrs) -> Instruction:
         iid = id if id is not None else self.fresh_id(opcode.replace("-", "_"))
-        if iid in self._ids:
-            raise ValueError(f"duplicate instruction id: {iid}")
-        self._ids.add(iid)
-        instr = Instruction(id=iid, opcode=opcode, shape=shape, operands=tuple(operands), **attrs)
+        return self.add(Instruction(id=iid, opcode=opcode, shape=shape, operands=tuple(operands), **attrs))
+
+    def add(self, instr: Instruction) -> Instruction:
+        """Append an instruction built elsewhere; its id must be new here."""
+        if instr.id in self._ids:
+            raise ValueError(f"duplicate instruction id: {instr.id}")
+        self._ids.add(instr.id)
         self.instructions.append(instr)
         return instr
 

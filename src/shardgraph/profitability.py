@@ -28,10 +28,9 @@ from .costmodel import (  # `DEFAULT_TRIP_COUNT` and `loop_trip_count` are re-ex
     CostModel,
     all_reduce_phases,
     amortization_steps,
+    branch_frequency,
     collective_phases,
-    estimate_branch_frequency,
     loop_trip_count,
-    predicate_mod_frequency,
 )
 from .ir import (
     ALL_REPLICAS,
@@ -151,11 +150,7 @@ def find_clusters(
             cond = next((u for u in users.get(user.id, ()) if u.opcode == "conditional"), None)
             if cond is not None:
                 if cond.id not in branch_freq:
-                    branch_freq[cond.id] = (
-                        estimate_branch_frequency(cond, loop)
-                        if loop is not None
-                        else predicate_mod_frequency(cond.operands[0])
-                    )
+                    branch_freq[cond.id] = branch_frequency(cond, loop)
                 return FrontierUse(member, user, "branch", frequency=branch_freq[cond.id])
         return FrontierUse(member, user, "in-loop")
 

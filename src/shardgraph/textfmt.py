@@ -234,6 +234,8 @@ def _position(text: str, k: int) -> tuple[int, int]:
 # --------------------------------------------------------------------------- #
 
 _ETYPES = {e.value: e for e in ElementType}
+# the opcode each callee attribute belongs to: only these call computations
+_CALLER = {"cond": "while", "body": "while", "true": "conditional", "false": "conditional", "calls": "fusion"}
 
 # Fixed operand arity per opcode; None means variadic (checked elsewhere).
 _ARITY: dict[str, int | None] = {
@@ -576,15 +578,15 @@ class _Parser:
             elif key == "index":
                 attrs["index"] = self.expect_number()
             elif key == "cond":
-                attrs["cond"] = self._comp_ref(comps)
+                attrs["cond"] = self._callee(comps, key, opcode)
             elif key == "body":
-                attrs["body"] = self._comp_ref(comps)
+                attrs["body"] = self._callee(comps, key, opcode)
             elif key == "true":
-                attrs.setdefault("_branches", [None, None])[0] = self._comp_ref(comps)
+                attrs.setdefault("_branches", [None, None])[0] = self._callee(comps, key, opcode)
             elif key == "false":
-                attrs.setdefault("_branches", [None, None])[1] = self._comp_ref(comps)
+                attrs.setdefault("_branches", [None, None])[1] = self._callee(comps, key, opcode)
             elif key == "calls":
-                attrs["fused"] = self._comp_ref(comps)
+                attrs["fused"] = self._callee(comps, key, opcode)
             elif key == "spec":
                 spec = self.expect_kind("string")[1:-1]
                 try:
@@ -604,6 +606,14 @@ class _Parser:
             # carries the collective's scope
             attrs["spec"] = dataclasses.replace(attrs["spec"], group=attrs["groups"])
         return Instruction(id=iid, opcode=opcode, shape=shape, operands=tuple(operands), **attrs)
+
+    def _callee(self, comps: dict[str, Computation], key: str, opcode: str) -> Computation:
+        """The computation a callee attribute names; only the opcode that
+        calls it (`_CALLER`) takes the attribute."""
+        comp = self._comp_ref(comps)
+        if opcode != _CALLER[key]:
+            self.error(f"attribute {key!r} belongs to {_CALLER[key]}, not {opcode}", self.pos - 3)
+        return comp
 
     def _comp_ref(self, comps: dict[str, Computation]) -> Computation:
         t = self.expect_kind("word")

@@ -59,36 +59,33 @@ class TransformResult:
 # --------------------------------------------------------------------------- #
 
 
-def _copy_attrs(instr: Instruction, comp_map: dict[str, Computation]) -> dict:
-    """The attributes of `instr`; a callee rebuilt in `comp_map` replaces the
-    old one, and any other callee is kept."""
-    attrs = dict(
-        value=instr.value,
-        index=instr.index,
-        replica_equal=instr.replica_equal,
-        dims=instr.dims,
-        kind=instr.kind,
-        direction=instr.direction,
-        groups=instr.groups,
-        pad_low=instr.pad_low,
-        pad_high=instr.pad_high,
-        slice_sizes=instr.slice_sizes,
-        spec=instr.spec,
+def _clone_instruction(
+    instr: Instruction, gb: GraphBuilder, operands: tuple, comp_map: dict[str, Computation], shape=None
+) -> Instruction:
+    """A copy of `instr` with `operands` (and `shape`, when given), added to
+    `gb`. The callees of a `while`, `conditional` or `fusion` that were
+    rebuilt in `comp_map` replace the old ones; every other field is copied
+    as is."""
+    op, cond, body, branches, fused = instr.opcode, instr.cond, instr.body, instr.branches, instr.fused
+    if comp_map:
+        if op == "fusion":
+            if fused is not None:
+                fused = comp_map.get(fused.name, fused)
+        elif op == "while":
+            if cond is not None:
+                cond = comp_map.get(cond.name, cond)
+            if body is not None:
+                body = comp_map.get(body.name, body)
+        elif op == "conditional" and branches is not None:
+            branches = tuple(comp_map.get(b.name, b) for b in branches)
+    return gb.add(
+        Instruction(
+            instr.id, op, instr.shape if shape is None else shape, operands,
+            instr.value, instr.index, instr.replica_equal, instr.dims, instr.kind, instr.direction,
+            instr.groups, instr.pad_low, instr.pad_high, instr.slice_sizes,
+            cond, body, branches, fused, instr.spec,
+        )
     )
-    if instr.cond is not None:
-        attrs["cond"] = comp_map.get(instr.cond.name, instr.cond)
-    if instr.body is not None:
-        attrs["body"] = comp_map.get(instr.body.name, instr.body)
-    if instr.branches is not None:
-        attrs["branches"] = tuple(comp_map.get(b.name, b) for b in instr.branches)
-    if instr.fused is not None:
-        attrs["fused"] = comp_map.get(instr.fused.name, instr.fused)
-    return attrs
-
-
-def _clone_instruction(instr: Instruction, gb: GraphBuilder, mapping: dict, comp_map: dict) -> Instruction:
-    operands = tuple(mapping[o.id] for o in instr.operands)
-    return gb.emit(instr.opcode, instr.shape, operands, id=instr.id, **_copy_attrs(instr, comp_map))
 
 
 def rebuild_module(m: Module, rewrite) -> Module:
@@ -120,7 +117,7 @@ def _rebuild_computation(comp: Computation, comp_map: dict[str, Computation], re
     for instr in comp.instructions:
         new = rewriter(instr, gb, mapping, comp_map) if rewriter else None
         if new is None:
-            new = _clone_instruction(instr, gb, mapping, comp_map)
+            new = _clone_instruction(instr, gb, tuple(mapping[o.id] for o in instr.operands), comp_map)
         mapping[instr.id] = new
     return gb.finish(mapping[comp.root.id])
 
@@ -295,8 +292,7 @@ class _BodyRewriter:
             return self.gb.emit("tuple", shape, tuple(operands), id=instr.id)
         if instr.opcode == "conditional":
             return self.emit_conditional(instr)
-        operands = tuple(self.operand(o) for o in instr.operands)
-        return self.gb.emit(instr.opcode, instr.shape, operands, id=instr.id, **_copy_attrs(instr, {}))
+        return _clone_instruction(instr, self.gb, tuple(self.operand(o) for o in instr.operands), {})
 
     def _feeds_conditional(self, instr: Instruction) -> bool:
         return instr.id in self._branch_args and any(o.id in self._plan_of for o in instr.operands)
@@ -679,12 +675,14 @@ def demote_allgather_precision(m: Module) -> Module:
     demotable: dict[str, tuple[list[Instruction], set[str]]] = {}
     touched: set[str] = set()  # names of the computations to rewrite
     for comp in m.computations():
-        users = users_map(comp)
+        users = None  # built on the first f32 all-gather
         for ins in comp.instructions:
             if ins.opcode != "fusion" or ins.kind != "all_gather":
                 continue
             if ins.shape.etype != ElementType.F32:
                 continue
+            if users is None:
+                users = users_map(comp)
             found = _all_consumers_convert(ins, users)
             if found is not None:
                 demotable[ins.id] = found
@@ -709,13 +707,7 @@ def demote_allgather_precision(m: Module) -> Module:
             return build_unshard_ops(spec, low, gb, kind="all_gather", name_hint=instr.id)
         if instr.id in retype:
             operands = tuple(mapping[o.id] for o in instr.operands)
-            return gb.emit(
-                instr.opcode,
-                Shape(instr.shape.dims, ElementType.F16R),
-                operands,
-                id=instr.id,
-                **_copy_attrs(instr, comp_map),
-            )
+            return _clone_instruction(instr, gb, operands, comp_map, Shape(instr.shape.dims, ElementType.F16R))
         if instr.id in drop:
             return mapping[instr.operands[0].id]
         return None
@@ -862,7 +854,7 @@ def batch_collectives(m: Module) -> Module:
                         remaining.append(ins)
                     continue
                 if all(o.id in mapping for o in ins.operands):
-                    mapping[ins.id] = _clone_instruction(ins, gb, mapping, comp_map)
+                    mapping[ins.id] = _clone_instruction(ins, gb, tuple(mapping[o.id] for o in ins.operands), comp_map)
                     progressed = True
                 else:
                     remaining.append(ins)

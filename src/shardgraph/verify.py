@@ -6,10 +6,20 @@ name of the violated rule. The checks cover per-opcode shape rules, nested
 computation signatures (while body T=>T and condition T=>pred[], equal branch
 result shapes), replica-group partitions, id uniqueness and def-before-use
 ordering.
+
+A computation that passes every per-computation check is remembered, in a
+weak map, for the replica count and tile it was checked at: the only module
+facts those checks read (replica groups read the count, bitcasts the tile).
+IR objects are not changed after they are built (see `ir`), so a remembered
+computation is not checked again at the same count and tile; the
+module-wide checks (ids unique across the module, computation names unique)
+run on every call. A compile therefore checks each computation object once,
+however many passes share it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .ir import (
@@ -52,7 +62,14 @@ def check(m: Module):
         raise ValueError("module failed verification:\n" + "\n".join(str(d) for d in diags))
 
 
+# computation -> the (replica_count, tile) pairs it passed every
+# per-computation check at
+_CLEAN: weakref.WeakKeyDictionary[Computation, set[tuple]] = weakref.WeakKeyDictionary()
+
+
 class _Verifier:
+    _HANDLERS: dict = {}  # opcode -> handler, filled in below the class
+
     def __init__(self, m: Module):
         self.m = m
         self.diags: list[Diagnostic] = []
@@ -72,8 +89,23 @@ class _Verifier:
             self.diags.append(
                 Diagnostic("<module>", "computation names", f"duplicate computation names: {dup}")
             )
+        facts = (self.m.replica_count, self.m.tile)
         for comp in comps:
+            if facts in _CLEAN.get(comp, ()):
+                self.check_ids(comp, seen_ids)
+                continue
+            before = len(self.diags)
             self.check_computation(comp, seen_ids)
+            if len(self.diags) == before:
+                _CLEAN.setdefault(comp, set()).add(facts)
+
+    def check_ids(self, comp: Computation, seen_ids: set[str]):
+        """The module-wide part of `check_computation`: ids unique across
+        the module."""
+        for instr in comp.instructions:
+            if instr.id in seen_ids:
+                self.fail(instr, "unique ids", "duplicate instruction id in module")
+            seen_ids.add(instr.id)
 
     def check_computation(self, comp: Computation, seen_ids: set[str]):
         defined: set[int] = set()
@@ -85,6 +117,7 @@ class _Verifier:
                     comp.name, "parameter indices", f"parameter indices {indices} not 0..{len(params) - 1}"
                 )
             )
+        handlers = self._HANDLERS
         for instr in comp.instructions:
             if instr.id in seen_ids:
                 self.fail(instr, "unique ids", "duplicate instruction id in module")
@@ -92,21 +125,17 @@ class _Verifier:
             for op in instr.operands:
                 if id(op) not in defined:
                     self.fail(instr, "def before use", f"operand %{op.id} not defined earlier in {comp.name}")
-            self.check_instruction(instr)
+            handler = handlers.get(instr.opcode)
+            if handler is not None:
+                handler(self, instr)
+            elif instr.opcode not in OPCODES:
+                self.fail(instr, "opcode", f"unknown opcode {instr.opcode}")
             defined.add(id(instr))
         if id(comp.root) not in defined:
             self.diags.append(Diagnostic(comp.name, "root", "root is not an instruction of the computation"))
 
     # ------------------------------------------------------------------ #
-
-    def check_instruction(self, instr: Instruction):
-        op = instr.opcode
-        if op not in OPCODES:
-            self.fail(instr, "opcode", f"unknown opcode {op}")
-            return
-        handler = getattr(self, "op_" + op.replace("-", "_"), None)
-        if handler is not None:
-            handler(instr)
+    # Opcode handlers: `op_<opcode>`, with `-` written `_`.
 
     def _expect_array(self, instr: Instruction, what: str, shape) -> Shape | None:
         if not isinstance(shape, Shape):
@@ -482,3 +511,8 @@ class _Verifier:
     def op_outfeed(self, instr: Instruction):
         if instr.shape != TupleShape(()):
             self.fail(instr, "outfeed shape", f"outfeed produces an empty tuple, got {instr.shape}")
+
+
+_Verifier._HANDLERS = {
+    op: handler for op in OPCODES if (handler := getattr(_Verifier, "op_" + op.replace("-", "_"), None)) is not None
+}

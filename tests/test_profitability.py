@@ -210,7 +210,8 @@ class TestEvaluate:
 
         mapping = {}
         for ins in comp.instructions:
-            mapping[ins.id] = _clone_instruction(ins, gb, mapping, {c.name: c for c in ins.called_computations})
+            operands = tuple(mapping[o.id] for o in ins.operands)
+            mapping[ins.id] = _clone_instruction(ins, gb, operands, {c.name: c for c in ins.called_computations})
         gb.emit("outfeed", TupleShape(()), (mapping["w0.new"],), id="leak")
         from shardgraph.ir import Computation
 
@@ -224,7 +225,7 @@ class TestEvaluate:
                     id=ins.id, cond=ins.cond, body=body2,
                 )
             else:
-                mapping2[ins.id] = _clone_instruction(ins, loop2, mapping2, {})
+                mapping2[ins.id] = _clone_instruction(ins, loop2, tuple(mapping2[o.id] for o in ins.operands), {})
         m2 = Module(
             Computation("main", loop2.instructions, mapping2[m.entry.root.id]),
             m.replica_count, m.topology,
@@ -313,3 +314,25 @@ class TestClusterIoBytes:
         [c] = find_clusters(comp, analyze(m), m)
         per_tensor = physical_bytes(Shape((64, 64), F32))
         assert cluster_io_bytes(c, m) == 7 * per_tensor
+
+
+def test_cost_weights_a_branch_as_the_planner_does():
+    # the snapshot predicate tests i + 1 instead of the loop's induction
+    # variable i, so its frequency is Unknown (every step) to the planner,
+    # and `cost` must weight the branch's gathers the same
+    from shardgraph.costmodel import cost
+    from shardgraph.textfmt import parse_module, print_module
+    from shardgraph.transform import apply
+
+    text = print_module(gen_module("mlp", replicas=8, steps=1000, layers=1, dim=256, outfeed_every=4))
+    text = text.replace("div(%b.i,", "div(%add,").replace("sub(%b.i,", "sub(%add,")
+    m = parse_module(text)
+    decisions = plan(m, steps=1000)
+    branch_sites = [s for d in decisions for s in d.ag_sites if s.placement == "branch"]
+    assert len(branch_sites) == 3 and all(s.weight == 1.0 for s in branch_sites)
+    for d in decisions:
+        d.shard = True
+    report = cost(apply(m, decisions, steps_hint=1000).main)
+    gathers = [c for c in report.collectives if c.instruction.startswith("brag_")]
+    assert len(gathers) == 3
+    assert all(c.executions / report.trip_count == 1.0 for c in gathers)

@@ -309,3 +309,29 @@ def test_zero_or_unconvertible_grid_dimensions_are_a_parse_error(old, new):
     with pytest.raises(ParseError, match="bad dimensions") as e:
         parse_module(text)
     assert e.value.line == 1
+
+
+@pytest.mark.parametrize("op, attr", [
+    ("add(%a, %a)", "calls=f"),
+    ("add(%a, %a)", "cond=f"),
+    ("sqrt(%a)", "true=f"),
+    ("fusion(%a), kind=standard", "body=f"),
+])
+def test_callee_attribute_belongs_to_its_caller(op, attr):
+    # only `while`, `conditional` and `fusion` call computations
+    text = f"""module N=1 topology=ring {{
+  computation f () -> f32[] {{
+    %c = f32[] constant(1)
+    return (%c)
+  }}
+  entry computation main () -> f32[] {{
+    %a = f32[] constant(1)
+    %b = f32[] {op}, {attr}
+    return (%b)
+  }}
+}}
+"""
+    key = attr.split("=")[0]
+    with pytest.raises(ParseError, match=f"attribute '{key}' belongs to") as e:
+        parse_module(text)
+    assert (e.value.line, e.value.col) == (8, text.splitlines()[7].index(attr) + 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,7 +12,9 @@ from shardgraph.ir import (
     F16R,
     F32,
     GraphBuilder,
+    Instruction,
     Module,
+    ReplicaGroups,
     S32,
     Shape,
     TupleShape,
@@ -513,3 +516,127 @@ class TestCopyOnWrite:
             assert after.training_loop().body is not before.training_loop().body
             assert after.training_loop().cond is before.training_loop().cond
             assert scatters(after) and all(a is b for a, b in zip(scatters(after), scatters(before)))
+
+
+class TestCloneInstruction:
+    """`_clone_instruction` is the one clone path of every pass."""
+
+    @staticmethod
+    def _callee(name):
+        gb = GraphBuilder(name)
+        return gb.finish(gb.parameter(0, scalar(F32), f"{name}.p"))
+
+    def _original(self, opcode):
+        """An instruction with every field set away from its default; a field
+        this table does not know gets a fresh object."""
+        values = {
+            "id": "orig",
+            "opcode": opcode,
+            "shape": Shape((3,), F32),
+            "operands": (GraphBuilder("x").parameter(0, scalar(F32), "old"),),
+            "value": (1.0, 2.0, 3.0),
+            "index": 3,
+            "replica_equal": True,
+            "dims": (0,),
+            "kind": "add",
+            "direction": "lt",
+            "groups": ReplicaGroups(((0,), (1,))),
+            "pad_low": (1,),
+            "pad_high": (2,),
+            "slice_sizes": (3,),
+            "cond": self._callee("cond"),
+            "body": self._callee("body"),
+            "branches": (self._callee("yes"), self._callee("no")),
+            "fused": self._callee("fused"),
+            "spec": object(),
+        }
+        kwargs = {}
+        for f in dataclasses.fields(Instruction):
+            v = values.get(f.name, object())
+            assert f.default is dataclasses.MISSING or v != f.default, f.name
+            kwargs[f.name] = v
+        return Instruction(**kwargs)
+
+    @pytest.mark.parametrize(
+        "opcode, remapped",
+        [("while", {"cond", "body"}), ("conditional", {"branches"}), ("fusion", {"fused"}), ("add", set())],
+    )
+    def test_copies_every_field_and_remaps_callees(self, opcode, remapped):
+        instr = self._original(opcode)
+        callees = [instr.cond, instr.body, *instr.branches, instr.fused]
+        comp_map = {c.name: self._callee(c.name) for c in callees}
+        operands = (GraphBuilder("y").parameter(0, scalar(F32), "new"),)
+        gb = GraphBuilder("out")
+        clone = transform._clone_instruction(instr, gb, operands, comp_map)
+        assert gb.instructions == [clone] and clone is not instr
+        for f in dataclasses.fields(Instruction):
+            got, old = getattr(clone, f.name), getattr(instr, f.name)
+            if f.name == "operands":
+                assert got is operands
+            elif f.name in remapped and f.name == "branches":
+                assert got == tuple(comp_map[b.name] for b in old)
+            elif f.name in remapped:
+                assert got is comp_map[old.name]
+            else:
+                assert got is old, f.name
+
+    def test_shape_override_and_duplicate_ids(self):
+        instr = self._original("bitcast")
+        gb = GraphBuilder("out")
+        new_shape = Shape((3,), F16R)
+        clone = transform._clone_instruction(instr, gb, instr.operands, {}, new_shape)
+        assert clone.shape is new_shape and clone.dims is instr.dims
+        with pytest.raises(ValueError, match="duplicate instruction id: orig"):
+            transform._clone_instruction(instr, gb, instr.operands, {})
+
+
+class TestVerifyOnce:
+    """A compile checks each computation object at most once: `verify`
+    remembers what it found clean, so the passes' own checks of shared
+    computations cost nothing."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        from shardgraph.verify import _Verifier
+
+        seen: list = []  # the computations checked, in order, kept alive
+        original = _Verifier.check_computation
+
+        def counting(self, comp, seen_ids):
+            seen.append(comp)
+            return original(self, comp, seen_ids)
+
+        monkeypatch.setattr(_Verifier, "check_computation", counting)
+        return seen
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            gen_module("transformer-like", layers=3),
+            gen_module("mlp", topology=mesh_topology(2, 4), steps=3, layers=2, dim=16, outfeed_every=2),
+        ],
+        ids=["transformer-like-3", "mlp-outfeed"],
+    )
+    def test_each_computation_is_checked_at_most_once(self, m, checked):
+        assert verify(m) == []
+        decisions = profitability.plan(m, steps=1000)
+        for d in decisions:
+            d.shard = True
+        res = transform.apply(m, decisions, steps_hint=1000)
+        main = transform.batch_collectives(transform.demote_allgather_precision(res.main))
+        assert main is not res.main
+        assert len({id(c) for c in checked}) == len(checked)
+        # and every program the compile hands out was checked
+        for prog in (m, res.main, res.shard_program, res.unshard_program, main):
+            assert all(any(c is k for k in checked) for c in prog.computations())
+
+    def test_apply_checks_a_malformed_input(self):
+        # a computation found clean at 4 replicas, then put into a module of
+        # 8, where its groups no longer cover every replica
+        gb = GraphBuilder("main")
+        g = gb.parameter(0, Shape((4,), F32), "g")
+        ar = gb.emit("all-reduce", Shape((4,), F32), (g,), kind="add", groups=ReplicaGroups(((0, 1), (2, 3))))
+        small = Module(gb.finish(ar), 4, ring_topology(4))
+        assert verify(small) == []
+        with pytest.raises(ValueError, match="replica groups"):
+            transform.apply(Module(small.entry, 8, ring_topology(8)), [])

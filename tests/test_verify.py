@@ -190,3 +190,86 @@ def test_select_pred_shape():
     bad = gb.emit("select", Shape((5,), F32), (p, a, b))
     m = module_of(gb.finish(bad))
     assert "select shapes" in rules(verify(m))
+
+
+def _grouped_all_reduce():
+    """An all-reduce over two explicit groups of 4 replicas; valid at 8."""
+    gb = GraphBuilder("main")
+    g = gb.parameter(0, Shape((4,), F32), "g")
+    groups = ReplicaGroups(((0, 1, 2, 3), (4, 5, 6, 7)))
+    return gb.finish(gb.emit("all-reduce", Shape((4,), F32), (g,), kind="add", groups=groups, id="ar"))
+
+
+class TestRememberedComputations:
+    """`verify` does not check again a computation it found clean at the
+    same replica count and tile; everything else it still reports."""
+
+    def test_replica_count_override_is_checked_again(self):
+        entry = _grouped_all_reduce()
+        assert verify(module_of(entry, n=8)) == []
+        # as `cli._override_topology` does: the same entry at 4 replicas
+        diags = verify(module_of(entry, n=4))
+        assert [(d.instruction, d.rule) for d in diags] == [("ar", "replica groups")]
+        assert verify(module_of(entry, n=8)) == []
+
+    def test_tile_is_checked_again(self):
+        gb = GraphBuilder("main")
+        y = gb.parameter(0, Shape((8, 128), F32), "y")
+        entry = gb.finish(gb.emit("bitcast", Shape((4, 128), F32), (y,), id="cast"))
+        assert verify(module_of(entry)) == []
+        other_tile = Module(entry, replica_count=2, topology=ring_topology(2), tile=(4, 128))
+        assert "bitcast bytes" in rules(verify(other_tile))
+
+    def test_compare_with_fewer_replicas_still_fails_verification(self, tmp_path, capsys):
+        from shardgraph.cli import main
+        from shardgraph.textfmt import print_module
+
+        path = tmp_path / "grouped.ir"
+        path.write_text(print_module(module_of(_grouped_all_reduce(), n=8)))
+        assert main(["compare", str(path), "--cost-only"]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(path), "--replicas", "4", "--cost-only"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("[verify] %ar: [replica groups]")
+
+    def test_malformed_module_twice_gives_the_same_diagnostics(self):
+        body = GraphBuilder("body")
+        bp = body.parameter(0, Shape((4,), F32), "bp")
+        body_c = body.finish(body.emit("sqrt", Shape((4,), F32), (bp,), id="root"))
+        cond = GraphBuilder("cond")
+        cond.parameter(0, Shape((4,), F32), "cp")
+        cond_c = cond.finish(cond.emit("constant", scalar(PRED), value=(0.0,), id="f"))
+        gb = GraphBuilder("main")
+        init = gb.parameter(0, Shape((4,), F32), "init")
+        w = gb.emit("while", Shape((4,), F32), (init,), cond=cond_c, body=body_c, id="w")
+        bad = gb.emit("reshape", Shape((5,), F32), (w,), id="bad")
+        gb.emit("all-reduce", Shape((4,), F32), (w,), kind="add", groups=ReplicaGroups(((0,), (0,))), id="ar")
+        m = module_of(gb.finish(bad))
+        first = verify(m)
+        assert {d.rule for d in first} == {"reshape elements", "replica groups"}
+        assert verify(m) == first
+        assert verify(module_of(m.entry)) == first
+
+    def test_duplicate_id_with_a_remembered_computation_is_reported(self):
+        remembered = GraphBuilder("fb")
+        remembered_c = remembered.finish(remembered.parameter(0, scalar(F32), "dup"))
+        assert verify(module_of(remembered_c)) == []
+        fresh = GraphBuilder("tb")
+        fresh_c = fresh.finish(fresh.parameter(0, scalar(F32), "dup"))
+        gb = GraphBuilder("main")
+        pred = gb.constant(True, PRED, id="p")
+        arg = gb.parameter(0, scalar(F32), "arg")
+        c = gb.emit("conditional", scalar(F32), (pred, arg, arg), branches=(fresh_c, remembered_c), id="c")
+        m = module_of(gb.finish(c))
+        # the remembered branch is visited second, so the duplicate is its
+        assert [(d.instruction, d.rule) for d in verify(m)] == [("dup", "unique ids")]
+        assert [(d.instruction, d.rule) for d in verify(m)] == [("dup", "unique ids")]
+
+
+def test_computation_holds_a_tuple():
+    gb = GraphBuilder("main")
+    p = gb.parameter(0, scalar(F32), "p")
+    comp = Computation("main", [p], p)
+    assert comp.instructions == (p,)
+    assert gb.finish(p).instructions == (p,)
+    assert comp.parameters == (p,)
