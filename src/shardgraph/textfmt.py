@@ -610,15 +610,11 @@ class _Parser:
     def _callee(self, comps: dict[str, Computation], key: str, opcode: str) -> Computation:
         """The computation a callee attribute names; only the opcode that
         calls it (`_CALLER`) takes the attribute."""
-        comp = self._comp_ref(comps)
-        if opcode != _CALLER[key]:
-            self.error(f"attribute {key!r} belongs to {_CALLER[key]}, not {opcode}", self.pos - 3)
-        return comp
-
-    def _comp_ref(self, comps: dict[str, Computation]) -> Computation:
         t = self.expect_kind("word")
         if t not in comps:
             self.error(f"reference to undefined computation {t!r}", self.pos - 1)
+        if opcode != _CALLER[key]:
+            self.error(f"attribute {key!r} belongs to {_CALLER[key]}, not {opcode}", self.pos - 3)
         return comps[t]
 
 
