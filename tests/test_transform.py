@@ -610,14 +610,15 @@ class TestVerifyOnce:
         return seen
 
     @pytest.mark.parametrize(
-        "m",
+        "build",
         [
-            gen_module("transformer-like", layers=3),
-            gen_module("mlp", topology=mesh_topology(2, 4), steps=3, layers=2, dim=16, outfeed_every=2),
+            lambda: gen_module("transformer-like", layers=3),
+            lambda: gen_module("mlp", topology=mesh_topology(2, 4), steps=3, layers=2, dim=16, outfeed_every=2),
         ],
         ids=["transformer-like-3", "mlp-outfeed"],
     )
-    def test_each_computation_is_checked_at_most_once(self, m, checked):
+    def test_each_computation_is_checked_at_most_once(self, build, checked):
+        m = build()
         assert verify(m) == []
         decisions = profitability.plan(m, steps=1000)
         for d in decisions:
