@@ -97,7 +97,7 @@ def collective_phases(
         return []
     if spec is None:
         spec = choose_spec(shape, g, tile, group)
-    shard_bytes = physical_bytes(Shape(spec.shard_dims, shape.etype), tile)
+    shard_bytes = physical_bytes(spec.shard_shape(shape.etype), tile)
 
     if topology.two_phase(group):
         m, r = topology.cols, topology.rows

@@ -179,11 +179,6 @@ OPCODES = frozenset(
 )
 
 ELEMENTWISE_BINARY = frozenset({"add", "sub", "mul", "div", "max", "min", "power"})
-ELEMENTWISE_UNARY = frozenset({"sqrt"})
-
-# Non-pure opcodes. `rng` and `replica-id` are additionally replica-varying.
-SIDE_EFFECTING = frozenset({"outfeed", "rng"})
-REPLICA_VARYING = frozenset({"rng", "replica-id"})
 
 REDUCE_KINDS = ("add", "mul", "max", "min")
 COMPARE_DIRECTIONS = ("eq", "ne", "lt", "le", "gt", "ge")

@@ -311,7 +311,7 @@ def select_groups(
         return ALL_REPLICAS
     rows = topo.row_groups()
     full_spec = choose_spec(shape, m.replica_count, m.tile)
-    shard_bytes = physical_bytes(Shape(full_spec.shard_dims, shape.etype), m.tile)
+    shard_bytes = physical_bytes(full_spec.shard_shape(shape.etype), m.tile)
     if shard_bytes < threshold:
         return rows
     row_spec = choose_spec(shape, rows.group_size(m.replica_count), m.tile, rows)
@@ -453,7 +453,7 @@ def evaluate(
     ar_time = cm.phases_time(all_reduce_phases(physical_bytes(shape, m.tile), m.topology, ALL_REPLICAS))
     if not groups.is_all:
         # partial sharding adds a cross-group all-reduce on the shard
-        shard_bytes = physical_bytes(Shape(spec.shard_dims, shape.etype), m.tile)
+        shard_bytes = physical_bytes(spec.shard_shape(shape.etype), m.tile)
         rs_time += cm.phases_time(all_reduce_phases(shard_bytes, m.topology, m.topology.col_groups()))
     cost_sec = rs_time + sum(site.weight * ag_time for site in ag_sites) - ar_time
 

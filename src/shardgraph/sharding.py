@@ -14,7 +14,7 @@ below the rank it indexes; anything else raises ValueError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ir import (
     ALL_REPLICAS,
@@ -75,16 +75,26 @@ def apply_step_dims(dims: tuple[int, ...], step: Step) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ShardingSpec:
+    """A sharding format. `dims_seq` holds the dims before the first step and
+    after each step, so `dims_seq[-1]` is the padded (post-steps) shape;
+    `shard_dims` is that shape cut along `shard_dim`. Both are worked out
+    once, here, and take no part in equality, hashing or `repr`."""
+
     source_dims: tuple[int, ...]
     steps: tuple[Step, ...]
     shard_dim: int
     shard_count: int
     group: ReplicaGroups = ALL_REPLICAS
+    dims_seq: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    shard_dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "source_dims", tuple(self.source_dims))
         object.__setattr__(self, "steps", tuple(self.steps))
-        full = self.padded_dims
+        dims_seq = [self.source_dims]
+        for step in self.steps:
+            dims_seq.append(apply_step_dims(dims_seq[-1], step))
+        full = dims_seq[-1]
         if not 0 <= self.shard_dim < max(len(full), 1):
             raise ValueError(f"slice dim {self.shard_dim} out of range for {full}")
         if self.shard_count < 1:
@@ -93,20 +103,15 @@ class ShardingSpec:
             raise ValueError(
                 f"dim {self.shard_dim} of {full} not divisible by {self.shard_count}"
             )
+        shard = list(full)
+        if shard:
+            shard[self.shard_dim] //= self.shard_count
+        object.__setattr__(self, "dims_seq", tuple(dims_seq))
+        object.__setattr__(self, "shard_dims", tuple(shard))
 
     @property
     def padded_dims(self) -> tuple[int, ...]:
-        dims = self.source_dims
-        for step in self.steps:
-            dims = apply_step_dims(dims, step)
-        return dims
-
-    @property
-    def shard_dims(self) -> tuple[int, ...]:
-        full = list(self.padded_dims)
-        if full:
-            full[self.shard_dim] //= self.shard_count
-        return tuple(full)
+        return self.dims_seq[-1]
 
     @property
     def shard_extent(self) -> int:
@@ -129,8 +134,8 @@ class ShardingSpec:
         """Total physical padding across all shards relative to the source
         buffer: explicit Pad bytes plus tile padding the slicing introduces
         (a shard whose second-minor dim falls below the tile rounds back up)."""
-        shard = physical_bytes(Shape(self.shard_dims, etype), tile)
-        src = physical_bytes(Shape(self.source_dims, etype), tile)
+        shard = physical_bytes(self.shard_shape(etype), tile)
+        src = physical_bytes(self.source_shape(etype), tile)
         return shard * self.shard_count - src
 
     def __str__(self):
@@ -259,16 +264,12 @@ class PadMaskInfo:
 
 
 def pad_mask_info(spec: ShardingSpec, reduce_kind: str) -> PadMaskInfo:
-    dims = spec.source_dims
     ranges: dict[int, int] = {}
-    for step in spec.steps:
-        if isinstance(step, (TrivialReshape, Bitcast)):
-            if ranges:
-                raise ValueError("padding locations lost: formatting step follows pad")
-            dims = step.new_dims
-        else:
+    for step, dims in zip(spec.steps, spec.dims_seq):
+        if isinstance(step, Pad):
             ranges[step.dim] = dims[step.dim]
-            dims = apply_step_dims(dims, step)
+        elif ranges:
+            raise ValueError("padding locations lost: formatting step follows pad")
     return PadMaskInfo(tuple(sorted(ranges.items())), reduce_identity(reduce_kind))
 
 
@@ -327,12 +328,10 @@ def validate_for_reduce(spec: ShardingSpec, reduce_dims: tuple[int, ...], operan
                 return f"padding unidentifiable after {step}"
         return None
 
-    dims = spec.source_dims
     saw_pad = False
-    for step in spec.steps:
+    for step, dims in zip(spec.steps, spec.dims_seq):
         if isinstance(step, Pad):
-            saw_pad = True
-            new_collapsed = collapsed  # pad keeps dim numbering
+            saw_pad = True  # pad keeps dim numbering
         else:
             if saw_pad:
                 return f"padding unidentifiable after {step}"
@@ -347,7 +346,6 @@ def validate_for_reduce(spec: ShardingSpec, reduce_dims: tuple[int, ...], operan
                 if kinds == {True}:
                     new_collapsed.add(new_dim)
             collapsed = new_collapsed
-        dims = apply_step_dims(dims, step)
     return None
 
 
@@ -415,27 +413,21 @@ def emit_shard_rank(
 
 
 def _emit_steps(gb: GraphBuilder, value: Instruction, spec: ShardingSpec, etype: ElementType, fill: float) -> Instruction:
-    dims = spec.source_dims
-    for step in spec.steps:
-        new = apply_step_dims(dims, step)
+    for step, before, after in zip(spec.steps, spec.dims_seq, spec.dims_seq[1:]):
         if isinstance(step, TrivialReshape):
-            value = gb.emit("reshape", Shape(new, etype), (value,))
+            value = gb.emit("reshape", Shape(after, etype), (value,))
         elif isinstance(step, Bitcast):
-            value = gb.emit("bitcast", Shape(new, etype), (value,))
+            value = gb.emit("bitcast", Shape(after, etype), (value,))
         else:
             fill_c = gb.constant(fill, etype)
-            low = tuple(0 for _ in dims)
-            high = tuple(step.amount if i == step.dim else 0 for i in range(len(dims)))
-            value = gb.emit("pad", Shape(new, etype), (value, fill_c), pad_low=low, pad_high=high)
-        dims = new
+            low = tuple(0 for _ in before)
+            high = tuple(step.amount if i == step.dim else 0 for i in range(len(before)))
+            value = gb.emit("pad", Shape(after, etype), (value, fill_c), pad_low=low, pad_high=high)
     return value
 
 
 def _emit_reverse_steps(gb: GraphBuilder, value: Instruction, spec: ShardingSpec, etype: ElementType) -> Instruction:
-    dims_seq = [spec.source_dims]
-    for step in spec.steps:
-        dims_seq.append(apply_step_dims(dims_seq[-1], step))
-    for step, before in zip(reversed(spec.steps), reversed(dims_seq[:-1])):
+    for step, before in zip(reversed(spec.steps), reversed(spec.dims_seq[:-1])):
         if isinstance(step, TrivialReshape):
             value = gb.emit("reshape", Shape(before, etype), (value,))
         elif isinstance(step, Bitcast):
@@ -451,6 +443,56 @@ def _emit_reverse_steps(gb: GraphBuilder, value: Instruction, spec: ShardingSpec
     return value
 
 
+def _emit_shard_offset(gb: GraphBuilder, rid: Instruction, topology: Topology, spec: ShardingSpec) -> Instruction:
+    """Emit this replica's offset along `spec.shard_dim`: its shard rank
+    times the shard extent."""
+    rank = emit_shard_rank(gb, rid, topology, spec.group)
+    return gb.emit("mul", scalar(S32), (rank, gb.constant(spec.shard_extent, S32)))
+
+
+def _build_slice_fusion(
+    spec: ShardingSpec,
+    value: Instruction,
+    replica_id: Instruction,
+    gb: GraphBuilder,
+    topology: Topology,
+    fill: float,
+    name_hint: str,
+    reduce_kind: str | None = None,
+) -> Instruction:
+    """Emit a fusion of kind `shard`, or `reduce_scatter` when `reduce_kind`
+    is given: the formatting steps, then (reduce-scatter only) an all-reduce
+    over the spec's group, then a dynamic-slice at this replica's shard
+    offset."""
+    etype = value.shape.etype
+    inner = GraphBuilder(gb.fresh_id(f"{name_hint}_calc"), id_prefix=f"{name_hint}.")
+    p0 = inner.parameter(0, value.shape, inner.fresh_id("x"))
+    p1 = inner.parameter(1, scalar(S32), inner.fresh_id("rid"))
+    full = _emit_steps(inner, p0, spec, etype, fill)
+    if reduce_kind is not None:
+        full = inner.emit("all-reduce", full.shape, (full,), kind=reduce_kind, groups=spec.group)
+    offset = _emit_shard_offset(inner, p1, topology, spec)
+    zero = inner.constant(0, S32)
+    starts = [offset if d == spec.shard_dim else zero for d in range(len(spec.padded_dims))]
+    sliced = inner.emit(
+        "dynamic-slice",
+        spec.shard_shape(etype),
+        (full, *starts),
+        slice_sizes=spec.shard_dims,
+    )
+    comp = inner.finish(sliced)
+    return gb.emit(
+        "fusion",
+        spec.shard_shape(etype),
+        (value, replica_id),
+        id=gb.fresh_id(name_hint),
+        kind="shard" if reduce_kind is None else "reduce_scatter",
+        fused=comp,
+        spec=spec,
+        groups=spec.group,
+    )
+
+
 def build_shard_ops(
     spec: ShardingSpec,
     value: Instruction,
@@ -462,32 +504,7 @@ def build_shard_ops(
 ) -> Instruction:
     """Emit a fusion of kind `shard`: formatting steps plus a dynamic-slice at
     this replica's shard offset. Pure data movement, no collective."""
-    etype = value.shape.etype
-    inner = GraphBuilder(gb.fresh_id(f"{name_hint}_calc"), id_prefix=f"{name_hint}.")
-    p0 = inner.parameter(0, value.shape, inner.fresh_id("x"))
-    p1 = inner.parameter(1, scalar(S32), inner.fresh_id("rid"))
-    formatted = _emit_steps(inner, p0, spec, etype, fill)
-    rank = emit_shard_rank(inner, p1, topology, spec.group)
-    offset = inner.emit("mul", scalar(S32), (rank, inner.constant(spec.shard_extent, S32)))
-    zero = inner.constant(0, S32)
-    starts = [offset if d == spec.shard_dim else zero for d in range(len(spec.padded_dims))]
-    sliced = inner.emit(
-        "dynamic-slice",
-        spec.shard_shape(etype),
-        (formatted, *starts),
-        slice_sizes=spec.shard_dims,
-    )
-    comp = inner.finish(sliced)
-    return gb.emit(
-        "fusion",
-        spec.shard_shape(etype),
-        (value, replica_id),
-        id=gb.fresh_id(name_hint),
-        kind="shard",
-        fused=comp,
-        spec=spec,
-        groups=spec.group,
-    )
+    return _build_slice_fusion(spec, value, replica_id, gb, topology, fill, name_hint)
 
 
 def build_unshard_ops(
@@ -533,39 +550,8 @@ def build_reduce_scatter(
 ) -> Instruction:
     """Emit a reduce-scatter fusion: formatting steps, an all-reduce, and a
     dynamic-slice keeping this replica's shard."""
-    etype = value.shape.etype
-    fill = reduce_identity(reduce_kind)
-    inner = GraphBuilder(gb.fresh_id(f"{name_hint}_calc"), id_prefix=f"{name_hint}.")
-    p0 = inner.parameter(0, value.shape, inner.fresh_id("x"))
-    p1 = inner.parameter(1, scalar(S32), inner.fresh_id("rid"))
-    formatted = _emit_steps(inner, p0, spec, etype, fill)
-    reduced = inner.emit(
-        "all-reduce",
-        formatted.shape,
-        (formatted,),
-        kind=reduce_kind,
-        groups=spec.group,
-    )
-    rank = emit_shard_rank(inner, p1, topology, spec.group)
-    offset = inner.emit("mul", scalar(S32), (rank, inner.constant(spec.shard_extent, S32)))
-    zero = inner.constant(0, S32)
-    starts = [offset if d == spec.shard_dim else zero for d in range(len(spec.padded_dims))]
-    sliced = inner.emit(
-        "dynamic-slice",
-        spec.shard_shape(etype),
-        (reduced, *starts),
-        slice_sizes=spec.shard_dims,
-    )
-    comp = inner.finish(sliced)
-    return gb.emit(
-        "fusion",
-        spec.shard_shape(etype),
-        (value, replica_id),
-        id=gb.fresh_id(name_hint),
-        kind="reduce_scatter",
-        fused=comp,
-        spec=spec,
-        groups=spec.group,
+    return _build_slice_fusion(
+        spec, value, replica_id, gb, topology, reduce_identity(reduce_kind), name_hint, reduce_kind
     )
 
 
@@ -591,8 +577,7 @@ def build_masked_reduce(
     shard_shape = spec.shard_shape(etype)
     value = shard
     if not mask.empty:
-        rank = emit_shard_rank(gb, replica_id, topology, spec.group)
-        offset = gb.emit("mul", scalar(S32), (rank, gb.constant(spec.shard_extent, S32)))
+        offset = _emit_shard_offset(gb, replica_id, topology, spec)
         for dim, valid in mask.valid_extents:
             io = gb.emit("iota", Shape(shard_shape.dims, S32), dims=(dim,))
             start = offset if dim == spec.shard_dim else gb.constant(0, S32)

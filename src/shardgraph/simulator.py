@@ -158,9 +158,8 @@ def bitcast_array(arr: np.ndarray, src: Shape, dst_dims: tuple[int, ...], tile) 
 
 
 def apply_steps_array(arr: np.ndarray, spec: ShardingSpec, etype: ElementType, tile, fill=0.0) -> np.ndarray:
-    dims = spec.source_dims
-    lead = arr.shape[: arr.ndim - len(dims)]
-    for step in spec.steps:
+    lead = arr.shape[: arr.ndim - len(spec.source_dims)]
+    for step, dims in zip(spec.steps, spec.dims_seq):
         if isinstance(step, TrivialReshape):
             arr = arr.reshape(lead + step.new_dims)
         elif isinstance(step, Bitcast):
@@ -168,7 +167,6 @@ def apply_steps_array(arr: np.ndarray, spec: ShardingSpec, etype: ElementType, t
         else:
             high = [step.amount if i == step.dim else 0 for i in range(len(dims))]
             arr = _pad(arr, len(lead), [0] * len(dims), high, fill)
-        dims = tuple(arr.shape[len(lead):])
     return arr
 
 
@@ -184,25 +182,16 @@ def _pad(arr: np.ndarray, nlead: int, low, high, fill) -> np.ndarray:
 
 
 def invert_steps_array(arr: np.ndarray, spec: ShardingSpec, etype: ElementType, tile) -> np.ndarray:
-    dims = spec.source_dims
-    seq = [dims]
-    for step in spec.steps:
-        if isinstance(step, (TrivialReshape, Bitcast)):
-            dims = step.new_dims
-        else:
-            d = list(dims)
-            d[step.dim] += step.amount
-            dims = tuple(d)
-        seq.append(dims)
-    lead = arr.shape[: arr.ndim - len(dims)]
-    for step, before in zip(reversed(spec.steps), reversed(seq[:-1])):
+    seq = spec.dims_seq
+    lead = arr.shape[: arr.ndim - len(seq[-1])]
+    for i in reversed(range(len(spec.steps))):
+        step, before = spec.steps[i], seq[i]
         if isinstance(step, TrivialReshape):
             arr = arr.reshape(lead + before)
         elif isinstance(step, Bitcast):
-            arr = bitcast_array(arr, Shape(tuple(arr.shape[len(lead):]), etype), before, tile)
+            arr = bitcast_array(arr, Shape(seq[i + 1], etype), before, tile)
         else:
-            sl = tuple(slice(0, d) for d in before)
-            arr = arr[(slice(None),) * len(lead) + sl]
+            arr = arr[(slice(None),) * len(lead) + tuple(slice(0, d) for d in before)]
     return arr
 
 

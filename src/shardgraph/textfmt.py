@@ -80,14 +80,6 @@ def _fmt_number(v: float, etype: ElementType) -> str:
     return repr(float(v))
 
 
-def _fmt_shape(shape: Shape | TupleShape) -> str:
-    return str(shape)
-
-
-def _fmt_groups(groups: ReplicaGroups) -> str:
-    return str(groups)
-
-
 def _instruction_line(instr: Instruction) -> str:
     op = instr.opcode
     if op == "parameter":
@@ -96,7 +88,7 @@ def _instruction_line(instr: Instruction) -> str:
         args = ", ".join(_fmt_number(v, instr.shape.etype) for v in instr.value)
     else:
         args = ", ".join(f"%{o.id}" for o in instr.operands)
-    line = f"%{instr.id} = {_fmt_shape(instr.shape)} {op}({args})"
+    line = f"%{instr.id} = {instr.shape} {op}({args})"
     if op == "parameter" and instr.replica_equal:
         line += " {replica_equal}"
     attrs: list[str] = []
@@ -118,7 +110,7 @@ def _instruction_line(instr: Instruction) -> str:
         attrs.append(f"index={instr.index}")
     elif op == "all-reduce":
         attrs.append(f"kind={instr.kind}")
-        attrs.append(f"groups={_fmt_groups(instr.groups)}")
+        attrs.append(f"groups={instr.groups}")
     elif op == "while":
         attrs.append(f"cond={instr.cond.name}")
         attrs.append(f"body={instr.body.name}")
@@ -131,7 +123,7 @@ def _instruction_line(instr: Instruction) -> str:
         if instr.spec is not None:
             attrs.append(f'spec="{instr.spec}"')
         if instr.groups is not None:
-            attrs.append(f"groups={_fmt_groups(instr.groups)}")
+            attrs.append(f"groups={instr.groups}")
     if attrs:
         line += ", " + ", ".join(attrs)
     return line
@@ -141,12 +133,12 @@ def _computation_text(comp: Computation, entry: bool) -> list[str]:
     params = comp.parameters
     sig_parts = []
     for p in params:
-        part = f"%{p.id}: {_fmt_shape(p.shape)}"
+        part = f"%{p.id}: {p.shape}"
         if p.replica_equal:
             part += " {replica_equal}"
         sig_parts.append(part)
     head = "entry computation" if entry else "computation"
-    lines = [f"  {head} {comp.name} ({', '.join(sig_parts)}) -> {_fmt_shape(comp.root.shape)} {{"]
+    lines = [f"  {head} {comp.name} ({', '.join(sig_parts)}) -> {comp.root.shape} {{"]
     for instr in comp.instructions:
         lines.append("    " + _instruction_line(instr))
     lines.append(f"    return (%{comp.root.id})")

@@ -749,53 +749,41 @@ def _all_consumers_convert(
 
 
 def batch_collectives(m: Module) -> Module:
-    """Merge independent all-reduces with identical groups and reduction kind
-    into variadic all-reduces. Greedy in instruction order within each
-    computation; batches never span side-effecting operators; values are
-    unchanged because each operand still reduces over the same group. A
-    computation with no merged batch is left alone."""
+    """Merge single-operand all-reduces into variadic all-reduces, one batch
+    per (groups, kind, level, segment) within each computation.
+
+    An instruction's level is the longest chain of single-operand
+    all-reduces feeding it, and an all-reduce's segment is the number of
+    outfeeds before it, so batches never span an outfeed. All-reduces of one
+    level never feed each other and a batch waits only on lower levels, so
+    every batch can be scheduled; values are unchanged because each operand
+    still reduces over the same group. A computation with no merged batch is
+    left alone.
+
+    Trade-off: where batchable all-reduces feed one another across group
+    keys, two independent all-reduces of one key can sit at different levels
+    and stay apart although merging them would be sound. The gradient
+    all-reduces of one training step all sit at level 0; there the rule
+    forms one batch per key and segment, the most that can be merged."""
+
+    def batchable(ins: Instruction) -> bool:
+        return ins.opcode == "all-reduce" and len(ins.operands) == 1
 
     def rebuild(comp: Computation, comp_map: dict[str, Computation]) -> Computation | None:
         instrs = comp.instructions
-        index = {ins.id: i for i, ins in enumerate(instrs)}
-        candidates = [
-            ins
-            for ins in instrs
-            if ins.opcode == "all-reduce" and len(ins.operands) == 1
-        ]
-        # transitive candidate ancestors, for the independence check
-        anc: dict[str, frozenset] = {}
-
-        def ancestors(ins: Instruction) -> frozenset:
-            if ins.id in anc:
-                return anc[ins.id]
-            s = set()
-            for o in ins.operands:
-                s.update(ancestors(o))
-                if o.opcode == "all-reduce":
-                    s.add(o.id)
-            fs = frozenset(s)
-            anc[ins.id] = fs
-            return fs
-
-        barriers = [i for i, ins in enumerate(instrs) if ins.opcode == "outfeed"]
-
-        def barrier_between(a: int, b: int) -> bool:
-            return any(a < k < b for k in barriers)
-
-        batches: list[tuple[list[Instruction], set[str]]] = []  # (members, their ids)
-        for c in candidates:
-            for batch, ids in batches:
-                if (batch[0].groups, batch[0].kind) != (c.groups, c.kind):
-                    continue
-                if not ancestors(c).isdisjoint(ids) or barrier_between(index[batch[-1].id], index[c.id]):
-                    continue
-                batch.append(c)
-                ids.add(c.id)
-                break
-            else:
-                batches.append(([c], {c.id}))
-        merged = {b[0].id: b for b, _ in batches if len(b) > 1}
+        if sum(map(batchable, instrs)) < 2:
+            return None
+        level: dict[str, int] = {}
+        segment = 0
+        by_key: dict[tuple, list[Instruction]] = {}
+        for ins in instrs:
+            lv = max((level[o.id] + batchable(o) for o in ins.operands), default=0)
+            level[ins.id] = lv
+            if ins.opcode == "outfeed":
+                segment += 1
+            elif batchable(ins):
+                by_key.setdefault((ins.groups, ins.kind, lv, segment), []).append(ins)
+        merged = {b[0].id: b for b in by_key.values() if len(b) > 1}
         if not merged:
             return None
 
@@ -821,9 +809,9 @@ def batch_collectives(m: Module) -> Module:
         mapping: dict[str, Instruction] = {}
         emitted_batch: dict[str, Instruction] = {}
         pending = list(instrs)
-        guard = 0
         while pending:
             progressed = False
+            outfeed_waits = False  # outfeeds keep their order: none passes a waiting one
             remaining = []
             for ins in pending:
                 if ins.id in member_to_batch:
@@ -853,17 +841,15 @@ def batch_collectives(m: Module) -> Module:
                     else:
                         remaining.append(ins)
                     continue
-                if all(o.id in mapping for o in ins.operands):
+                if not (outfeed_waits and ins.opcode == "outfeed") and all(o.id in mapping for o in ins.operands):
                     mapping[ins.id] = _clone_instruction(ins, gb, tuple(mapping[o.id] for o in ins.operands), comp_map)
                     progressed = True
                 else:
+                    outfeed_waits |= ins.opcode == "outfeed"
                     remaining.append(ins)
             pending = remaining
-            guard += 1
             if not progressed and pending:
                 raise TransformError("collective batching could not schedule the computation")
-            if guard > len(instrs) + 4:
-                raise TransformError("collective batching did not converge")
         return gb.finish(mapping[comp.root.id])
 
     out = rebuild_module(m, rebuild)

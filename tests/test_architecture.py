@@ -75,3 +75,28 @@ def test_oracle_does_not_import_the_compiler(name):
     reached = package_imports(name)
     assert "ir" in reached, name
     assert not reached & {"profitability", "transform", "redundancy"}
+
+
+def test_format_dims_are_walked_once():
+    """`ShardingSpec.__post_init__` is the one place that walks a format's
+    steps; everything else reads `dims_seq`."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        scopes: list[str] = []
+
+        class Calls(ast.NodeVisitor):
+            def visit_scope(self, node):
+                scopes.append(node.name)
+                self.generic_visit(node)
+                scopes.pop()
+
+            visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
+
+            def visit_Call(self, node):
+                f = node.func
+                if getattr(f, "id", None) == "apply_step_dims" or getattr(f, "attr", None) == "apply_step_dims":
+                    callers.add(".".join([path.stem, *scopes]))
+                self.generic_visit(node)
+
+        Calls().visit(ast.parse(path.read_text()))
+    assert callers == {"sharding.ShardingSpec.__post_init__"}

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,10 @@ from shardgraph.simulator import PerReplica, run
 from shardgraph.verify import verify
 
 
+SWEEP_DIMS = [(4, 8), (6, 4), (2, 3, 8), (8, 8, 128), (2, 4, 8, 128)]
+SWEEP_COUNTS = (2, 4, 8)
+
+
 class TestChooseSpec:
     def test_golden_pad_ten(self):
         spec = choose_spec(Shape((3, 3, 256, 256), F32), 10)
@@ -48,8 +54,8 @@ class TestChooseSpec:
     def test_never_pads_when_exact_candidate_exists(self):
         # exhaustive check on small shapes: whenever any candidate divides
         # evenly, the chosen spec has no Pad step
-        for dims in [(4, 8), (6, 4), (2, 3, 8), (8, 8, 128), (2, 4, 8, 128)]:
-            for s in (2, 4, 8):
+        for dims in SWEEP_DIMS:
+            for s in SWEEP_COUNTS:
                 spec = choose_spec(Shape(dims, F32), s)
                 merged = dims if len(dims) <= 3 else (int(np.prod(dims[:-2])), dims[-2], dims[-1])
                 divisible = merged[0] % s == 0
@@ -101,6 +107,44 @@ class TestChooseSpec:
     def test_scalar_pads_to_shards(self):
         spec = choose_spec(Shape((), F32), 4)
         assert spec.shard_dims == (1,)
+
+
+class TestSpecDims:
+    def test_dims_seq_follows_the_steps(self):
+        for dims in SWEEP_DIMS + [(), (9, 5), (3, 3, 12, 12), (6, 8, 128)]:
+            for s in SWEEP_COUNTS + (10,):
+                spec = choose_spec(Shape(dims, F32), s)
+                assert spec.dims_seq[0] == spec.source_dims == dims, str(spec)
+                assert len(spec.dims_seq) == len(spec.steps) + 1, str(spec)
+                assert spec.padded_dims == spec.dims_seq[-1]
+                assert spec.shard_dims[spec.shard_dim] * s == spec.padded_dims[spec.shard_dim]
+
+    def test_equal_fields_equal_specs(self):
+        a = ShardingSpec((2, 3, 8), [TrivialReshape((6, 8)), Pad(1, 8)], 1, 4)
+        b = parse_spec_string("[2,3,8] reshape[6,8] pad1+8 slice1/4")
+        assert a == b and hash(a) == hash(b)
+        assert a != dataclasses.replace(a, shard_count=2)
+        assert a.dims_seq == ((2, 3, 8), (6, 8), (6, 16)) and a.shard_dims == (6, 4)
+
+    def test_replace_recomputes_dims(self):
+        spec = ShardingSpec((9, 4), (Pad(0, 3),), 0, 4)
+        rows = mesh_topology(2, 2).row_groups()
+        grouped = dataclasses.replace(spec, group=rows)
+        assert grouped.group == rows and grouped != spec
+        assert grouped.dims_seq == spec.dims_seq == ((9, 4), (12, 4))
+        assert grouped.shard_dims == spec.shard_dims == (3, 4)
+        halved = dataclasses.replace(spec, shard_count=2)
+        assert halved.shard_dims == (6, 4)
+        unpadded = dataclasses.replace(spec, steps=(), shard_dim=1)
+        assert unpadded.dims_seq == ((9, 4),) and unpadded.shard_dims == (9, 1)
+
+    def test_str_and_repr_show_the_fields_only(self):
+        spec = parse_spec_string("[2,3,8] reshape[6,8] pad1+8 slice1/4")
+        assert str(spec) == "[2,3,8] reshape[6,8] pad1+8 slice1/4"
+        assert repr(spec) == (
+            "ShardingSpec(source_dims=(2, 3, 8), steps=(TrivialReshape(new_dims=(6, 8)), "
+            "Pad(dim=1, amount=8)), shard_dim=1, shard_count=4, group=ReplicaGroups(groups=None))"
+        )
 
 
 def _roundtrip_module(spec, etype=F32, n=None, topology=None):

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
 
 from conftest import bitwise_same, chain_inputs, outputs_bitwise_equal, run_pipeline, small_preset, training_inputs
 from shardgraph import profitability, transform
+from shardgraph.cli import main
 from shardgraph.generators import MODELS, GenConfig, _chain, build_training_module, gen_module
 from shardgraph.ir import (
     ALL_REPLICAS,
@@ -432,6 +434,117 @@ class TestBatching:
         m = Module(gb.finish(root), 2, ring_topology(2))
         out = transform.batch_collectives(m)
         assert len([i for i in out.entry.instructions if i.opcode == "all-reduce"]) == 2
+
+
+    def test_outfeeds_keep_their_order(self):
+        # m1 must wait for m2's operand; the outfeed of m1 must still come
+        # before the later, independent outfeed
+        gb = GraphBuilder("main")
+        s = Shape((8,), F32)
+        x0 = gb.parameter(0, s, "x0")
+        x1 = gb.parameter(1, s, "x1")
+        m1 = gb.emit("all-reduce", s, (x0,), kind="add", groups=ALL_REPLICAS, id="m1")
+        x = gb.emit("add", s, (x1, x1), id="x")
+        m2 = gb.emit("all-reduce", s, (x,), kind="add", groups=ALL_REPLICAS, id="m2")
+        gb.emit("outfeed", TupleShape(()), (m1,), id="o1")
+        gb.emit("outfeed", TupleShape(()), (x0,), id="o2")
+        root = gb.emit("tuple", TupleShape((s, s)), (m1, m2), id="root")
+        out = transform.batch_collectives(Module(gb.finish(root), 2, ring_topology(2)))
+        assert len([i for i in out.entry.instructions if i.opcode == "all-reduce"]) == 1
+        assert [i.id for i in out.entry.instructions if i.opcode == "outfeed"] == ["o1", "o2"]
+
+    def test_crossed_keys_compile(self, tmp_path):
+        # a2 waits on c1 and c2 on a1: batching {a1, a2} and {c1, c2} would
+        # make each batch wait on the other
+        topo = mesh_topology(2, 2)
+        s = Shape((8,), F32)
+        gb = GraphBuilder("main")
+        x = gb.parameter(0, s, "x")
+        y = gb.parameter(1, s, "y")
+        a1 = gb.emit("all-reduce", s, (x,), kind="add", groups=ALL_REPLICAS, id="a1")
+        c1 = gb.emit("all-reduce", s, (y,), kind="add", groups=topo.col_groups(), id="c1")
+        a2 = gb.emit("all-reduce", s, (gb.emit("add", s, (c1, c1), id="cc"),), kind="add", groups=ALL_REPLICAS, id="a2")
+        c2 = gb.emit("all-reduce", s, (gb.emit("add", s, (a1, a1), id="aa"),), kind="add", groups=topo.col_groups(), id="c2")
+        root = gb.emit("tuple", TupleShape((s, s)), (a2, c2), id="root")
+        m = Module(gb.finish(root), 4, topo)
+        out = transform.batch_collectives(m)
+        assert verify(out) == []
+        inputs = _random_replica_inputs(m, 0)
+        assert outputs_bitwise_equal(run(m, inputs).outputs, run(out, inputs).outputs)
+        path = tmp_path / "crossed.ir"
+        path.write_text(print_module(m))
+        assert main(["compare", str(path), "--seed", "1"]) == 0
+
+    def test_level_rule_batches_chains_by_depth(self):
+        gb = GraphBuilder("main")
+        s = Shape((8,), F32)
+        x = gb.parameter(0, s, "x")
+        y = gb.parameter(1, s, "y")
+        a1 = gb.emit("all-reduce", s, (x,), kind="add", groups=ALL_REPLICAS, id="a1")
+        a2 = gb.emit("all-reduce", s, (a1,), kind="add", groups=ALL_REPLICAS, id="a2")
+        b1 = gb.emit("all-reduce", s, (y,), kind="add", groups=ALL_REPLICAS, id="b1")
+        b2 = gb.emit("all-reduce", s, (b1,), kind="add", groups=ALL_REPLICAS, id="b2")
+        root = gb.emit("tuple", TupleShape((s, s)), (a2, b2), id="root")
+        out = transform.batch_collectives(Module(gb.finish(root), 4, ring_topology(4)))
+        batches = {}
+        for i in out.entry.instructions:
+            if i.opcode == "get-tuple-element":
+                batches.setdefault(i.operands[0].id, set()).add(i.id)
+        assert sorted(batches.values(), key=sorted) == [{"a1", "b1"}, {"a2", "b2"}]
+
+    # 132 and 207 made the former greedy batching fail to schedule
+    @pytest.mark.parametrize("first", range(0, 400, 100))
+    def test_random_graphs(self, first):
+        for seed in range(first, first + 100):
+            m = _random_batching_module(seed)
+            out = transform.batch_collectives(m)
+            assert verify(out) == [], seed
+            inputs = _random_replica_inputs(m, seed)
+            a, b = run(m, inputs), run(out, inputs)
+            assert outputs_bitwise_equal(a.outputs, b.outputs), seed
+            assert [i for i, _ in a.outfeeds[0]] == [i for i, _ in b.outfeeds[0]], seed
+            # no member of a batch depends on another member: each reduces
+            # an operand computed without the others
+            deps: dict[str, set[str]] = {}
+            for ins in m.entry.instructions:
+                deps[ins.id] = set().union(*({o.id} | deps[o.id] for o in ins.operands))
+            batches: dict[str, set[str]] = {}
+            for ins in out.entry.instructions:
+                if ins.opcode == "get-tuple-element" and ins.operands[0].opcode == "all-reduce":
+                    batches.setdefault(ins.operands[0].id, set()).add(ins.id)
+            for members in batches.values():
+                assert all(not deps[a] & members for a in members), seed
+
+
+def _random_batching_module(seed: int) -> Module:
+    """Three f32[8] parameters on a 2x2 mesh, then 4 to 11 random steps: an
+    all-reduce of an earlier value over all replicas, rows or columns, an
+    add of two earlier values, or an outfeed of one. The root holds every
+    value."""
+    rnd = random.Random(seed)
+    topo = mesh_topology(2, 2)
+    groups = [ALL_REPLICAS, topo.row_groups(), topo.col_groups()]
+    s = Shape((8,), F32)
+    gb = GraphBuilder("main")
+    values = [gb.parameter(i, s, f"x{i}") for i in range(3)]
+    for k in range(rnd.randint(4, 11)):
+        step = rnd.choice(("all-reduce", "add", "outfeed"))
+        if step == "all-reduce":
+            values.append(gb.emit("all-reduce", s, (rnd.choice(values),), kind="add", groups=rnd.choice(groups), id=f"ar{k}"))
+        elif step == "add":
+            values.append(gb.emit("add", s, (rnd.choice(values), rnd.choice(values)), id=f"add{k}"))
+        else:
+            gb.emit("outfeed", TupleShape(()), (rnd.choice(values),), id=f"out{k}")
+    root = gb.emit("tuple", TupleShape(tuple(v.shape for v in values)), tuple(values), id="root")
+    return Module(gb.finish(root), 4, topo)
+
+
+def _random_replica_inputs(m: Module, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    return {
+        p.id: PerReplica([rng.normal(size=p.shape.dims).astype(np.float32) for _ in range(m.replica_count)])
+        for p in m.entry.parameters
+    }
 
 
 class TestMemoryPlan:
