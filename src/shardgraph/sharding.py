@@ -319,22 +319,14 @@ def validate_for_reduce(spec: ShardingSpec, reduce_dims: tuple[int, ...], operan
     Reduce-to-scalar is always allowed.
     """
     collapsed = set(reduce_dims)
-    if len(collapsed) == operand_rank:
-        saw_pad = False
-        for step in spec.steps:
-            if isinstance(step, Pad):
-                saw_pad = True
-            elif saw_pad:
-                return f"padding unidentifiable after {step}"
-        return None
-
+    to_scalar = len(collapsed) == operand_rank
     saw_pad = False
     for step, dims in zip(spec.steps, spec.dims_seq):
         if isinstance(step, Pad):
             saw_pad = True  # pad keeps dim numbering
-        else:
-            if saw_pad:
-                return f"padding unidentifiable after {step}"
+        elif saw_pad:
+            return f"padding unidentifiable after {step}"
+        elif not to_scalar:
             groups = _reshape_groups(dims, step.new_dims)
             if groups is None:
                 return f"unsupported dim regrouping in {step}"

@@ -754,11 +754,11 @@ def batch_collectives(m: Module) -> Module:
 
     An instruction's level is the longest chain of single-operand
     all-reduces feeding it, and an all-reduce's segment is the number of
-    outfeeds before it, so batches never span an outfeed. All-reduces of one
-    level never feed each other and a batch waits only on lower levels, so
-    every batch can be scheduled; values are unchanged because each operand
-    still reduces over the same group. A computation with no merged batch is
-    left alone.
+    outfeeds before it, so batches never span an outfeed; outfeeds keep
+    their order. All-reduces of one level never feed each other and a batch
+    waits only on lower levels, so every batch can be scheduled; values are
+    unchanged because each operand still reduces over the same group. A
+    computation with no merged batch is left alone.
 
     Trade-off: where batchable all-reduces feed one another across group
     keys, two independent all-reduces of one key can sit at different levels
@@ -773,16 +773,20 @@ def batch_collectives(m: Module) -> Module:
         instrs = comp.instructions
         if sum(map(batchable, instrs)) < 2:
             return None
-        level: dict[str, int] = {}
+        # chain[ins]: the batchable all-reduces on the longest chain up to and
+        # including `ins`; an instruction's level is the most of its operands
+        chain: dict[Instruction, int] = {}
+        chain_of = chain.__getitem__
         segment = 0
         by_key: dict[tuple, list[Instruction]] = {}
         for ins in instrs:
-            lv = max((level[o.id] + batchable(o) for o in ins.operands), default=0)
-            level[ins.id] = lv
-            if ins.opcode == "outfeed":
-                segment += 1
-            elif batchable(ins):
+            lv = max(map(chain_of, ins.operands)) if ins.operands else 0
+            if batchable(ins):
                 by_key.setdefault((ins.groups, ins.kind, lv, segment), []).append(ins)
+                lv += 1
+            elif ins.opcode == "outfeed":
+                segment += 1
+            chain[ins] = lv
         merged = {b[0].id: b for b in by_key.values() if len(b) > 1}
         if not merged:
             return None
