@@ -773,8 +773,8 @@ def batch_collectives(m: Module) -> Module:
         instrs = comp.instructions
         if sum(map(batchable, instrs)) < 2:
             return None
-        # chain[ins]: the batchable all-reduces on the longest chain up to and
-        # including `ins`; an instruction's level is the most of its operands
+        # chain[ins]: the most batchable all-reduces on one dependency path
+        # ending at `ins`; an instruction's level is the most over its operands
         chain: dict[Instruction, int] = {}
         chain_of = chain.__getitem__
         segment = 0
