@@ -17,8 +17,10 @@ objects it found well-formed and does not check them again.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class ElementType(enum.Enum):
@@ -143,40 +145,39 @@ def is_tile_aligned(shape: Shape, tile: tuple[int, int] = DEFAULT_TILE) -> bool:
 # Opcodes
 # --------------------------------------------------------------------------- #
 
-OPCODES = frozenset(
-    {
-        "parameter",
-        "constant",
-        "iota",
-        "replica-id",
-        "rng",
-        "add",
-        "sub",
-        "mul",
-        "div",
-        "max",
-        "min",
-        "sqrt",
-        "power",
-        "compare",
-        "select",
-        "convert",
-        "broadcast",
-        "dot",
-        "reduce",
-        "reshape",
-        "bitcast",
-        "pad",
-        "dynamic-slice",
-        "tuple",
-        "get-tuple-element",
-        "all-reduce",
-        "while",
-        "conditional",
-        "fusion",
-        "outfeed",
-    }
-)
+
+class Opcode(NamedTuple):
+    operands: range  # the operand counts the opcode takes
+    callees: tuple[str, ...] = ()  # the callee attributes it owns, by their text names
+
+
+_CALLEES = {"while": ("cond", "body"), "conditional": ("true", "false"), "fusion": ("calls",)}
+
+# Every opcode, with its operand counts and callee attributes. The parser and
+# `verify` both check instructions against this table.
+OPCODES: dict[str, Opcode] = {
+    op: Opcode(counts, _CALLEES.get(op, ()))
+    for counts, ops in (
+        (range(0, 1), "parameter constant iota replica-id rng"),
+        (range(1, 2), "sqrt convert broadcast reshape bitcast get-tuple-element while outfeed"),
+        (range(2, 3), "add sub mul div max min power compare dot reduce pad"),
+        (range(3, 4), "select conditional"),
+        (range(1, sys.maxsize), "dynamic-slice all-reduce fusion"),
+        (range(sys.maxsize), "tuple"),
+    )
+    for op in ops.split()
+}
+CALLING_OPCODES = frozenset(op for op, info in OPCODES.items() if info.callees)
+
+
+def operand_count_message(opcode: str, got: int) -> str:
+    """What is wrong with `got` operands, a count `OPCODES[opcode]` does not
+    allow; the parser and `verify` report the same text."""
+    counts = OPCODES[opcode].operands
+    if len(counts) == 1:
+        return f"{opcode} expects {counts.start} operand(s), got {got}"
+    return f"{opcode} expects at least {counts.start} operand"
+
 
 ELEMENTWISE_BINARY = frozenset({"add", "sub", "mul", "div", "max", "min", "power"})
 
@@ -329,8 +330,6 @@ class Instruction:
             return self.branches or ()
         return tuple(c for c in (self.cond, self.body) if c is not None)
 
-
-CALLING_OPCODES = frozenset({"while", "conditional", "fusion"})
 
 
 @dataclass(eq=False)

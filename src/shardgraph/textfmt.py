@@ -50,6 +50,7 @@ from .ir import (
     Topology,
     TupleShape,
     DEFAULT_TILE,
+    operand_count_message,
 )
 from .sharding import parse_spec_string
 
@@ -227,41 +228,7 @@ def _position(text: str, k: int) -> tuple[int, int]:
 
 _ETYPES = {e.value: e for e in ElementType}
 # the opcode each callee attribute belongs to: only these call computations
-_CALLER = {"cond": "while", "body": "while", "true": "conditional", "false": "conditional", "calls": "fusion"}
-
-# Fixed operand arity per opcode; None means variadic (checked elsewhere).
-_ARITY: dict[str, int | None] = {
-    "parameter": 0,
-    "constant": 0,
-    "iota": 0,
-    "replica-id": 0,
-    "rng": 0,
-    "add": 2,
-    "sub": 2,
-    "mul": 2,
-    "div": 2,
-    "max": 2,
-    "min": 2,
-    "power": 2,
-    "sqrt": 1,
-    "compare": 2,
-    "select": 3,
-    "convert": 1,
-    "broadcast": 1,
-    "dot": 2,
-    "reduce": 2,
-    "reshape": 1,
-    "bitcast": 1,
-    "pad": 2,
-    "dynamic-slice": None,
-    "tuple": None,
-    "get-tuple-element": 1,
-    "all-reduce": None,
-    "while": 1,
-    "conditional": 3,
-    "fusion": None,
-    "outfeed": 1,
-}
+_CALLER = {attr: op for op, info in OPCODES.items() for attr in info.callees}
 
 
 class _Parser:
@@ -533,13 +500,8 @@ class _Parser:
                     break
         self.expect(")")
 
-        want = _ARITY[opcode]
-        if want is not None and len(operands) != want:
-            self.error(f"{opcode} expects {want} operand(s), got {len(operands)}", op_at)
-        if opcode in ("all-reduce", "fusion") and not operands:
-            self.error(f"{opcode} expects at least 1 operand", op_at)
-        if opcode == "dynamic-slice" and not operands:
-            self.error("dynamic-slice expects at least 1 operand", op_at)
+        if len(operands) not in OPCODES[opcode].operands:
+            self.error(operand_count_message(opcode, len(operands)), op_at)
 
         if self.accept("{"):  # parameter annotation block
             w = self.expect_kind("word")
@@ -601,7 +563,7 @@ class _Parser:
 
     def _callee(self, comps: dict[str, Computation], key: str, opcode: str) -> Computation:
         """The computation a callee attribute names; only the opcode that
-        calls it (`_CALLER`) takes the attribute."""
+        calls it (`ir.OPCODES`) takes the attribute."""
         t = self.expect_kind("word")
         if t not in comps:
             self.error(f"reference to undefined computation {t!r}", self.pos - 1)

@@ -2,10 +2,13 @@
 
 `verify(module)` returns a list of diagnostics; an empty list means the module
 is well-formed. Each diagnostic carries the offending instruction id and the
-name of the violated rule. The checks cover per-opcode shape rules, nested
-computation signatures (while body T=>T and condition T=>pred[], equal branch
-result shapes), replica-group partitions, id uniqueness and def-before-use
-ordering.
+name of the violated rule. The checks cover operand counts and callee
+ownership (an opcode that calls no computation holds none), both read from
+`ir.OPCODES` as the parser reads them; per-opcode shape rules, which run
+only on an instruction with a valid operand count; nested computation
+signatures (while body T=>T and condition T=>pred[], equal branch result
+shapes); replica-group partitions; id uniqueness and def-before-use
+ordering. `verify` reports a malformed module, and does not raise on one.
 
 A computation that passes every per-computation check is remembered, in a
 weak map, for the replica count and tile it was checked at: the only module
@@ -35,8 +38,12 @@ from .ir import (
     ReplicaGroups,
     Shape,
     TupleShape,
+    operand_count_message,
     physical_bytes,
 )
+
+_CALLEE_FIELDS = ("cond", "body", "branches", "fused")
+_NO_CALLEES = (None,) * len(_CALLEE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,7 @@ _CLEAN: weakref.WeakKeyDictionary[Computation, set[tuple]] = weakref.WeakKeyDict
 
 
 class _Verifier:
-    _HANDLERS: dict = {}  # opcode -> handler, filled in below the class
+    _HANDLERS: dict = {}  # opcode -> (operand counts, calls?, handler), filled in from `ir.OPCODES`
 
     def __init__(self, m: Module):
         self.m = m
@@ -125,17 +132,25 @@ class _Verifier:
             for op in instr.operands:
                 if id(op) not in defined:
                     self.fail(instr, "def before use", f"operand %{op.id} not defined earlier in {comp.name}")
-            handler = handlers.get(instr.opcode)
-            if handler is not None:
-                handler(self, instr)
-            elif instr.opcode not in OPCODES:
+            rule = handlers.get(instr.opcode)
+            if rule is None:
                 self.fail(instr, "opcode", f"unknown opcode {instr.opcode}")
+            else:
+                counts, calls, handler = rule
+                if not calls and (instr.cond, instr.body, instr.branches, instr.fused) != _NO_CALLEES:
+                    stray = ", ".join(f for f in _CALLEE_FIELDS if getattr(instr, f) is not None)
+                    self.fail(instr, "callee", f"{instr.opcode} calls no computation, but sets {stray}")
+                if len(instr.operands) in counts:
+                    handler(self, instr)
+                else:
+                    self.fail(instr, "operand count", operand_count_message(instr.opcode, len(instr.operands)))
             defined.add(id(instr))
         if id(comp.root) not in defined:
             self.diags.append(Diagnostic(comp.name, "root", "root is not an instruction of the computation"))
 
     # ------------------------------------------------------------------ #
-    # Opcode handlers: `op_<opcode>`, with `-` written `_`.
+    # Opcode handlers: `op_<opcode>`, with `-` written `_`. Each sees an
+    # operand count its opcode takes.
 
     def _expect_array(self, instr: Instruction, what: str, shape) -> Shape | None:
         if not isinstance(shape, Shape):
@@ -514,5 +529,6 @@ class _Verifier:
 
 
 _Verifier._HANDLERS = {
-    op: handler for op in OPCODES if (handler := getattr(_Verifier, "op_" + op.replace("-", "_"), None)) is not None
+    op: (info.operands, bool(info.callees), getattr(_Verifier, "op_" + op.replace("-", "_")))
+    for op, info in OPCODES.items()
 }

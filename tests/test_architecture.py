@@ -100,3 +100,22 @@ def test_format_dims_are_walked_once():
 
         Calls().visit(ast.parse(path.read_text()))
     assert callers == {"sharding.ShardingSpec.__post_init__"}
+
+
+def test_opcode_facts_live_in_the_ir_table():
+    """`ir.OPCODES` is the one list of opcodes with their operand counts and
+    callees: no other module keeps a dict or set literal naming more than 8
+    opcodes (smaller sets, such as the opcodes that alias storage, are
+    different facts)."""
+    from shardgraph.ir import OPCODES
+
+    largest = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "ir":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Dict, ast.Set)):
+                names = node.keys if isinstance(node, ast.Dict) else node.elts
+                n = sum(isinstance(k, ast.Constant) and k.value in OPCODES for k in names)
+                largest[path.stem] = max(largest.get(path.stem, 0), n)
+    assert {name: n for name, n in largest.items() if n > 8} == {}

@@ -1,20 +1,28 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
+from randmod import random_inputs_for, random_module
 from shardgraph.ir import (
     ALL_REPLICAS,
     Computation,
     F32,
     GraphBuilder,
     Module,
+    OPCODES,
     PRED,
     ReplicaGroups,
     S32,
     Shape,
     TupleShape,
+    modules_equal,
     ring_topology,
     scalar,
 )
 from shardgraph.generators import gen_module
+from shardgraph.simulator import SimulationError, Simulator
+from shardgraph.textfmt import ParseError, parse_module, print_module
 from shardgraph.verify import verify
 
 
@@ -273,3 +281,146 @@ def test_computation_holds_a_tuple():
     assert comp.instructions == (p,)
     assert gb.finish(p).instructions == (p,)
     assert comp.parameters == (p,)
+
+
+# --------------------------------------------------------------------------- #
+# Operand counts and callees: IR built in code is checked as parsed IR is
+# --------------------------------------------------------------------------- #
+
+F4 = Shape((4,), F32)
+
+
+def _loop_callees():
+    cond = GraphBuilder("cond")
+    cond.parameter(0, F4, "cp")
+    body = GraphBuilder("body")
+    return {"cond": cond.finish(cond.constant(True, PRED, id="t")), "body": body.finish(body.parameter(0, F4, "bp"))}
+
+
+# (opcode, operand count, attributes, the diagnostic's message)
+PROBES = [
+    ("add", 1, {}, "add expects 2 operand(s), got 1"),
+    ("add", 3, {}, "add expects 2 operand(s), got 3"),
+    ("sqrt", 2, {}, "sqrt expects 1 operand(s), got 2"),
+    ("broadcast", 2, {"dims": (0,)}, "broadcast expects 1 operand(s), got 2"),
+    ("reshape", 2, {}, "reshape expects 1 operand(s), got 2"),
+    ("bitcast", 2, {}, "bitcast expects 1 operand(s), got 2"),
+    ("iota", 1, {"dims": (0,)}, "iota expects 0 operand(s), got 1"),
+    ("rng", 2, {}, "rng expects 0 operand(s), got 2"),
+    ("constant", 1, {"value": (0.0,) * 4}, "constant expects 0 operand(s), got 1"),
+    ("select", 2, {}, "select expects 3 operand(s), got 2"),
+    ("pad", 1, {"pad_low": (0,), "pad_high": (0,)}, "pad expects 2 operand(s), got 1"),
+    ("dot", 1, {}, "dot expects 2 operand(s), got 1"),
+    ("convert", 0, {}, "convert expects 1 operand(s), got 0"),
+    ("while", 0, _loop_callees(), "while expects 1 operand(s), got 0"),
+    ("dynamic-slice", 0, {"slice_sizes": (4,)}, "dynamic-slice expects at least 1 operand"),
+    ("get-tuple-element", 0, {"index": 0}, "get-tuple-element expects 1 operand(s), got 0"),
+    ("reduce", 1, {"dims": (0,), "kind": "add"}, "reduce expects 2 operand(s), got 1"),
+    ("parameter", 1, {"index": 1}, "parameter expects 0 operand(s), got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "opcode,count,attrs,message", PROBES, ids=[f"{op}-{n}" for op, n, _, _ in PROBES]
+)
+def test_operand_count_is_one_diagnostic(opcode, count, attrs, message):
+    gb = GraphBuilder("main")
+    operands = [gb.parameter(i, F4, f"p{i}") for i in range(count)]
+    bad = gb.emit(opcode, F4, operands, id="bad", **attrs)
+    m = module_of(gb.finish(bad))
+    diags = verify(m)
+    assert [(d.instruction, d.rule, d.message) for d in diags] == [("bad", "operand count", message)]
+    if opcode in ("constant", "parameter"):
+        return  # their text holds literals, not operands
+    with pytest.raises(ParseError) as err:
+        parse_module(print_module(m))
+    assert str(err.value) == f"{err.value.line}:{err.value.col}: {message}"
+
+
+def test_an_opcode_that_calls_nothing_holds_no_callee():
+    """The printer writes no callee for such an instruction, so without the
+    check the module verifies and its text parses back as another module."""
+    gb = GraphBuilder("main")
+    x = gb.parameter(0, F4, "x")
+    fused = GraphBuilder("f")
+    stray = gb.emit("sqrt", F4, (x,), id="root", fused=fused.finish(fused.parameter(0, F4, "fp")))
+    m = module_of(gb.finish(stray))
+    assert [(d.instruction, d.rule) for d in verify(m)] == [("root", "callee")]
+    assert not modules_equal(m, parse_module(print_module(m)))
+
+    gb = GraphBuilder("main")
+    x = gb.parameter(0, F4, "x")
+    c = gb.emit("constant", F4, (x,), id="root", value=(1.0,) * 4)
+    m = module_of(gb.finish(c))
+    assert [(d.instruction, d.rule) for d in verify(m)] == [("root", "operand count")]
+    assert not modules_equal(m, parse_module(print_module(m)))
+
+
+def _rebuilt(m: Module, target, **fields) -> Module:
+    """`m` with the entry instruction `target` rebuilt with `fields`, and its
+    users rebuilt to read the new instruction."""
+    new = {}
+    for ins in m.entry.instructions:
+        ops = tuple(new.get(id(o), o) for o in ins.operands)
+        changes = fields if ins is target else {}
+        if changes or any(a is not b for a, b in zip(ops, ins.operands)):
+            new[id(ins)] = dataclasses.replace(ins, **{"operands": ops, **changes})
+    entry = m.entry
+    comp = Computation(entry.name, [new.get(id(i), i) for i in entry.instructions], new.get(id(entry.root), entry.root))
+    return Module(comp, m.replica_count, m.topology, m.tile)
+
+
+def _mutants(seed: int, count: int):
+    """`count` one-instruction mutants of `random_module(seed)`: an operand
+    dropped, duplicated or swapped for an earlier value, or the opcode
+    changed to another one in `OPCODES`."""
+    m = random_module(seed)
+    rng = np.random.default_rng(seed)
+    instrs = m.entry.instructions
+    opcodes = sorted(OPCODES)
+    for _ in range(count):
+        kind = str(rng.choice(["drop", "duplicate", "swap", "opcode"]))
+        readers = [i for i, ins in enumerate(instrs) if ins.operands]
+        if kind == "opcode" or not readers:
+            target = instrs[int(rng.integers(len(instrs)))]
+            other = [op for op in opcodes if op != target.opcode]
+            yield "opcode", _rebuilt(m, target, opcode=other[int(rng.integers(len(other)))])
+            continue
+        at = readers[int(rng.integers(len(readers)))]
+        target = instrs[at]
+        ops = list(target.operands)
+        j = int(rng.integers(len(ops)))
+        if kind == "drop":
+            del ops[j]
+        elif kind == "duplicate":
+            ops.insert(j, ops[j])
+        else:
+            ops[j] = instrs[int(rng.integers(at))]
+        yield kind, _rebuilt(m, target, operands=tuple(ops))
+
+
+@pytest.mark.parametrize("first", [0, 100, 200])
+def test_mutants_are_diagnosed_not_raised(first):
+    """Over seeded IR-level mutants: `verify` never raises; a module it
+    passes simulates or fails with `SimulationError`; and for operand
+    mutants, the parser rejects the printed text for its operand count
+    exactly when `verify` does, with the same message. (An opcode mutant
+    that fails verification may not print: the printer takes verified IR.)"""
+    for seed in range(first, first + 100):
+        for kind, m in _mutants(seed, 6):
+            diags = verify(m)
+            if not diags:
+                try:
+                    Simulator(m, seed=seed).run(random_inputs_for(m, seed))
+                except SimulationError:
+                    pass
+            if kind == "opcode":
+                continue
+            counts = [d.message for d in diags if d.rule == "operand count"]
+            text = print_module(m)
+            if counts:
+                with pytest.raises(ParseError) as err:
+                    parse_module(text)
+                assert str(err.value).endswith(f": {counts[0]}"), (seed, kind)
+            else:
+                parse_module(text)
