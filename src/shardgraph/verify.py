@@ -43,7 +43,6 @@ from .ir import (
 )
 
 _CALLEE_FIELDS = ("cond", "body", "branches", "fused")
-_NO_CALLEES = (None,) * len(_CALLEE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,9 @@ class _Verifier:
                 self.fail(instr, "opcode", f"unknown opcode {instr.opcode}")
             else:
                 counts, calls, handler = rule
-                if not calls and (instr.cond, instr.body, instr.branches, instr.fused) != _NO_CALLEES:
+                if not calls and (
+                    instr.cond is not None or instr.body is not None or instr.branches is not None or instr.fused is not None
+                ):
                     stray = ", ".join(f for f in _CALLEE_FIELDS if getattr(instr, f) is not None)
                     self.fail(instr, "callee", f"{instr.opcode} calls no computation, but sets {stray}")
                 if len(instr.operands) in counts:
