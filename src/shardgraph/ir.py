@@ -331,7 +331,6 @@ class Instruction:
         return tuple(c for c in (self.cond, self.body) if c is not None)
 
 
-
 @dataclass(eq=False)
 class Computation:
     name: str
