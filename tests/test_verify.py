@@ -378,9 +378,9 @@ def _mutants(seed: int, count: int):
     rng = np.random.default_rng(seed)
     instrs = m.entry.instructions
     opcodes = sorted(OPCODES)
+    readers = [i for i, ins in enumerate(instrs) if ins.operands]
     for _ in range(count):
         kind = str(rng.choice(["drop", "duplicate", "swap", "opcode"]))
-        readers = [i for i, ins in enumerate(instrs) if ins.operands]
         if kind == "opcode" or not readers:
             target = instrs[int(rng.integers(len(instrs)))]
             other = [op for op in opcodes if op != target.opcode]
