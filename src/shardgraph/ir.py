@@ -17,9 +17,10 @@ objects it found well-formed and does not check them again.
 from __future__ import annotations
 
 import enum
+import heapq
 import sys
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 
@@ -54,16 +55,51 @@ PRED = ElementType.PRED
 DEFAULT_TILE = (8, 128)
 
 
-@dataclass(frozen=True)
-class Shape:
-    dims: tuple[int, ...]
-    etype: ElementType
+def _immutable(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        for d in self.dims:
+
+# The hash-consing tables (Filliâtre and Conchon, "Type-safe modular
+# hash-consing", ML Workshop 2006): the one `Shape` per (dims, type value) and
+# the one `TupleShape` per element tuple. They keep every distinct shape built
+# in the process, which is a few dozen per module.
+_SHAPES: dict[tuple, Shape] = {}
+_TUPLE_SHAPES: dict[tuple, TupleShape] = {}
+
+
+class Shape:
+    """A dense array shape. There is one object per (dims, etype), so equality
+    and hashing are identity and each distinct shape is validated once; dims
+    given as a list or as numpy ints give the same object. Shapes are
+    immutable, copying or unpickling one returns the interned object, and
+    each caches its physical byte size per tile (`physical_bytes`)."""
+
+    __slots__ = ("dims", "etype", "_bytes")
+    __setattr__ = __delattr__ = _immutable
+
+    def __new__(cls, dims, etype: ElementType) -> Shape:
+        try:  # keyed by the type's value: hashing the member calls Enum.__hash__
+            return _SHAPES[dims, etype._value_]
+        except (KeyError, TypeError):  # new, or dims given as a list
+            pass
+        dims = tuple(int(d) for d in dims)
+        for d in dims:
             if d < 0:
-                raise ValueError(f"negative dimension in shape: {self.dims}")
+                raise ValueError(f"negative dimension in shape: {dims}")
+        key = (dims, etype._value_)
+        if key not in _SHAPES:
+            self = object.__new__(cls)
+            object.__setattr__(self, "dims", dims)
+            object.__setattr__(self, "etype", etype)
+            object.__setattr__(self, "_bytes", {})
+            _SHAPES[key] = self
+        return _SHAPES[key]
+
+    def __reduce__(self):
+        return Shape, (self.dims, self.etype)
+
+    def __repr__(self) -> str:
+        return f"Shape(dims={self.dims!r}, etype={self.etype!r})"
 
     @property
     def rank(self) -> int:
@@ -80,15 +116,34 @@ class Shape:
         return f"{self.etype.value}[{','.join(str(d) for d in self.dims)}]"
 
 
-@dataclass(frozen=True)
 class TupleShape:
-    elements: tuple[Shape, ...]
+    """A flat tuple of array shapes, interned like `Shape`: one object per
+    element tuple."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        for e in self.elements:
+    __slots__ = ("elements", "_bytes")
+    __setattr__ = __delattr__ = _immutable
+
+    def __new__(cls, elements) -> TupleShape:
+        elements = tuple(elements)
+        try:
+            return _TUPLE_SHAPES[elements]
+        except (KeyError, TypeError):  # new, or holds something unhashable
+            pass
+        for e in elements:
             if not isinstance(e, Shape):
                 raise ValueError("tuple shapes may only contain array shapes")
+        if elements not in _TUPLE_SHAPES:
+            self = object.__new__(cls)
+            object.__setattr__(self, "elements", elements)
+            object.__setattr__(self, "_bytes", {})
+            _TUPLE_SHAPES[elements] = self
+        return _TUPLE_SHAPES[elements]
+
+    def __reduce__(self):
+        return TupleShape, (self.elements,)
+
+    def __repr__(self) -> str:
+        return f"TupleShape(elements={self.elements!r})"
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -126,9 +181,18 @@ def physical_elements(shape: Shape, tile: tuple[int, int] = DEFAULT_TILE) -> int
 
 
 def physical_bytes(shape: Shape | TupleShape, tile: tuple[int, int] = DEFAULT_TILE) -> int:
+    """Bytes of the tiled buffer(s) backing `shape`, worked out once per
+    shape and tile."""
+    try:
+        return shape._bytes[tile]
+    except KeyError:
+        pass
     if isinstance(shape, TupleShape):
-        return sum(physical_bytes(e, tile) for e in shape.elements)
-    return physical_elements(shape, tile) * shape.etype.byte_size
+        size = sum(physical_bytes(e, tile) for e in shape.elements)
+    else:
+        size = physical_elements(shape, tile) * shape.etype.byte_size
+    shape._bytes[tile] = size
+    return size
 
 
 def is_tile_aligned(shape: Shape, tile: tuple[int, int] = DEFAULT_TILE) -> bool:
@@ -206,9 +270,19 @@ def reduce_identity(kind: str) -> float:
 
 @dataclass(frozen=True)
 class ReplicaGroups:
-    """Either all replicas together (groups=None) or a disjoint equal-size partition."""
+    """Either all replicas together (groups=None) or a disjoint equal-size
+    partition. Equality is by value; the hash is worked out once, because a
+    partition of thousands of replicas is a dictionary key in `verify` and in
+    batching."""
 
     groups: tuple[tuple[int, ...], ...] | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.groups))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_all(self) -> bool:
@@ -216,7 +290,7 @@ class ReplicaGroups:
 
     def resolve(self, n: int) -> tuple[tuple[int, ...], ...]:
         if self.groups is None:
-            return (tuple(range(n)),)
+            return _all_replicas(n)
         return self.groups
 
     def group_of(self, replica: int, n: int) -> tuple[int, ...]:
@@ -226,12 +300,19 @@ class ReplicaGroups:
         raise ValueError(f"replica {replica} not in any group")
 
     def group_size(self, n: int) -> int:
-        return len(self.resolve(n)[0])
+        return n if self.groups is None else len(self.groups[0])
 
     def __str__(self) -> str:
         if self.groups is None:
             return "all"
         return "{" + ",".join("{" + ",".join(str(r) for r in g) + "}" for g in self.groups) + "}"
+
+
+@lru_cache(maxsize=None)
+def _all_replicas(n: int) -> tuple[tuple[int, ...], ...]:
+    """`groups=all` over `n` replicas as one explicit group, built once per
+    replica count."""
+    return (tuple(range(n)),)
 
 
 ALL_REPLICAS = ReplicaGroups(None)
@@ -365,6 +446,7 @@ class Module:
     tile: tuple[int, int] = DEFAULT_TILE
 
     def __post_init__(self):
+        self.tile = tuple(self.tile)  # a key of each shape's byte-size cache
         if self.replica_count < 1:
             raise ValueError("replica_count must be >= 1")
         if self.topology.n != self.replica_count:
@@ -421,32 +503,36 @@ def topo_order(comp: Computation) -> list[Instruction]:
     """Deterministic topological order of a computation's instructions.
 
     Operands precede users; among ready instructions the smallest id goes
-    first, so the order is stable across calls and platforms.
+    first, so the order is stable across calls and platforms. The ids are
+    ranked once, and the walk runs on positions and ranks.
     """
-    import heapq
+    instrs = comp.instructions
+    n = len(instrs)
+    position = {id(ins): k for k, ins in enumerate(instrs)}
+    by_rank = sorted(range(n), key=[ins.id for ins in instrs].__getitem__)
+    rank = [0] * n
+    for r, k in enumerate(by_rank):
+        rank[k] = r
+    indegree = [0] * n
+    users: list[list[int]] = [[] for _ in range(n)]
+    for k, ins in enumerate(instrs):
+        for o in ins.operands:
+            j = position.get(id(o))
+            if j is not None:  # operands from outside the computation are ready
+                indegree[k] += 1
+                users[j].append(k)
 
-    in_comp = {id(i) for i in comp.instructions}
-    indegree: dict[int, int] = {}
-    users: dict[int, list[Instruction]] = {}
-    by_key = {id(i): i for i in comp.instructions}
-    for instr in comp.instructions:
-        ops = [o for o in instr.operands if id(o) in in_comp]
-        indegree[id(instr)] = len(ops)
-        for o in ops:
-            users.setdefault(id(o), []).append(instr)
-
-    ready = [(i.id, id(i)) for i in comp.instructions if indegree[id(i)] == 0]
+    ready = [rank[k] for k in range(n) if not indegree[k]]
     heapq.heapify(ready)
     out: list[Instruction] = []
     while ready:
-        _, key = heapq.heappop(ready)
-        instr = by_key[key]
-        out.append(instr)
-        for u in users.get(key, ()):
-            indegree[id(u)] -= 1
-            if indegree[id(u)] == 0:
-                heapq.heappush(ready, (u.id, id(u)))
-    if len(out) != len(comp.instructions):
+        k = by_rank[heapq.heappop(ready)]
+        out.append(instrs[k])
+        for u in users[k]:
+            indegree[u] -= 1
+            if not indegree[u]:
+                heapq.heappush(ready, rank[u])
+    if len(out) != n:
         raise ValueError(f"cycle detected in computation {comp.name}")
     return out
 

@@ -104,25 +104,27 @@ def _buffer_bytes(instr: Instruction, tile) -> int:
 def liveness_peak(comp: Computation, exclude: set[str], tile) -> int:
     """Max over program points of live buffer bytes, for instructions not in
     `exclude`. Live range runs from definition to last use; the root stays
-    live to the end."""
+    live to the end. Positions in the topological order index the walk."""
     order = topo_order(comp)
-    index = {ins.id: i for i, ins in enumerate(order)}
-    last_use = {ins.id: i for i, ins in enumerate(order)}
-    for i, ins in enumerate(order):
+    n = len(order)
+    position = {id(ins): k for k, ins in enumerate(order)}
+    last_use = list(range(n))
+    for k, ins in enumerate(order):
         for op in ins.operands:
-            if op.id in last_use:
-                last_use[op.id] = max(last_use[op.id], i)
-    last_use[comp.root.id] = len(order) - 1
+            j = position.get(id(op))
+            if j is not None:
+                last_use[j] = k
+    last_use[position[id(comp.root)]] = n - 1
 
-    deltas = [0] * (len(order) + 1)
-    for ins in order:
+    deltas = [0] * (n + 1)
+    for k, ins in enumerate(order):
         if ins.id in exclude:
             continue
         b = _buffer_bytes(ins, tile)
         if b == 0:
             continue
-        deltas[index[ins.id]] += b
-        deltas[last_use[ins.id] + 1] -= b
+        deltas[k] += b
+        deltas[last_use[k] + 1] -= b
     peak = 0
     live = 0
     for d in deltas[:-1]:

@@ -37,6 +37,8 @@ from __future__ import annotations
 import dataclasses
 import re
 import string
+from itertools import islice
+from operator import itemgetter
 
 from .ir import (
     ALL_REPLICAS,
@@ -208,18 +210,21 @@ def _position(text: str, k: int) -> tuple[int, int]:
     """Line and column of token `k`. Only errors need them, so they are
     counted by scanning again: a newline between tokens starts a line, a
     comment takes no column, and every other character takes one, newlines
-    inside strings included."""
-    line = col = 1
-    for i, m in enumerate(_SCAN.finditer(text)):
-        blank = text[m.start() : m.start(1)]
-        if "\n" in blank:
-            line += blank.count("\n")
-            col, blank = 1, blank[blank.rindex("\n") + 1 :]
-        col += len(blank.partition("#")[0])
-        if i == k:
+    inside strings included. The scan to token `k` runs in C; only the
+    tokens of its line are walked in Python."""
+    matches = list(islice(_SCAN.finditer(text), k + 1))
+    start = matches[-1].start(1)
+    # only strings hold newlines among the tokens before `k`
+    line = 1 + text.count("\n", 0, start) - "".join(map(itemgetter(1), matches[:-1])).count("\n")
+    line_start = 0  # just after the last newline between tokens
+    for m in reversed(matches):
+        newline = text.rfind("\n", m.start(), m.start(1))
+        if newline >= 0:
+            line_start = newline + 1
             break
-        col += len(m[1])
-    return line, col
+    # a comment before token `k` on its line runs to the end of the text
+    comment = text.find("#", max(line_start, matches[-1].start()), start)
+    return line, 1 + (start if comment < 0 else comment) - line_start
 
 
 # --------------------------------------------------------------------------- #
@@ -239,7 +244,6 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
-        self.shapes: dict[tuple, Shape] = {}
 
     def peek(self) -> str:
         return self.toks[self.pos]
@@ -321,10 +325,7 @@ class _Parser:
         if etype is None:  # element types are words
             self.error(f"unknown element type {self.expect_kind('word')!r}", at)
         self.pos += 1
-        key = (etype, self.parse_int_list())
-        if key not in self.shapes:  # shapes repeat; build each once
-            self.shapes[key] = self.build(at, Shape, key[1], etype)
-        return self.shapes[key]
+        return self.build(at, Shape, self.parse_int_list(), etype)
 
     def parse_int_list(self) -> tuple[int, ...]:
         self.expect("[")

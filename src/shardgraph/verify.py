@@ -3,12 +3,13 @@
 `verify(module)` returns a list of diagnostics; an empty list means the module
 is well-formed. Each diagnostic carries the offending instruction id and the
 name of the violated rule. The checks cover operand counts and callee
-ownership (an opcode that calls no computation holds none), both read from
-`ir.OPCODES` as the parser reads them; per-opcode shape rules, which run
-only on an instruction with a valid operand count; nested computation
-signatures (while body T=>T and condition T=>pred[], equal branch result
-shapes); replica-group partitions; id uniqueness and def-before-use
-ordering. `verify` reports a malformed module, and does not raise on one.
+ownership (an instruction holds only the callees its opcode calls, and an
+opcode that calls no computation holds none), both read from `ir.OPCODES`
+as the parser reads them; per-opcode shape rules, which run only on an
+instruction with a valid operand count; nested computation signatures
+(while body T=>T and condition T=>pred[], equal branch result shapes);
+replica-group partitions; id uniqueness and def-before-use ordering.
+`verify` reports a malformed module, and does not raise on one.
 
 A computation that passes every per-computation check is remembered, in a
 weak map, for the replica count and tile it was checked at: the only module
@@ -43,6 +44,13 @@ from .ir import (
 )
 
 _CALLEE_FIELDS = ("cond", "body", "branches", "fused")
+# the instruction field that holds each callee attribute of the text format
+_FIELD_OF = {"cond": "cond", "body": "body", "true": "branches", "false": "branches", "calls": "fused"}
+
+# shapes are interned (see `ir`), so these are compared by identity
+_S32_SCALAR = Shape((), ElementType.S32)
+_PRED_SCALAR = Shape((), ElementType.PRED)
+_EMPTY_TUPLE = TupleShape(())
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,7 @@ _CLEAN: weakref.WeakKeyDictionary[Computation, set[tuple]] = weakref.WeakKeyDict
 
 
 class _Verifier:
-    _HANDLERS: dict = {}  # opcode -> (operand counts, calls?, handler), filled in from `ir.OPCODES`
+    _HANDLERS: dict = {}  # opcode -> (operand counts, callee fields, handler), filled in from `ir.OPCODES`
 
     def __init__(self, m: Module):
         self.m = m
@@ -135,12 +143,11 @@ class _Verifier:
             if rule is None:
                 self.fail(instr, "opcode", f"unknown opcode {instr.opcode}")
             else:
-                counts, calls, handler = rule
-                if not calls and (
+                counts, owned, handler = rule
+                if (
                     instr.cond is not None or instr.body is not None or instr.branches is not None or instr.fused is not None
                 ):
-                    stray = ", ".join(f for f in _CALLEE_FIELDS if getattr(instr, f) is not None)
-                    self.fail(instr, "callee", f"{instr.opcode} calls no computation, but sets {stray}")
+                    self._check_callees(instr, owned)
                 if len(instr.operands) in counts:
                     handler(self, instr)
                 else:
@@ -148,6 +155,16 @@ class _Verifier:
             defined.add(id(instr))
         if id(comp.root) not in defined:
             self.diags.append(Diagnostic(comp.name, "root", "root is not an instruction of the computation"))
+
+    def _check_callees(self, instr: Instruction, owned: frozenset[str]):
+        """An instruction may set only the callee fields its opcode owns."""
+        stray = ", ".join(f for f in _CALLEE_FIELDS if f not in owned and getattr(instr, f) is not None)
+        if not stray:
+            return
+        if owned:
+            self.fail(instr, "callee", f"{instr.opcode} does not call through {stray}")
+        else:
+            self.fail(instr, "callee", f"{instr.opcode} calls no computation, but sets {stray}")
 
     # ------------------------------------------------------------------ #
     # Opcode handlers: `op_<opcode>`, with `-` written `_`. Each sees an
@@ -190,7 +207,7 @@ class _Verifier:
             self.fail(instr, "iota dim", f"iota dim {instr.dims} out of range for {shape}")
 
     def op_replica_id(self, instr: Instruction):
-        if instr.shape != Shape((), ElementType.S32):
+        if instr.shape is not _S32_SCALAR:
             self.fail(instr, "replica-id shape", f"must be s32[], got {instr.shape}")
 
     def op_rng(self, instr: Instruction):
@@ -349,7 +366,7 @@ class _Verifier:
             self.fail(instr, "slice starts", f"expected {s.rank} start indices, got {len(starts)}")
             return
         for st in starts:
-            if st.shape != Shape((), ElementType.S32):
+            if st.shape is not _S32_SCALAR:
                 self.fail(instr, "slice starts", f"start %{st.id} must be s32[], got {st.shape}")
         sizes = instr.slice_sizes
         if sizes is None or len(sizes) != s.rank or any(
@@ -435,14 +452,14 @@ class _Verifier:
             self.fail(instr, "while body shape mismatch", f"body returns {body.root.shape}, expected {init}")
         if len(cp) != 1 or cp[0].shape != init:
             self.fail(instr, "while condition shape mismatch", f"condition must take {init}")
-        if cond is not None and cond.root.shape != Shape((), ElementType.PRED):
+        if cond is not None and cond.root.shape is not _PRED_SCALAR:
             self.fail(instr, "while condition shape mismatch", f"condition returns {cond.root.shape}, expected pred[]")
         if instr.shape != init:
             self.fail(instr, "result shape", f"expected {init}, got {instr.shape}")
 
     def op_conditional(self, instr: Instruction):
         pred = instr.operands[0].shape
-        if pred != Shape((), ElementType.PRED):
+        if pred is not _PRED_SCALAR:
             self.fail(instr, "conditional predicate", f"predicate must be pred[], got {pred}")
         if instr.branches is None or len(instr.branches) != 2:
             self.fail(instr, "conditional branches", "must reference true and false computations")
@@ -505,7 +522,7 @@ class _Verifier:
                 self.fail(instr, "fusion spec", f"operand dims {operand.dims} != spec source {spec.source_dims}")
             if not isinstance(instr.shape, Shape) or instr.shape.dims != spec.shard_dims:
                 self.fail(instr, "result shape", f"expected shard dims {spec.shard_dims}, got {instr.shape}")
-            if len(instr.operands) != 2 or instr.operands[1].shape != Shape((), ElementType.S32):
+            if len(instr.operands) != 2 or instr.operands[1].shape is not _S32_SCALAR:
                 self.fail(instr, "fusion operand", f"{instr.kind} takes (tensor, replica-id)")
             if instr.fused.root.shape != instr.shape:
                 self.fail(instr, "result shape", f"fused root is {instr.fused.root.shape}")
@@ -525,11 +542,15 @@ class _Verifier:
                 self.fail(instr, "result shape", f"fused root is {instr.fused.root.shape}")
 
     def op_outfeed(self, instr: Instruction):
-        if instr.shape != TupleShape(()):
+        if instr.shape is not _EMPTY_TUPLE:
             self.fail(instr, "outfeed shape", f"outfeed produces an empty tuple, got {instr.shape}")
 
 
 _Verifier._HANDLERS = {
-    op: (info.operands, bool(info.callees), getattr(_Verifier, "op_" + op.replace("-", "_")))
+    op: (
+        info.operands,
+        frozenset(_FIELD_OF[attr] for attr in info.callees),
+        getattr(_Verifier, "op_" + op.replace("-", "_")),
+    )
     for op, info in OPCODES.items()
 }

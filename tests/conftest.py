@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from shardgraph import profitability, transform
-from shardgraph.generators import WeightDef, build_training_module, preset
-from shardgraph.ir import Module, Shape, TupleShape
+from shardgraph.costmodel import amortization_steps
+from shardgraph.generators import MODELS, WeightDef, build_training_module, preset
+from shardgraph.ir import Module, Shape, TupleShape, mesh_topology, ring_topology
 from shardgraph.simulator import PerReplica, run
 
 
@@ -119,3 +120,21 @@ def small_preset(model: str, topology, steps: int | None = 2):
     ]
     cfg.batch, cfg.steps, cfg.topology, cfg.replicas = 4, steps, topology, topology.n
     return build_training_module(cfg)
+
+
+def compiled_small_presets():
+    """(name, baseline, transform result, main after demotion and batching)
+    for every small preset on a 4-ring and a 2x2 mesh, with a 2-step loop and
+    without one, planned as `compare` plans and every cluster forced to
+    shard."""
+    for model in MODELS:
+        for label, topo in (("ring4", ring_topology(4)), ("mesh2x2", mesh_topology(2, 2))):
+            for loop, steps in (("loop", 2), ("noloop", None)):
+                m = small_preset(model, topo, steps)
+                amortize = amortization_steps(m.training_loop(), None)
+                decisions = profitability.plan(m, steps=amortize)
+                for d in decisions:
+                    d.shard = True
+                result = transform.apply(m, decisions, steps_hint=amortize)
+                main = transform.batch_collectives(transform.demote_allgather_precision(result.main))
+                yield f"{model}/{label}/{loop}", m, result, main

@@ -1,15 +1,25 @@
+import copy
+import heapq
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import compiled_small_presets
+from randmod import random_module
 from shardgraph.ir import (
     ALL_REPLICAS,
+    DEFAULT_TILE,
     F32,
     GraphBuilder,
+    Module,
     PRED,
     ReplicaGroups,
     S32,
     Shape,
     Topology,
+    TupleShape,
     mesh_topology,
     physical_bytes,
     physical_elements,
@@ -63,6 +73,96 @@ class TestPhysicalBytes:
         assert physical_bytes(Shape((a, b, c, d), F32)) == merged
 
 
+class TestInternedShapes:
+    def test_one_object_per_shape(self):
+        s = Shape((2, 3), F32)
+        assert Shape([2, 3], F32) is Shape((np.int64(2), 3), F32) is s
+        assert Shape([np.int32(2), 3.0], F32) is s
+        assert Shape((2, 3), S32) is not s and Shape((3, 2), F32) is not s
+        assert scalar(PRED) is Shape((), PRED) is Shape([], PRED)
+        assert s == Shape([2, 3], F32) and hash(s) == hash(Shape([2, 3], F32))
+
+    def test_a_tuple_of_equal_elements_is_one_object(self):
+        t = TupleShape([Shape((2,), F32), scalar(S32)])
+        assert TupleShape((Shape([2], F32), Shape((), S32))) is t
+        assert TupleShape(iter(t)) is t
+        assert TupleShape(()) is TupleShape([])
+        assert TupleShape((scalar(S32),)) is not t
+
+    @pytest.mark.parametrize("shape", [Shape((4, 128), F32), scalar(PRED), TupleShape((Shape((4,), F32), scalar(S32))), TupleShape(())])
+    def test_copies_and_pickles_are_the_interned_object(self, shape):
+        assert copy.copy(shape) is shape
+        assert copy.deepcopy(shape) is shape
+        assert pickle.loads(pickle.dumps(shape)) is shape
+        gb = GraphBuilder("c")
+        p = gb.parameter(0, shape, "p")
+        assert copy.deepcopy(gb.finish(p)).root.shape is shape
+
+    def test_values_the_ir_rejects_raise_the_same_errors(self):
+        for _ in range(2):  # nothing is remembered from a failed build
+            with pytest.raises(ValueError, match=r"^negative dimension in shape: \(2, -1\)$"):
+                Shape([2, np.int64(-1)], F32)
+            with pytest.raises(ValueError, match="^tuple shapes may only contain array shapes$"):
+                TupleShape((Shape((2,), F32), TupleShape(())))
+
+    def test_shapes_are_immutable(self):
+        s, t = Shape((4,), F32), TupleShape((scalar(F32),))
+        for obj, name in ((s, "dims"), (s, "etype"), (t, "elements"), (s, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, ())
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert s.dims == (4,) and t.elements == (scalar(F32),)
+
+    def test_repr_and_str(self):
+        s = Shape((2, 3), F32)
+        assert repr(s) == "Shape(dims=(2, 3), etype=<ElementType.F32: 'f32'>)"
+        assert repr(TupleShape((s,))) == f"TupleShape(elements=({s!r},))"
+        assert str(s) == "f32[2,3]" and str(TupleShape((s, scalar(PRED)))) == "(f32[2,3], pred[])"
+
+    def test_physical_bytes_are_remembered_per_tile(self):
+        s = Shape((5, 3), F32)
+        t = TupleShape((s, scalar(PRED)))
+        for _ in range(2):
+            assert physical_bytes(s) == physical_bytes(s, DEFAULT_TILE) == 8 * 128 * 4
+            assert physical_bytes(s, (4, 64)) == 8 * 64 * 4
+            assert physical_bytes(t, (4, 64)) == 8 * 64 * 4 + 1
+            assert physical_bytes(t) == 8 * 128 * 4 + 1
+
+    def test_module_tile_is_a_tuple(self):
+        gb = GraphBuilder("main")
+        comp = gb.finish(gb.parameter(0, scalar(F32), "p"))
+        m = Module(comp, replica_count=2, topology=ring_topology(2), tile=[4, 64])
+        assert m.tile == (4, 64) and isinstance(m.tile, tuple)
+
+
+def reference_topo_order(comp):
+    """`topo_order` as written before it ranked ids: a heap of (id, object
+    key) pairs and dicts keyed by object."""
+    in_comp = {id(i) for i in comp.instructions}
+    indegree = {}
+    users = {}
+    by_key = {id(i): i for i in comp.instructions}
+    for instr in comp.instructions:
+        ops = [o for o in instr.operands if id(o) in in_comp]
+        indegree[id(instr)] = len(ops)
+        for o in ops:
+            users.setdefault(id(o), []).append(instr)
+    ready = [(i.id, id(i)) for i in comp.instructions if indegree[id(i)] == 0]
+    heapq.heapify(ready)
+    out = []
+    while ready:
+        _, key = heapq.heappop(ready)
+        out.append(by_key[key])
+        for u in users.get(key, ()):
+            indegree[id(u)] -= 1
+            if indegree[id(u)] == 0:
+                heapq.heappush(ready, (u.id, id(u)))
+    if len(out) != len(comp.instructions):
+        raise ValueError(f"cycle detected in computation {comp.name}")
+    return out
+
+
 class TestTopoOrder:
     def _chain(self):
         gb = GraphBuilder("c")
@@ -98,6 +198,30 @@ class TestTopoOrder:
         assert [i.id for i in topo_order(comp)] == ["a_param", "z_param", "sum"]
 
 
+    def test_matches_reference_on_random_modules(self):
+        for seed in range(200):
+            for comp in random_module(seed).computations():
+                assert topo_order(comp) == reference_topo_order(comp), (seed, comp.name)
+
+    def test_matches_reference_on_compiled_presets(self):
+        checked = 0
+        for name, m, result, main in compiled_small_presets():
+            for prog in (m, result.main, main, result.shard_program, result.unshard_program):
+                for comp in prog.computations():
+                    assert topo_order(comp) == reference_topo_order(comp), (name, comp.name)
+                    checked += 1
+        assert checked > 500
+
+    def test_cycle_raises(self):
+        gb = GraphBuilder("cyc")
+        a = gb.parameter(0, Shape((4,), F32), "a")
+        b = gb.emit("sqrt", Shape((4,), F32), (a,), id="b")
+        c = gb.emit("sqrt", Shape((4,), F32), (b,), id="c")
+        b.operands = (c,)
+        with pytest.raises(ValueError, match="cycle detected in computation cyc"):
+            topo_order(gb.finish(c))
+
+
 class TestGroupsAndTopology:
     def test_mesh_rows_cols(self):
         t = mesh_topology(2, 3)
@@ -111,6 +235,32 @@ class TestGroupsAndTopology:
         assert t == mesh_topology(32, 64) and hash(t) == hash(mesh_topology(32, 64))
         assert t.row_groups().groups[31] == tuple(range(31 * 64, 32 * 64))
         assert t.col_groups().groups[63] == tuple(63 + 64 * i for i in range(32))
+
+    def test_groups_hash_once(self):
+        class Counted(int):
+            hashes = 0
+
+            def __hash__(self):
+                Counted.hashes += 1
+                return int.__hash__(self)
+
+        g = ReplicaGroups(((Counted(0), Counted(1)), (Counted(2), Counted(3))))
+        built = Counted.hashes
+        seen = {g: 1}
+        for _ in range(3):
+            assert seen[g] == 1 and hash(g) == hash(ReplicaGroups(((0, 1), (2, 3))))
+        assert Counted.hashes == built
+        # equality stays by value
+        assert g == ReplicaGroups(((0, 1), (2, 3))) and g != ReplicaGroups(((0, 2), (1, 3)))
+        assert g != ALL_REPLICAS and ReplicaGroups(None) == ALL_REPLICAS
+        assert repr(ALL_REPLICAS) == "ReplicaGroups(groups=None)"
+        plain = ReplicaGroups(((0, 1), (2, 3)))
+        assert pickle.loads(pickle.dumps(plain)) == plain and hash(copy.deepcopy(plain)) == hash(plain)
+
+    def test_all_replicas_resolve_once_per_count(self):
+        assert ALL_REPLICAS.resolve(8) is ALL_REPLICAS.resolve(8) == (tuple(range(8)),)
+        assert ALL_REPLICAS.group_size(2048) == 2048
+        assert ALL_REPLICAS.group_of(5, 8) == tuple(range(8))
 
     def test_group_resolution(self):
         g = ReplicaGroups(((0, 1), (2, 3)))

@@ -356,6 +356,39 @@ def test_an_opcode_that_calls_nothing_holds_no_callee():
     assert not modules_equal(m, parse_module(print_module(m)))
 
 
+def _identity(name: str) -> Computation:
+    gb = GraphBuilder(name)
+    return gb.finish(gb.parameter(0, F4, f"{name}.p"))
+
+
+def _calling(opcode: str, **stray) -> Module:
+    """A well-formed module whose root is a `while`, `fusion` or
+    `conditional`, with the extra callee fields `stray`."""
+    gb = GraphBuilder("main")
+    x = gb.parameter(0, F4, "x")
+    if opcode == "while":
+        root = gb.emit("while", F4, (x,), id="root", **_loop_callees(), **stray)
+    elif opcode == "fusion":
+        root = gb.emit("fusion", F4, (x,), id="root", kind="standard", fused=_identity("f"), **stray)
+    else:
+        pred = gb.constant(True, PRED, id="pred")
+        branches = (_identity("t"), _identity("e"))
+        root = gb.emit("conditional", F4, (pred, x, x), id="root", branches=branches, **stray)
+    return module_of(gb.finish(root))
+
+
+@pytest.mark.parametrize("opcode,field", [("while", "fused"), ("fusion", "body"), ("conditional", "cond")])
+def test_a_calling_opcode_holds_only_its_own_callees(opcode, field):
+    """The printer writes only the callees an opcode owns, so without the
+    check the module verifies and its text parses back as another module."""
+    assert verify(_calling(opcode)) == []
+    m = _calling(opcode, **{field: _identity("stray")})
+    assert [(d.instruction, d.rule, d.message) for d in verify(m)] == [
+        ("root", "callee", f"{opcode} does not call through {field}")
+    ]
+    assert not modules_equal(m, parse_module(print_module(m)))
+
+
 def _rebuilt(m: Module, target, **fields) -> Module:
     """`m` with the entry instruction `target` rebuilt with `fields`, and its
     users rebuilt to read the new instruction."""
