@@ -67,6 +67,16 @@ _SHAPES: dict[tuple, Shape] = {}
 _TUPLE_SHAPES: dict[tuple, TupleShape] = {}
 
 
+def _intern(cls, table: dict, key: tuple, **fields):
+    """The shape in `table` under `key`, built from `fields` if it is new."""
+    if key not in table:
+        self = object.__new__(cls)
+        for name, value in (*fields.items(), ("_bytes", {})):  # _bytes: tile -> physical bytes
+            object.__setattr__(self, name, value)
+        table[key] = self
+    return table[key]
+
+
 class Shape:
     """A dense array shape. There is one object per (dims, etype), so equality
     and hashing are identity and each distinct shape is validated once; dims
@@ -83,17 +93,9 @@ class Shape:
         except (KeyError, TypeError):  # new, or dims given as a list
             pass
         dims = tuple(int(d) for d in dims)
-        for d in dims:
-            if d < 0:
-                raise ValueError(f"negative dimension in shape: {dims}")
-        key = (dims, etype._value_)
-        if key not in _SHAPES:
-            self = object.__new__(cls)
-            object.__setattr__(self, "dims", dims)
-            object.__setattr__(self, "etype", etype)
-            object.__setattr__(self, "_bytes", {})
-            _SHAPES[key] = self
-        return _SHAPES[key]
+        if any(d < 0 for d in dims):
+            raise ValueError(f"negative dimension in shape: {dims}")
+        return _intern(cls, _SHAPES, (dims, etype._value_), dims=dims, etype=etype)
 
     def __reduce__(self):
         return Shape, (self.dims, self.etype)
@@ -129,15 +131,9 @@ class TupleShape:
             return _TUPLE_SHAPES[elements]
         except (KeyError, TypeError):  # new, or holds something unhashable
             pass
-        for e in elements:
-            if not isinstance(e, Shape):
-                raise ValueError("tuple shapes may only contain array shapes")
-        if elements not in _TUPLE_SHAPES:
-            self = object.__new__(cls)
-            object.__setattr__(self, "elements", elements)
-            object.__setattr__(self, "_bytes", {})
-            _TUPLE_SHAPES[elements] = self
-        return _TUPLE_SHAPES[elements]
+        if not all(isinstance(e, Shape) for e in elements):
+            raise ValueError("tuple shapes may only contain array shapes")
+        return _intern(cls, _TUPLE_SHAPES, elements, elements=elements)
 
     def __reduce__(self):
         return TupleShape, (self.elements,)
