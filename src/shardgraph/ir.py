@@ -504,7 +504,7 @@ def topo_order(comp: Computation) -> list[Instruction]:
     """
     instrs = comp.instructions
     n = len(instrs)
-    position = {id(ins): k for k, ins in enumerate(instrs)}
+    position = {ins: k for k, ins in enumerate(instrs)}  # instructions hash by identity
     by_rank = sorted(range(n), key=[ins.id for ins in instrs].__getitem__)
     rank = [0] * n
     for r, k in enumerate(by_rank):
@@ -513,7 +513,7 @@ def topo_order(comp: Computation) -> list[Instruction]:
     users: list[list[int]] = [[] for _ in range(n)]
     for k, ins in enumerate(instrs):
         for o in ins.operands:
-            j = position.get(id(o))
+            j = position.get(o)
             if j is not None:  # operands from outside the computation are ready
                 indegree[k] += 1
                 users[j].append(k)

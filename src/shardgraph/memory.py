@@ -107,14 +107,14 @@ def liveness_peak(comp: Computation, exclude: set[str], tile) -> int:
     live to the end. Positions in the topological order index the walk."""
     order = topo_order(comp)
     n = len(order)
-    position = {id(ins): k for k, ins in enumerate(order)}
+    position = {ins: k for k, ins in enumerate(order)}  # instructions hash by identity
     last_use = list(range(n))
     for k, ins in enumerate(order):
         for op in ins.operands:
-            j = position.get(id(op))
+            j = position.get(op)
             if j is not None:
                 last_use[j] = k
-    last_use[position[id(comp.root)]] = n - 1
+    last_use[position[comp.root]] = n - 1
 
     deltas = [0] * (n + 1)
     for k, ins in enumerate(order):
