@@ -221,7 +221,10 @@ def _inputs_from_file(m: Module, path: str) -> dict:
 def random_inputs(m: Module, seed: int, aux_names: set[str] | None = None) -> dict:
     """Deterministic inputs: replica-equal parameters get one draw, others one
     draw per replica; names in `aux_names` are made non-negative (optimizer
-    second moments)."""
+    second moments). A per-replica parameter's draws are the rows of one
+    `(replicas, *dims)` array, passed as its rows so that the simulator views
+    them instead of stacking a copy; they are drawn one replica at a time, so
+    only one row's float64 draw is alive at once."""
     rng = np.random.default_rng(seed)
     aux_names = aux_names or set()
     inputs = {}
@@ -242,7 +245,12 @@ def random_inputs(m: Module, seed: int, aux_names: set[str] | None = None) -> di
         if p.replica_equal:
             inputs[p.id] = draw()
         else:
-            inputs[p.id] = PerReplica([draw() for _ in range(m.replica_count)])
+            first = draw()
+            rows = np.empty((m.replica_count, *first.shape), dtype=first.dtype)
+            rows[0] = first
+            for k in range(1, m.replica_count):
+                rows[k] = draw()
+            inputs[p.id] = PerReplica(rows)
     return inputs
 
 

@@ -17,9 +17,11 @@ tracked at run time by these rules, never taken from `redundancy.analyze`,
 so the simulator stays an independent oracle for that analysis:
 
 - a pure op whose operands are all uniform gives a uniform result;
-- `rng`, `replica-id` and `PerReplica` inputs give varying values, except
-  that a `replica_equal` parameter whose per-replica inputs are bitwise
-  equal is uniform;
+- `rng` and `replica-id` give varying values;
+- a `PerReplica` input whose rows are all one buffer (same data address,
+  shape, strides and dtype) is uniform, and so is a `replica_equal`
+  parameter whose per-replica inputs are bitwise equal; any other
+  `PerReplica` input is varying;
 - an all-reduce or all-gather over a single group (`groups=all`) gives a
   uniform result, one over subgroups a varying one; a reduce-scatter gives
   each replica its own shard, a varying value;
@@ -38,8 +40,24 @@ Ring collectives format and pad the stack once and fold every piece of every
 group in one vectorized pass per ring step, each element in the ring order
 of the per-replica algorithm. `run`, `RunResult`, `PerReplica` and the
 `on_value` callback see one value per replica; values are split into rows
-only at those boundaries. The rows of `run`'s outputs are read-only views:
-they share memory with each other and with the inputs.
+only at those boundaries.
+
+Memory. A value lives only while something still reads it. Each
+computation's last reads are worked out once per `Simulator` and cached by
+computation; once `on_value` has seen an instruction's value, every value
+that instruction read for the last time is dropped, and a value that
+nothing reads is dropped at once unless it is the root. Values cross the
+run's boundaries without a copy where one is not needed:
+
+- the rows of `run`'s outputs and of the outfeeds are read-only views: they
+  share memory with each other and with the inputs, so a uniform value is
+  one buffer that every replica's row shows;
+- a varying `PerReplica` input whose rows are evenly spaced rows of one
+  array (each row's `.base` is that array) is a read-only view built on
+  that array's buffer, which keeps it alive and is bounds-checked by numpy.
+  Rows are never matched by their addresses alone: two separate arrays can
+  look evenly spaced, and a view over the gap between them would read freed
+  memory. Any other varying input is stacked into a copy.
 
 The step-time model is `costmodel`'s: a run counts the collectives it
 executes with `costmodel.instruction_phases`, and `simulator.cost` is
@@ -82,11 +100,12 @@ class PerReplica:
         self.values = list(values)
 
 
+# keyed by the type's value: hashing the member calls Enum.__hash__
 _NP_DTYPES = {
-    ElementType.F32: np.float32,
-    ElementType.F16R: np.float32,  # stored as f32 rounded to the reduced pattern
-    ElementType.S32: np.int32,
-    ElementType.PRED: np.bool_,
+    ElementType.F32.value: np.float32,
+    ElementType.F16R.value: np.float32,  # stored as f32 rounded to the reduced pattern
+    ElementType.S32.value: np.int32,
+    ElementType.PRED.value: np.bool_,
 }
 
 
@@ -108,11 +127,11 @@ def round_reduced(x: np.ndarray) -> np.ndarray:
 def coerce(arr: np.ndarray, shape: Shape, lead: tuple[int, ...] = ()) -> np.ndarray:
     """`arr` as the storage of `shape`; `lead` is the stacking prefix of a
     varying value's shape."""
-    out = np.asarray(arr, dtype=_NP_DTYPES[shape.etype])
+    out = np.asarray(arr, dtype=_NP_DTYPES[shape.etype._value_])
     dims = lead + shape.dims if lead else shape.dims
     if out.shape != dims:
         out = out.reshape(dims)
-    if shape.etype == ElementType.F16R:
+    if shape.etype is ElementType.F16R:
         out = round_reduced(out)
     return out
 
@@ -247,6 +266,60 @@ def _read_only(v):
     view = v.view()
     view.flags.writeable = False
     return view
+
+
+def _layout(a: np.ndarray):
+    return a.__array_interface__["data"][0], a.shape, a.strides, a.dtype
+
+
+def _one_buffer(rows: list[np.ndarray]) -> bool:
+    """Whether every row is the same memory seen the same way. The rows are
+    all alive, so equal addresses mean one buffer."""
+    first = rows[0]
+    key = _layout(first)
+    return all(r is first or _layout(r) == key for r in rows[1:])
+
+
+def _rows_view(rows: list[np.ndarray]) -> np.ndarray | None:
+    """The rows as one read-only stack that views the array they all belong
+    to, when they are evenly spaced rows of it; else None. The owner is each
+    row's `.base`, never a guess from addresses, and the view is built on the
+    owner's buffer, so it keeps the owner alive and numpy checks its bounds."""
+    first = rows[0]
+    owner = first.base
+    if not isinstance(owner, np.ndarray):
+        return None
+    if any(
+        r.base is not owner or r.shape != first.shape or r.strides != first.strides or r.dtype != first.dtype
+        for r in rows
+    ):
+        return None
+    addrs = [r.__array_interface__["data"][0] for r in rows]
+    step = addrs[1] - addrs[0]
+    if any(b - a != step for a, b in zip(addrs[1:], addrs[2:])):
+        return None
+    try:
+        view = np.ndarray(
+            (len(rows),) + first.shape,
+            first.dtype,
+            buffer=owner,
+            offset=addrs[0] - owner.__array_interface__["data"][0],
+            strides=(step,) + first.strides,
+        )
+    except (TypeError, ValueError):  # the owner exposes no plain buffer, or the rows leave it
+        return None
+    view.flags.writeable = False
+    return view
+
+
+def _from_rows(rows: list[np.ndarray]) -> Uniform | Varying:
+    """The value whose row k is `rows[k]`, copied only when it has to be: one
+    buffer gives a uniform value, evenly spaced rows of one array a view of
+    it, anything else a stacked copy."""
+    if _one_buffer(rows):
+        return Uniform(rows[0])
+    view = _rows_view(rows)
+    return Varying(np.stack(rows) if view is None else view)
 
 
 def _stacked(v: Uniform | Varying, count: int) -> np.ndarray:
@@ -456,8 +529,24 @@ def ring_all_gather(
 @dataclass
 class RunResult:
     outputs: list  # per replica: read-only ndarray or tuple of them (the root value)
-    outfeeds: list  # per replica: list of (instruction id, value)
+    outfeeds: list  # per replica: list of (instruction id, read-only value); rows share memory as outputs do
     stats: CollectiveStats
+
+
+def _last_reads(comp: Computation) -> list[tuple[str, ...]]:
+    """For each instruction of `comp`, the ids of the values to drop once it
+    has run: the operands it reads for the last time, and its own value when
+    nothing reads it and it is not the root."""
+    last: dict[str, int] = {}
+    for k, instr in enumerate(comp.instructions):
+        for o in instr.operands:
+            last[o.id] = k
+        last[instr.id] = k  # operands come first, so no read has been seen yet
+    del last[comp.root.id]
+    drops: list[list[str]] = [[] for _ in comp.instructions]
+    for name, k in last.items():
+        drops[k].append(name)
+    return [tuple(d) for d in drops]
 
 
 def _has_collective(comp: Computation) -> bool:
@@ -482,6 +571,7 @@ class Simulator:
         self.stats = CollectiveStats()
         self.outfeeds: list[list] = [[] for _ in range(m.replica_count)]
         self._rng_counters: dict[str, int] = {}
+        self._drops: dict[Computation, list[tuple[str, ...]]] = {}  # by computation: `_last_reads`
 
     # -- public entry ---------------------------------------------------------
 
@@ -523,25 +613,33 @@ class Simulator:
                 f"parameter %{p.id}: {len(val.values)} per-replica values for {n} replicas"
             )
         vals = [conv(v) for v in val.values]
+        if isinstance(shape, TupleShape):
+            columns = [[v[i] for v in vals] for i in range(len(shape.elements))]
+        else:
+            columns = [vals]
         if p.replica_equal:
-            if not all(_same_bits(vals[0], v) for v in vals[1:]):
+            if not all(map(_one_buffer, columns)) and not all(_same_bits(vals[0], v) for v in vals[1:]):
                 raise SimulationError(
                     f"parameter %{p.id} is annotated replica_equal but inputs differ"
                 )
             return shared(vals[0])
-        if isinstance(shape, TupleShape):
-            return tuple(Varying(np.stack([v[i] for v in vals])) for i in range(len(shape.elements)))
-        return Varying(np.stack(vals))
+        values = tuple(map(_from_rows, columns))
+        return values if isinstance(shape, TupleShape) else values[0]
 
     # -- computation evaluation ------------------------------------------------
 
     def _run_computation(self, comp: Computation, args: list, replicas: list[int]):
+        drops = self._drops.get(comp)
+        if drops is None:
+            drops = self._drops[comp] = _last_reads(comp)
         env: dict[str, object] = {}
         on_value = self.on_value
-        for instr in comp.instructions:
+        for instr, dead in zip(comp.instructions, drops):
             v = env[instr.id] = _HANDLERS[instr.opcode](self, instr, env, args, replicas)
             if on_value is not None:
                 on_value(instr, replicas, _rows(v, len(replicas)))
+            for name in dead:
+                del env[name]
         return env[comp.root.id]
 
     # -- leaf ops ---------------------------------------------------------------
@@ -766,11 +864,9 @@ class Simulator:
         return env[instr.operands[0].id][instr.index]
 
     def _op_outfeed(self, instr, env, args, replicas):
-        src = env[instr.operands[0].id]
-        for k, r in enumerate(replicas):
-            v = _row(src, k)
-            copy = tuple(np.array(e) for e in v) if isinstance(v, tuple) else np.array(v)
-            self.outfeeds[r].append((instr.id, copy))
+        rows = _rows(env[instr.operands[0].id], len(replicas))
+        for r, v in zip(replicas, rows):
+            self.outfeeds[r].append((instr.id, _read_only(v)))
         return ()
 
     # -- collectives -------------------------------------------------------------

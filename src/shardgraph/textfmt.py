@@ -244,6 +244,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.shapes: dict[tuple[str, ...], Shape] = {}  # by token run up to `]`: shapes that parsed cleanly
 
     def peek(self) -> str:
         return self.toks[self.pos]
@@ -321,11 +322,21 @@ class _Parser:
             self.expect(")")
             return TupleShape(tuple(elems))
         at = self.pos
+        try:  # a clean parse ends at the first `]`, so the same run parses the same way
+            key = tuple(self.toks[at : self.toks.index("]", at) + 1])
+            shape = self.shapes[key]
+        except (ValueError, KeyError):  # no `]` left, or a run not parsed yet
+            pass
+        else:
+            self.pos += len(key)
+            return shape
         etype = _ETYPES.get(self.toks[at])
         if etype is None:  # element types are words
             self.error(f"unknown element type {self.expect_kind('word')!r}", at)
         self.pos += 1
-        return self.build(at, Shape, self.parse_int_list(), etype)
+        shape = self.build(at, Shape, self.parse_int_list(), etype)
+        self.shapes[tuple(self.toks[at : self.pos])] = shape
+        return shape
 
     def parse_int_list(self) -> tuple[int, ...]:
         self.expect("[")

@@ -122,7 +122,7 @@ class _Verifier:
             seen_ids.add(instr.id)
 
     def check_computation(self, comp: Computation, seen_ids: set[str]):
-        defined: set[int] = set()
+        defined: set[Instruction] = set()  # by identity: the `id` ints share low bits and crowd a set
         params = [i for i in comp.instructions if i.opcode == "parameter"]
         indices = sorted(p.index if p.index is not None else -1 for p in params)
         if indices != list(range(len(params))):
@@ -137,7 +137,7 @@ class _Verifier:
                 self.fail(instr, "unique ids", "duplicate instruction id in module")
             seen_ids.add(instr.id)
             for op in instr.operands:
-                if id(op) not in defined:
+                if op not in defined:
                     self.fail(instr, "def before use", f"operand %{op.id} not defined earlier in {comp.name}")
             rule = handlers.get(instr.opcode)
             if rule is None:
@@ -152,8 +152,8 @@ class _Verifier:
                     handler(self, instr)
                 else:
                     self.fail(instr, "operand count", operand_count_message(instr.opcode, len(instr.operands)))
-            defined.add(id(instr))
-        if id(comp.root) not in defined:
+            defined.add(instr)
+        if comp.root not in defined:
             self.diags.append(Diagnostic(comp.name, "root", "root is not an instruction of the computation"))
 
     def _check_callees(self, instr: Instruction, owned: frozenset[str]):

@@ -4,10 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from conftest import small_preset
 from shardgraph import profitability, transform
-from shardgraph.cli import main
+from shardgraph.cli import main, random_inputs
 from shardgraph.generators import gen_module
-from shardgraph.ir import modules_equal
+from shardgraph.ir import F32, PRED, S32, GraphBuilder, Module, TupleShape, modules_equal, ring_topology, scalar
+from shardgraph.simulator import PerReplica
 from shardgraph.textfmt import parse_module, print_module
 from shardgraph.verify import verify
 
@@ -466,3 +468,49 @@ def test_compare_steps_set_the_horizon_of_a_looped_module(mixed_adam_mlp_ir, tmp
     planned = profitability.plan(parse_module(mixed_adam_mlp_ir.read_text()), steps=1000)
     assert decisions == json.loads(json.dumps([d.to_dict() for d in planned]))
     assert [d["decision"] for d in decisions] == ["shard", "shard"]
+
+
+def _random_inputs_one_draw_per_replica(m, seed, aux_names=()):
+    """`cli.random_inputs` as it was written before its per-replica draws were
+    made as one array: one draw per replica, in replica order."""
+    rng = np.random.default_rng(seed)
+    inputs = {}
+    for p in m.entry.parameters:
+        def draw():
+            if p.shape.etype.value == "s32":
+                return np.zeros(p.shape.dims, dtype=np.int32)
+            if p.shape.etype.value == "pred":
+                return np.zeros(p.shape.dims, dtype=bool)
+            v = rng.normal(0.0, 0.5, size=p.shape.dims).astype(np.float32)
+            if p.id in aux_names:
+                v = np.abs(v) * 0.1
+            return v
+
+        inputs[p.id] = draw() if p.replica_equal else [draw() for _ in range(m.replica_count)]
+    return inputs
+
+
+def _scalar_parameters():
+    gb = GraphBuilder("main")
+    params = [gb.parameter(k, scalar(t), f"p{k}") for k, t in enumerate((F32, S32, PRED, F32))]
+    root = gb.emit("tuple", TupleShape(tuple(p.shape for p in params)), tuple(params))
+    return Module(gb.finish(root), 4, ring_topology(4))
+
+
+@pytest.mark.parametrize("model", ["mlp", "transformer-like", "resnet-like", "ncf-like", "scalars"])
+def test_random_inputs_match_one_draw_per_replica(model):
+    m = _scalar_parameters() if model == "scalars" else small_preset(model, ring_topology(4))
+    assert any(not p.replica_equal for p in m.entry.parameters)
+    aux = {p.id for p in m.entry.parameters[::2]}
+    for seed, names in ((0, None), (7, aux)):
+        ours = random_inputs(m, seed, aux_names=names)
+        theirs = _random_inputs_one_draw_per_replica(m, seed, names or ())
+        assert ours.keys() == theirs.keys()
+        for k, want in theirs.items():
+            if isinstance(want, list):
+                assert isinstance(ours[k], PerReplica) and len(ours[k].values) == len(want)
+                pairs = zip(ours[k].values, want)
+            else:
+                pairs = [(ours[k], want)]
+            for x, y in pairs:
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()

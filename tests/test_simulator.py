@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,132 @@ class TestReadOnlyOutputs:
         with pytest.raises(ValueError, match="read-only"):
             res.outputs[1][0][1] = 5.0
         assert all(a.flags.writeable for a in w) and w[0].tolist() == [1.0, 2.0]
+
+
+class TestOutfeedViews:
+    """Outfeeds record read-only rows, shared as `run`'s outputs are."""
+
+    def test_rows_are_read_only_and_a_uniform_one_is_shared(self):
+        vec = Shape((3,), F32)
+        gb = GraphBuilder("main")
+        w = gb.parameter(0, vec, "w", replica_equal=True)
+        g = gb.parameter(1, vec, "g")
+        gb.emit("outfeed", TupleShape(()), (w,), id="out.w")
+        gb.emit("outfeed", TupleShape(()), (gb.emit("tuple", TupleShape((vec, vec)), (w, g)),), id="out.wg")
+        m = module_of(gb.finish(gb.emit("add", vec, (w, g))), 4)
+        g_in = [np.full(3, r, np.float32) for r in range(4)]
+        res = run(m, {"w": np.ones(3, np.float32), "g": PerReplica(g_in)})
+        feeds = [dict(log) for log in res.outfeeds]
+        for r, feed in enumerate(feeds):
+            assert feed["out.w"].tolist() == [1.0] * 3 and feed["out.wg"][1].tolist() == [r] * 3
+            with pytest.raises(ValueError, match="read-only"):
+                feed["out.w"][0] = 5.0
+            with pytest.raises(ValueError, match="read-only"):
+                feed["out.wg"][1][0] = 5.0
+        assert all(np.shares_memory(feeds[0]["out.w"], f["out.w"]) for f in feeds[1:])
+        assert all(np.shares_memory(feeds[0]["out.wg"][0], f["out.wg"][0]) for f in feeds[1:])
+        assert all(a.flags.writeable for a in g_in)
+
+
+class TestValueLifetime:
+    """A value lives only while something still reads it."""
+
+    N = 4
+    VEC = Shape((1 << 16,), F32)  # a 1 MB varying value over four replicas
+
+    def chain(self, length):
+        gb = GraphBuilder("main")
+        x = gb.parameter(0, self.VEC, "x")
+        v = x
+        for _ in range(length):
+            v = gb.emit("add", self.VEC, (v, x))
+            gb.emit("mul", self.VEC, (v, v))  # read by nothing: dropped at once
+        return module_of(gb.finish(v), self.N)
+
+    def test_chain_of_adds_holds_a_few_values(self):
+        m = self.chain(40)
+        rows = np.ones((self.N,) + self.VEC.dims, np.float32)
+        seen = []
+        sim = Simulator(m, on_value=lambda instr, replicas, values: seen.append(instr.id))
+        tracemalloc.start()
+        try:
+            res = sim.run({"x": PerReplica(rows)})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * rows.nbytes  # keeping every value would take about 80 of them
+        assert seen == [i.id for i in m.entry.instructions]
+        assert all(np.array_equal(out, np.full(self.VEC.dims, 41.0, np.float32)) for out in res.outputs)
+
+
+class TestPerReplicaInputs:
+    """Per-replica inputs are stacked only when they have to be."""
+
+    N = 4
+    VEC = Shape((3,), F32)
+
+    def evaluate(self, rows, replica_equal=False):
+        gb = GraphBuilder("main")
+        m = module_of(gb.finish(gb.parameter(0, self.VEC, "w", replica_equal=replica_equal)), self.N)
+        return Simulator(m).evaluate({"w": PerReplica(rows)})
+
+    def identity_run(self, rows):
+        gb = GraphBuilder("main")
+        m = module_of(gb.finish(gb.parameter(0, self.VEC, "w")), self.N)
+        return run(m, {"w": PerReplica(rows)})
+
+    def test_one_buffer_is_uniform(self):
+        w = np.arange(3, dtype=np.float32)
+        for rows in ([w] * self.N, [w.view() for _ in range(self.N)]):
+            for replica_equal in (False, True):
+                v = self.evaluate(rows, replica_equal)
+                assert type(v) is Uniform and np.shares_memory(v.a, w)
+
+    def test_equal_separate_arrays_stay_varying(self):
+        w = np.arange(3, dtype=np.float32)
+        v = self.evaluate([w.copy() for _ in range(self.N)])
+        assert type(v) is Varying and not np.shares_memory(v.a, w)
+        assert type(self.evaluate([w.copy() for _ in range(self.N)], replica_equal=True)) is Uniform
+
+    def test_rows_of_one_owner_are_viewed_read_only(self):
+        owner = np.arange(self.N * 6, dtype=np.float32).reshape(self.N, 6)
+        for rows in (
+            list(owner[:, :3]),  # rows of a wider array
+            [owner[k, ::2] for k in range(self.N)],  # strided rows
+            [owner.T[:3, k] for k in range(self.N)],  # columns
+            [owner[self.N - 1 - k, 3:] for k in range(self.N)],  # backwards
+        ):
+            v = self.evaluate(rows)
+            assert type(v) is Varying and np.shares_memory(v.a, owner)
+            assert not v.a.flags.writeable and owner.flags.writeable
+            assert all(np.array_equal(v.a[k], r) for k, r in enumerate(rows))
+            res = self.identity_run(rows)
+            assert all(np.shares_memory(out, owner) and not out.flags.writeable for out in res.outputs)
+            assert all(np.array_equal(out, r) for out, r in zip(res.outputs, rows))
+
+    def test_unevenly_spaced_rows_are_copied(self):
+        owner = np.arange(self.N * 3, dtype=np.float32).reshape(self.N, 3)
+        rows = [owner[k] for k in (0, 1, 3, 2)]
+        v = self.evaluate(rows)
+        assert type(v) is Varying and not np.shares_memory(v.a, owner)
+        assert all(np.array_equal(v.a[k], r) for k, r in enumerate(rows))
+
+    def test_separate_arrays_are_copied_and_outlive_the_caller_s(self):
+        # two separate arrays always look evenly spaced; matched by address
+        # alone, a view over the gap between them would read freed memory
+        for n in (2, self.N):
+            gb = GraphBuilder("main")
+            m = module_of(gb.finish(gb.parameter(0, Shape((1 << 12,), F32), "w")), n)
+            rows = [np.full(1 << 12, k + 1, np.float32) for k in range(n)]
+            views = [np.ones((2, 1 << 12), np.float32)[0] for _ in range(n)]  # one owner each
+            res, res_views = run(m, {"w": PerReplica(rows)}), run(m, {"w": PerReplica(views)})
+            assert not any(np.shares_memory(out, r) for out in res.outputs for r in rows)
+            del rows, views
+            junk = [np.full(1 << 12, -7.0, np.float32) for _ in range(4 * n)]
+            assert all(np.array_equal(out, np.full(1 << 12, k + 1, np.float32)) for k, out in enumerate(res.outputs))
+            assert all(np.array_equal(out, np.ones(1 << 12, np.float32)) for out in res_views.outputs)
+            assert all((j == -7.0).all() for j in junk)
+
 
 def counted_while(gb, value, bound):
     """A while loop carrying (i, value) that halves the value while

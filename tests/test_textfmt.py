@@ -335,3 +335,23 @@ def test_callee_attribute_belongs_to_its_caller(op, attr):
     with pytest.raises(ParseError, match=f"attribute '{key}' belongs to") as e:
         parse_module(text)
     assert (e.value.line, e.value.col) == (8, text.splitlines()[7].index(attr) + 1)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("f32[512,]", "expected 'number'"),
+    ("f32[512,512", "expected ']'"),
+    ("f32[512,-1]", "negative dimension"),
+    ("f33[512,512]", "unknown element type"),
+])
+def test_a_shape_parsed_before_does_not_hide_a_later_error(bad, message):
+    # shapes that parsed cleanly are remembered by their tokens; a run that
+    # differs, even only after the first `]`, still parses token by token
+    text = MINI.replace("%q = f32[512,512] mul", f"%q = {bad} mul")
+    fresh = MINI.replace("f32[512,512]", "f32[4,4]").replace("%q = f32[4,4] mul", f"%q = {bad} mul")
+    with pytest.raises(ParseError, match=message) as e:
+        parse_module(text)
+    with pytest.raises(ParseError, match=message) as f:
+        parse_module(fresh)
+    assert (e.value.line, e.value.col) == (f.value.line, f.value.col)
+    m = parse_module(MINI)
+    assert m.entry.find("p").shape is m.entry.find("q").shape
