@@ -9,9 +9,10 @@ arrays (`TupleShape`).
 No IR object is changed after it is built: a computation holds its
 instructions as a tuple, and passes construct fresh instructions and
 computations instead of mutating. Two things rely on this invariant. Passes
-share every computation they leave unchanged between their input and their
-output (`transform.rebuild_module`), and `verify` remembers the computation
-objects it found well-formed and does not check them again.
+share every instruction and every computation they leave unchanged between
+their input and their output (`transform._clone_instruction` and
+`transform.rebuild_module`), and `verify` remembers the computation objects
+it found well-formed and does not check them again.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ class Shape:
     and hashing are identity and each distinct shape is validated once; dims
     given as a list or as numpy ints give the same object. Shapes are
     immutable, copying or unpickling one returns the interned object, and
-    each caches its physical byte size per tile (`physical_bytes`)."""
+    each caches its physical byte size per tile (`physical_bytes`). Its text
+    is made once, when it is interned."""
 
-    __slots__ = ("dims", "etype", "_bytes")
+    __slots__ = ("dims", "etype", "_bytes", "_str")
     __setattr__ = __delattr__ = _immutable
 
     def __new__(cls, dims, etype: ElementType) -> Shape:
@@ -95,7 +97,8 @@ class Shape:
         dims = tuple(int(d) for d in dims)
         if any(d < 0 for d in dims):
             raise ValueError(f"negative dimension in shape: {dims}")
-        return _intern(cls, _SHAPES, (dims, etype._value_), dims=dims, etype=etype)
+        text = f"{etype._value_}[{','.join(map(str, dims))}]"
+        return _intern(cls, _SHAPES, (dims, etype._value_), dims=dims, etype=etype, _str=text)
 
     def __reduce__(self):
         return Shape, (self.dims, self.etype)
@@ -115,14 +118,14 @@ class Shape:
         return n
 
     def __str__(self) -> str:
-        return f"{self.etype.value}[{','.join(str(d) for d in self.dims)}]"
+        return self._str
 
 
 class TupleShape:
     """A flat tuple of array shapes, interned like `Shape`: one object per
-    element tuple."""
+    element tuple, with its text made once."""
 
-    __slots__ = ("elements", "_bytes")
+    __slots__ = ("elements", "_bytes", "_str")
     __setattr__ = __delattr__ = _immutable
 
     def __new__(cls, elements) -> TupleShape:
@@ -133,7 +136,8 @@ class TupleShape:
             pass
         if not all(isinstance(e, Shape) for e in elements):
             raise ValueError("tuple shapes may only contain array shapes")
-        return _intern(cls, _TUPLE_SHAPES, elements, elements=elements)
+        text = "(" + ", ".join(e._str for e in elements) + ")"
+        return _intern(cls, _TUPLE_SHAPES, elements, elements=elements, _str=text)
 
     def __reduce__(self):
         return TupleShape, (self.elements,)
@@ -148,7 +152,7 @@ class TupleShape:
         return iter(self.elements)
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(e) for e in self.elements) + ")"
+        return self._str
 
 
 def scalar(etype: ElementType) -> Shape:

@@ -114,10 +114,13 @@ def round_reduced(x: np.ndarray) -> np.ndarray:
     (8-bit exponent, 7-bit mantissa); result stays materialized as f32."""
     x = np.asarray(x, dtype=np.float32)
     bits = np.ascontiguousarray(x).view(np.uint32)
-    rounded = (bits + np.uint32(0x7FFF) + ((bits >> np.uint32(16)) & np.uint32(1))) & np.uint32(
-        0xFFFF0000
-    )
-    out = rounded.view(np.float32).copy()
+    out = np.empty(bits.shape, np.float32)
+    rounded = out.view(np.uint32)  # (bits + 0x7FFF + lsb) & 0xFFFF0000, worked in `out`
+    np.right_shift(bits, np.uint32(16), out=rounded)
+    rounded &= np.uint32(1)
+    rounded += np.uint32(0x7FFF)
+    rounded += bits
+    rounded &= np.uint32(0xFFFF0000)
     nan = np.isnan(x)
     if nan.any():
         out[nan] = np.float32("nan")
@@ -664,16 +667,19 @@ class Simulator:
     def _op_rng(self, instr, env, args, replicas):
         count = self._rng_counters.get(instr.id, 0)
         self._rng_counters[instr.id] = count + 1
-        out = []
-        for r in replicas:
+        shape = instr.shape
+        s32 = shape.etype is ElementType.S32
+        # each replica's draw goes straight into its row of one stack, so a
+        # varying value is never held twice
+        stack = np.empty((len(replicas), *shape.dims), np.int32 if s32 else np.float32)
+        for k, r in enumerate(replicas):
             entropy = (self.seed, r, zlib.crc32(instr.id.encode()), count)
             gen = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy)))
-            if instr.shape.etype == ElementType.S32:
-                v = gen.integers(0, 100, size=instr.shape.dims, dtype=np.int32)
+            if s32:
+                stack[k] = gen.integers(0, 100, size=shape.dims, dtype=np.int32)
             else:
-                v = gen.random(size=instr.shape.dims, dtype=np.float32)
-            out.append(coerce(v, instr.shape))
-        return Varying(np.stack(out))
+                gen.random(dtype=np.float32, out=stack[k, ...])  # the bits of a separate draw
+        return Varying(coerce(stack, shape, stack.shape[:1]))
 
     # -- pure ops ----------------------------------------------------------------
 

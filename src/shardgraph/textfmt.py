@@ -164,12 +164,17 @@ def print_module(m: Module) -> str:
 # Tokenizer
 # --------------------------------------------------------------------------- #
 
+# The alternatives start with different characters, so their order does not
+# change a token; it follows how often each occurs in a module, and the word
+# and number loops are unrolled to a run of plain characters. Possessive
+# quantifiers would cut more, but they need Python 3.11.
 _TOKEN = re.compile(
-    r'"[^"]*"'  # string
+    r"[{}()\[\]=,:]"  # punctuation
     r"|%[0-9A-Za-z_.]+"  # instruction reference
-    r"|[{}()\[\]=,:]|->"  # punctuation
-    r"|-?[0-9](?:[0-9.eE]|(?<=[eE])[+-])*|-inf"  # number; a sign only in an exponent
-    r"|[A-Za-z_](?:[0-9A-Za-z_.]|-(?!>))*"  # word, hyphenated opcodes included
+    r"|[A-Za-z_][0-9A-Za-z_.]*(?:-(?!>)[0-9A-Za-z_.]*)*"  # word, hyphenated opcodes included
+    r"|-?[0-9][0-9.eE]*(?:(?<=[eE])[+-][0-9.eE]*)*|-inf"  # number; a sign only in an exponent
+    r"|->"
+    r'|"[^"]*"'  # string
 )
 # Blanks and comments, then one token. Where no token starts, the last
 # alternative takes the rest of the text, so a lexical error is always the

@@ -16,6 +16,11 @@ module. Which clusters shard, within which groups, is the planner's call
 
 Also here: precision demotion of in-loop all-gathers and collective
 batching. The memory accounting of the result is `memory`'s.
+
+Every pass is copy-on-write. It shares with its input each computation it
+leaves alone (`rebuild_module`), and within a computation it rebuilds, each
+instruction upstream of its edits (`_clone_instruction`): only an edited
+instruction and what reads it, directly or not, are new objects.
 """
 
 from __future__ import annotations
@@ -62,10 +67,15 @@ class TransformResult:
 def _clone_instruction(
     instr: Instruction, gb: GraphBuilder, operands: tuple, comp_map: dict[str, Computation], shape=None
 ) -> Instruction:
-    """A copy of `instr` with `operands` (and `shape`, when given), added to
-    `gb`. The callees of a `while`, `conditional` or `fusion` that were
-    rebuilt in `comp_map` replace the old ones; every other field is copied
-    as is."""
+    """`instr` with `operands` (and `shape`, when given), added to `gb`. The
+    callees of a `while`, `conditional` or `fusion` that were rebuilt in
+    `comp_map` replace the old ones; every other field is copied as is.
+
+    When `operands` are `instr`'s own operand objects, no shape is given and
+    no callee was rebuilt, the copy would equal `instr`, so `instr` itself
+    is added: instructions are never changed once built, and a pass shares
+    each instruction upstream of its edits as it shares each computation it
+    leaves alone."""
     op, cond, body, branches, fused = instr.opcode, instr.cond, instr.body, instr.branches, instr.fused
     if comp_map:
         if op == "fusion":
@@ -76,8 +86,18 @@ def _clone_instruction(
                 cond = comp_map.get(cond.name, cond)
             if body is not None:
                 body = comp_map.get(body.name, body)
-        elif op == "conditional" and branches is not None:
+        elif op == "conditional" and branches is not None and any(b.name in comp_map for b in branches):
             branches = tuple(comp_map.get(b.name, b) for b in branches)
+    # operand tuples compare by identity: instructions have no `__eq__`
+    if (
+        shape is None
+        and operands == instr.operands
+        and fused is instr.fused
+        and cond is instr.cond
+        and body is instr.body
+        and branches is instr.branches
+    ):
+        return gb.add(instr)
     return gb.add(
         Instruction(
             instr.id, op, instr.shape if shape is None else shape, operands,

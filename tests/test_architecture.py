@@ -3,7 +3,8 @@ simulator, the cost model and the memory accountant) must not depend on the
 planner and the transform it checks: the simulator takes no uniformity from
 the redundancy analysis, and the cost model no rule from the planner.
 Imports are followed through every module of the package, so a dependency
-cannot hide behind another module."""
+cannot hide behind another module. No module turns the garbage collector's
+knobs."""
 
 import ast
 from pathlib import Path
@@ -119,3 +120,29 @@ def test_opcode_facts_live_in_the_ir_table():
                 n = sum(isinstance(k, ast.Constant) and k.value in OPCODES for k in names)
                 largest[path.stem] = max(largest.get(path.stem, 0), n)
     assert {name: n for name, n in largest.items() if n > 8} == {}
+
+
+def test_no_module_turns_the_collector_knobs():
+    """The passes get faster by allocating less, not by pausing, freezing or
+    retuning the cyclic garbage collector: no module calls `gc.disable`,
+    `gc.freeze`, `gc.set_threshold` or `gc.collect`, under any import name."""
+    knobs = {"disable", "freeze", "set_threshold", "collect"}
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        gc_names = {"gc"}  # the module's names for `gc` and for its knobs
+        knob_names = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                gc_names.update(a.asname or a.name for a in node.names if a.name == "gc")
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                knob_names.update((a.asname or a.name, a.name) for a in node.names if a.name in knobs)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Attribute) and f.attr in knobs and getattr(f.value, "id", None) in gc_names:
+                calls.append(f"{path.stem}:{node.lineno} gc.{f.attr}")
+            elif isinstance(f, ast.Name) and f.id in knob_names:
+                calls.append(f"{path.stem}:{node.lineno} gc.{knob_names[f.id]}")
+    assert calls == []

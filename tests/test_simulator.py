@@ -1,4 +1,5 @@
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from shardgraph.simulator import (
     Varying,
     apply_steps_array,
     bitcast_array,
+    coerce,
     cost,
     ring_all_gather,
     ring_reduce_scatter,
@@ -262,6 +264,53 @@ class TestValueLifetime:
         assert peak < 4 * rows.nbytes  # keeping every value would take about 80 of them
         assert seen == [i.id for i in m.entry.instructions]
         assert all(np.array_equal(out, np.full(self.VEC.dims, 41.0, np.float32)) for out in res.outputs)
+
+
+class TestRng:
+    """`rng` draws each replica's row straight into one stack."""
+
+    N = 4
+
+    @staticmethod
+    def per_replica_stack(seed, instr_id, shape, n):
+        """The draws made one replica at a time and stacked afterwards, as
+        the simulator made them before it filled one stack."""
+        out = []
+        for r in range(n):
+            entropy = (seed, r, zlib.crc32(instr_id.encode()), 0)
+            gen = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy)))
+            if shape.etype == S32:
+                v = gen.integers(0, 100, size=shape.dims, dtype=np.int32)
+            else:
+                v = gen.random(size=shape.dims, dtype=np.float32)
+            out.append(coerce(v, shape))
+        return np.stack(out)
+
+    def run_rng(self, shape, seed=5):
+        gb = GraphBuilder("main")
+        m = module_of(gb.finish(gb.emit("rng", shape, id="noise")), self.N)
+        return run(m, {}, seed=seed)
+
+    @pytest.mark.parametrize(
+        "shape", [Shape((5, 3), F32), Shape((2, 3, 4), F32), Shape((7,), S32), scalar(F32), scalar(S32), Shape((4, 6), F16R)]
+    )
+    def test_matches_the_per_replica_stack(self, shape):
+        res = self.run_rng(shape)
+        assert bitwise_same(np.stack(res.outputs), self.per_replica_stack(5, "noise", shape, self.N))
+
+    @pytest.mark.parametrize("etype", [F32, S32])
+    def test_holds_one_value_not_two(self, etype):
+        shape = Shape((1 << 16,), etype)  # 1 MiB over four replicas
+        self.run_rng(Shape((4,), etype))  # allocations made once per process
+        tracemalloc.start()
+        try:
+            res = self.run_rng(shape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stack = self.N * shape.element_count * 4
+        assert peak < 1.5 * stack  # the draws and their stack would take two
+        assert np.stack(res.outputs).nbytes == stack
 
 
 class TestPerReplicaInputs:

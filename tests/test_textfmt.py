@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from test_cli_fuzz import ODD_TOKENS, TOKEN, forced_shard_programs
 from shardgraph.generators import GenConfig, _chain, build_training_module, gen_module
 from shardgraph.ir import modules_equal, ring_topology
-from shardgraph.textfmt import ParseError, parse_module, print_module
+from shardgraph.textfmt import _SCAN, _TOKEN, ParseError, parse_module, print_module
 
 MINI = """
 module N=2 topology=ring {
@@ -290,6 +292,32 @@ def test_token_mutants_of_emitted_programs_raise_nothing_but_parse_error(program
         else:
             tokens[k] = token
     _raises_only_parse_error("".join(tokens))
+
+
+# The tokenizer's patterns before their alternatives were reordered and their
+# word and number loops unrolled, kept as the reference the new ones must match.
+_REFERENCE_TOKEN = re.compile(
+    r'"[^"]*"'
+    r"|%[0-9A-Za-z_.]+"
+    r"|[{}()\[\]=,:]|->"
+    r"|-?[0-9](?:[0-9.eE]|(?<=[eE])[+-])*|-inf"
+    r"|[A-Za-z_](?:[0-9A-Za-z_.]|-(?!>))*"
+)
+_REFERENCE_SCAN = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(" + _REFERENCE_TOKEN.pattern + r"|[\s\S]*)")
+_LEXICAL_PIECES = [
+    "# note -> 1e+5\n", "#", '"a b"', '"1e-3 ->"', '"', "->", "-", ">", "-inf", "-in", "inf", "1e+5", "2.5E-3",
+    "1e", "e+", "1e+-2", "7.", ".5", "-0", "+1", "all-reduce", "get-tuple-element", "a-", "-a", "a->b", "x-1",
+    "%x.1", "%", "%-", "{", "}", "(", ")", "[", "]", "=", ",", ":", " ", "\n", "\t", "\r", "²", "١", "é", "_",
+]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.sampled_from(_LEXICAL_PIECES), st.text(max_size=3)), max_size=24).map("".join))
+def test_tokenizer_matches_its_reference_patterns(text):
+    toks = _SCAN.findall(text)
+    assert toks == _REFERENCE_SCAN.findall(text)
+    # `_tokenize` tells a lexical error by the last token not being a token
+    assert [bool(_TOKEN.fullmatch(t)) for t in toks] == [bool(_REFERENCE_TOKEN.fullmatch(t)) for t in toks]
 
 
 def test_deeply_nested_tuple_shapes_are_a_parse_error():

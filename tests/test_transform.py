@@ -5,7 +5,15 @@ import random
 import numpy as np
 import pytest
 
-from conftest import bitwise_same, chain_inputs, outputs_bitwise_equal, run_pipeline, small_preset, training_inputs
+from conftest import (
+    bitwise_same,
+    chain_inputs,
+    compiled_small_presets,
+    outputs_bitwise_equal,
+    run_pipeline,
+    small_preset,
+    training_inputs,
+)
 from shardgraph import profitability, transform
 from shardgraph.cli import main
 from shardgraph.generators import MODELS, GenConfig, _chain, build_training_module, gen_module
@@ -21,6 +29,7 @@ from shardgraph.ir import (
     Shape,
     TupleShape,
     computations_equal,
+    instructions_equal,
     mesh_topology,
     modules_equal,
     physical_bytes,
@@ -587,7 +596,67 @@ def _assert_unchanged_computations_shared(before: Module, after: Module) -> int:
     return len(shared)
 
 
+def _assert_shared_exactly_upstream_of_edits(before: Module, after: Module) -> int:
+    """Every instruction of `after` is the object of `before` with its id, in
+    the computation it was rebuilt from, exactly when it is not downstream of
+    an edit. A forward pass over `before` works that out: an instruction is
+    clean when `after` holds one with its id and fields, calling the very
+    same computations, and all its operands are clean. Returns how many
+    instructions are shared."""
+    old = {c.name: c for c in before.computations()}
+    before_ids = {id(i) for k in old.values() for i in k.instructions}
+    shared = 0
+    for c in after.computations():
+        # a conditional branch that now takes shards is rebuilt as `<name>.sharded`
+        src = old.get(c.name) or old.get(c.name.removesuffix(".sharded"))
+        if src is None:  # built by the pass: nothing in it comes from `before`
+            assert not any(id(i) in before_ids for i in c.instructions), c.name
+            continue
+        out = {i.id: i for i in c.instructions}
+        clean: dict[str, bool] = {}
+        for i in src.instructions:  # operands before users
+            o = out.get(i.id)
+            clean[i.id] = (
+                o is not None
+                and instructions_equal(i, o)
+                and len(o.called_computations) == len(i.called_computations)
+                and all(a is b for a, b in zip(o.called_computations, i.called_computations))
+                and all(clean[x.id] for x in i.operands)
+            )
+        mine = {i.id: i for i in src.instructions}
+        for o in c.instructions:
+            is_input = o is mine.get(o.id)
+            assert is_input == clean.get(o.id, False), (c.name, o.id, is_input)
+            shared += is_input
+    return shared
+
+
 class TestCopyOnWrite:
+    def test_instructions_are_shared_exactly_upstream_of_edits(self):
+        # every compiled small preset, and a module whose outfeed branch
+        # takes shards after `apply`
+        cases = [(n, m, r.decisions, r.manifest.notes["steps_assumed"]) for n, m, r, _ in compiled_small_presets()]
+        outfeed = gen_module("mlp", topology=mesh_topology(2, 4), steps=3, layers=2, dim=16, outfeed_every=2)
+        cases.append(("mlp-outfeed", outfeed, forced_transform(outfeed, 3).decisions, 3))
+        branches = 0
+        for name, m, decisions, steps in cases:
+            module = m
+            for label, p in (
+                ("apply", lambda x: transform.apply(x, decisions, steps_hint=steps).main),
+                ("demote", transform.demote_allgather_precision),
+                ("batch", transform.batch_collectives),
+            ):
+                text = print_module(module)
+                out = p(module)
+                assert print_module(module) == text, (name, label)
+                if out is not module:
+                    shared = _assert_shared_exactly_upstream_of_edits(module, out)
+                    assert 0 < shared < len(out.all_instructions()), (name, label)
+                if label == "apply":
+                    branches += sum(c.name.endswith(".sharded") for c in out.computations())
+                module = out
+        assert branches > 0
+
     @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("topology", [ring_topology(4), mesh_topology(2, 2)], ids=["ring4", "mesh2x2"])
     def test_passes_leave_their_input_unchanged(self, model, topology):
@@ -693,12 +762,37 @@ class TestCloneInstruction:
             else:
                 assert got is old, f.name
 
+    @pytest.mark.parametrize("opcode", ["while", "conditional", "fusion", "add"])
+    def test_unchanged_operands_return_the_instruction_itself(self, opcode):
+        instr = self._original(opcode)
+        unrelated = {"elsewhere": self._callee("elsewhere")}  # rebuilt, but not called here
+        gb = GraphBuilder("out")
+        same = tuple(list(instr.operands))  # another tuple of the same objects
+        assert same is not instr.operands
+        assert transform._clone_instruction(instr, gb, same, unrelated) is instr
+        assert gb.instructions == [instr]
+
+    @pytest.mark.parametrize(
+        "opcode, rebuilt", [("while", "cond"), ("while", "body"), ("conditional", "no"), ("fusion", "fused")]
+    )
+    def test_a_rebuilt_callee_makes_a_new_instruction(self, opcode, rebuilt):
+        instr = self._original(opcode)
+        gb = GraphBuilder("out")
+        clone = transform._clone_instruction(instr, gb, instr.operands, {rebuilt: self._callee(rebuilt)})
+        assert clone is not instr and gb.instructions == [clone]
+        assert clone.operands is instr.operands
+        assert [c.name for c in clone.called_computations] == [c.name for c in instr.called_computations]
+        assert any(a is not b for a, b in zip(clone.called_computations, instr.called_computations))
+
     def test_shape_override_and_duplicate_ids(self):
         instr = self._original("bitcast")
         gb = GraphBuilder("out")
         new_shape = Shape((3,), F16R)
         clone = transform._clone_instruction(instr, gb, instr.operands, {}, new_shape)
         assert clone.shape is new_shape and clone.dims is instr.dims
+        same = transform._clone_instruction(instr, GraphBuilder("other"), instr.operands, {}, instr.shape)
+        assert same is not instr and same.shape is instr.shape  # an override is a copy, even to the same shape
+        # the instruction itself comes back here, and its id is taken
         with pytest.raises(ValueError, match="duplicate instruction id: orig"):
             transform._clone_instruction(instr, gb, instr.operands, {})
 
