@@ -213,14 +213,29 @@ def is_tile_aligned(shape: Shape, tile: tuple[int, int] = DEFAULT_TILE) -> bool:
 class Opcode(NamedTuple):
     operands: range  # the operand counts the opcode takes
     callees: tuple[str, ...] = ()  # the callee attributes it owns, by their text names
+    attributes: tuple[str, ...] = ()  # the attributes its printed line carries, by their text names, in order
 
 
 _CALLEES = {"while": ("cond", "body"), "conditional": ("true", "false"), "fusion": ("calls",)}
+# a fusion's line leaves out `spec` and `groups` when they are unset
+_ATTRIBUTES = {
+    "iota": ("dim",),
+    "compare": ("direction",),
+    "broadcast": ("dims",),
+    "reduce": ("dims", "kind"),
+    "pad": ("low", "high"),
+    "dynamic-slice": ("sizes",),
+    "get-tuple-element": ("index",),
+    "all-reduce": ("kind", "groups"),
+    "while": ("cond", "body"),
+    "conditional": ("true", "false"),
+    "fusion": ("kind", "calls", "spec", "groups"),
+}
 
-# Every opcode, with its operand counts and callee attributes. The parser and
-# `verify` both check instructions against this table.
+# Every opcode, with its operand counts, callee attributes and printed
+# attributes. The parsers and `verify` check instructions against this table.
 OPCODES: dict[str, Opcode] = {
-    op: Opcode(counts, _CALLEES.get(op, ()))
+    op: Opcode(counts, _CALLEES.get(op, ()), _ATTRIBUTES.get(op, ()))
     for counts, ops in (
         (range(0, 1), "parameter constant iota replica-id rng"),
         (range(1, 2), "sqrt convert broadcast reshape bitcast get-tuple-element while outfeed"),

@@ -132,16 +132,17 @@ def _instruction_line(instr: Instruction) -> str:
     return line
 
 
+def _signature(comp: Computation) -> str:
+    """The parameter list of a computation's header, without its parentheses."""
+    return ", ".join(
+        f"%{p.id}: {p.shape} {{replica_equal}}" if p.replica_equal else f"%{p.id}: {p.shape}"
+        for p in comp.parameters
+    )
+
+
 def _computation_text(comp: Computation, entry: bool) -> list[str]:
-    params = comp.parameters
-    sig_parts = []
-    for p in params:
-        part = f"%{p.id}: {p.shape}"
-        if p.replica_equal:
-            part += " {replica_equal}"
-        sig_parts.append(part)
     head = "entry computation" if entry else "computation"
-    lines = [f"  {head} {comp.name} ({', '.join(sig_parts)}) -> {comp.root.shape} {{"]
+    lines = [f"  {head} {comp.name} ({_signature(comp)}) -> {comp.root.shape} {{"]
     for instr in comp.instructions:
         lines.append("    " + _instruction_line(instr))
     lines.append(f"    return (%{comp.root.id})")
@@ -589,6 +590,204 @@ class _Parser:
         return comps[t]
 
 
+# --------------------------------------------------------------------------- #
+# Line reader
+# --------------------------------------------------------------------------- #
+
+# A word token wherever the printer puts one: a blank, `(`, `,` or the end of
+# the line follows it, so a `-` in it never starts `->`.
+_WORD = r"[A-Za-z_][0-9A-Za-z_.-]*"
+_SHAPE = r"\([^()]*\)|[a-z0-9]+\[[0-9,]*\]"
+_HEADER = re.compile(
+    r"module N=([1-9][0-9]*) topology=(?:ring|mesh ([1-9][0-9]*)x([1-9][0-9]*))"
+    r"(?: tile=([1-9][0-9]*)x([1-9][0-9]*))? \{"
+)
+_COMPUTATION = re.compile(rf"  (entry )?computation ({_WORD}) \((.*)\) -> ({_SHAPE}) \{{")
+_INSTRUCTION = re.compile(rf"    %([0-9A-Za-z_.]+) = ({_SHAPE}) ([a-z-]+)\(([^()]*)\)(.*)")
+_RETURN = "    return (%"
+_WORD_VALUE = re.compile(_WORD)
+
+# the shorter attribute lists of a fusion line (`ir.OPCODES` has the full one)
+_FUSION_KEYS = {("kind", "calls"), ("kind", "calls", "spec"), ("kind", "calls", "groups")}
+# the instruction field of each key whose field has another name
+_FIELDS = {"dim": "dims", "low": "pad_low", "high": "pad_high", "sizes": "slice_sizes", "calls": "fused"}
+
+
+# Each reader returns the value the token parser makes of a printed value, and
+# raises ValueError unless printing that value gives back the same text.
+
+
+def _int(t: str) -> int:
+    v = int(t)
+    if str(v) != t:
+        raise ValueError(t)
+    return v
+
+
+def _ints(t: str) -> tuple[int, ...]:
+    v = tuple(map(int, t[1:-1].split(","))) if t != "[]" else ()
+    if f"[{','.join(map(str, v))}]" != t:
+        raise ValueError(t)
+    return v
+
+
+def _word(t: str) -> str:
+    if not _WORD_VALUE.fullmatch(t):
+        raise ValueError(t)
+    return t
+
+
+def _groups(t: str) -> ReplicaGroups:
+    if t == "all":
+        return ALL_REPLICAS
+    groups = ReplicaGroups(tuple(tuple(map(int, g.split(","))) for g in t[2:-2].split("},{")))
+    if str(groups) != t:
+        raise ValueError(t)
+    return groups
+
+
+def _spec(t: str):
+    spec = parse_spec_string(t[1:-1])
+    if f'"{spec}"' != t:
+        raise ValueError(t)
+    return spec
+
+
+_READERS = {
+    "dim": lambda t: (_int(t),),
+    "dims": _ints,
+    "low": _ints,
+    "high": _ints,
+    "sizes": _ints,
+    "index": _int,
+    "kind": _word,
+    "direction": _word,
+    "groups": _groups,
+    "spec": _spec,
+}
+
+
+def _literal(t: str, etype: ElementType) -> float:
+    v = 1.0 if t == "true" else 0.0 if t == "false" else float(t)
+    if _fmt_number(v, etype) != t:
+        raise ValueError(t)
+    return v
+
+
+def _array_shape(t: str) -> Shape:
+    etype, _, dims = t.partition("[")
+    return Shape(tuple(map(int, dims[:-1].split(","))) if dims != "]" else (), _ETYPES[etype])
+
+
+def _read_shape(t: str) -> Shape | TupleShape:
+    if t[0] == "(":
+        shape = TupleShape([_array_shape(e) for e in t[1:-1].split(", ")] if t != "()" else ())
+    else:
+        shape = _array_shape(t)
+    if str(shape) != t:
+        raise ValueError(t)
+    return shape
+
+
+def _parse_lines(text: str) -> Module | None:
+    """The module in `text` when every line of it is as `print_module` writes
+    it; None for any other text, valid or not. The module is then the one
+    the token parser builds from the same text, and prints back to it."""
+    try:
+        return _read_lines(text.split("\n"))
+    except (ValueError, LookupError, RecursionError):  # `Module.computations` recurses per call depth
+        return None
+
+
+def _read_lines(lines: list[str]) -> Module | None:
+    head = _HEADER.fullmatch(lines[0])
+    if head is None or lines[-2:] != ["}", ""]:
+        return None
+    n, rows, cols, tile_rows, tile_cols = head.groups()
+    n = int(n)
+    topology = Topology("ring", 1, n) if rows is None else Topology("mesh", int(rows), int(cols))
+    tile = DEFAULT_TILE
+    if tile_rows is not None:
+        tile = (int(tile_rows), int(tile_cols))
+        if tile == DEFAULT_TILE:  # the printer leaves the default out
+            return None
+    shapes: dict[str, Shape | TupleShape] = {}  # by text
+    comps: dict[str, Computation] = {}
+    entry = None
+    match_instruction = _INSTRUCTION.fullmatch
+    k = 1
+    while k < len(lines) - 2:
+        head = _COMPUTATION.fullmatch(lines[k])
+        if head is None or head[2] in comps:
+            return None
+        by_id: dict[str, Instruction] = {}  # in line order
+        k += 1
+        while (line := match_instruction(lines[k])) is not None:
+            k += 1
+            iid, shape_text, opcode, args, rest = line.groups()
+            try:
+                shape = shapes[shape_text]
+            except KeyError:
+                shape = shapes[shape_text] = _read_shape(shape_text)
+            operands = ()
+            attrs = {}
+            if opcode == "parameter":
+                attrs["index"] = _int(args)
+                if rest == " {replica_equal}":
+                    attrs["replica_equal"] = True
+                    rest = ""
+            elif opcode == "constant":
+                if args and not isinstance(shape, Shape):
+                    return None
+                attrs["value"] = tuple(_literal(t, shape.etype) for t in args.split(", ")) if args else ()
+            elif args:
+                if args[0] != "%":
+                    return None
+                operands = tuple([by_id[r] for r in args[1:].split(", %")])
+            info = OPCODES[opcode]
+            if len(operands) not in info.operands or iid in by_id:
+                return None
+            if rest or info.attributes:
+                if rest[:2] != ", ":
+                    return None
+                pairs = [p.split("=", 1) for p in rest[2:].split(", ")]
+                keys = tuple(key for key, _ in pairs)
+                if keys != info.attributes and (opcode != "fusion" or keys not in _FUSION_KEYS):
+                    return None
+                for key, value in pairs:
+                    attrs[_FIELDS.get(key, key)] = comps[value] if key in _CALLER else _READERS[key](value)
+                if opcode == "conditional":
+                    attrs["branches"] = (attrs.pop("true"), attrs.pop("false"))
+                elif "spec" in attrs and "groups" in attrs:
+                    attrs["spec"] = dataclasses.replace(attrs["spec"], group=attrs["groups"])
+            by_id[iid] = Instruction(iid, opcode, shape, operands, **attrs)
+        ret = lines[k]
+        if not ret.startswith(_RETURN) or ret[-1] != ")" or lines[k + 1] != "  }":
+            return None
+        root = by_id[ret[len(_RETURN) : -1]]
+        comp = Computation(head[2], by_id.values(), root)
+        if head[3] != _signature(comp) or head[4] != str(root.shape):
+            return None
+        comps[comp.name] = comp
+        if head[1]:
+            if entry is not None:
+                return None
+            entry = comp
+        k += 2
+    if entry is None:
+        return None
+    m = Module(entry, n, topology, tile)
+    # the printer writes the computations the entry reaches, callees first
+    if m.computations() != list(comps.values()):
+        return None
+    return m
+
+
 def parse_module(text: str) -> Module:
-    """Parse module text. Raises ParseError with line/column on malformed input."""
-    return _Parser(text).parse_module()
+    """Parse module text. Raises ParseError with line/column on malformed input.
+
+    Text as `print_module` writes it is read a line at a time
+    (`_parse_lines`); any other text, and so every malformed one, goes to the
+    token parser, which alone raises ParseError."""
+    m = _parse_lines(text)
+    return _Parser(text).parse_module() if m is None else m

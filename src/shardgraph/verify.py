@@ -79,6 +79,29 @@ def check(m: Module):
 # computation -> the (replica_count, tile) pairs it passed every
 # per-computation check at
 _CLEAN: weakref.WeakKeyDictionary[Computation, set[tuple]] = weakref.WeakKeyDictionary()
+# `id()` of each instruction of a clean computation -> (a weak reference to
+# that computation, its set in `_CLEAN`). A slotted instruction cannot be
+# weakly referenced, so it is named through the computation that holds it:
+# while the reference is live the instruction is too, and the id names no
+# other object. The computation's entries go when it dies.
+_PASSED: dict[int, tuple[weakref.ref, set[tuple]]] = {}
+
+
+def _remember(comp: Computation, facts: tuple):
+    clean = _CLEAN.get(comp)
+    if clean is None:
+        clean = _CLEAN[comp] = set()
+        instrs = comp.instructions
+        entry = (weakref.ref(comp, lambda ref: _forget(ref, instrs)), clean)
+        _PASSED.update(dict.fromkeys(map(id, instrs), entry))
+    clean.add(facts)
+
+
+def _forget(ref: weakref.ref, instrs: tuple[Instruction, ...]):
+    """Drop the entries a dead computation's reference still holds."""
+    for i in map(id, instrs):
+        if _PASSED.get(i, (None,))[0] is ref:
+            del _PASSED[i]
 
 
 class _Verifier:
@@ -86,6 +109,7 @@ class _Verifier:
 
     def __init__(self, m: Module):
         self.m = m
+        self.facts = (m.replica_count, m.tile)  # the module facts the per-computation checks read
         self.diags: list[Diagnostic] = []
         # what is wrong with each distinct explicit partition (None: valid),
         # so that instructions sharing one check it once
@@ -103,7 +127,7 @@ class _Verifier:
             self.diags.append(
                 Diagnostic("<module>", "computation names", f"duplicate computation names: {dup}")
             )
-        facts = (self.m.replica_count, self.m.tile)
+        facts = self.facts
         for comp in comps:
             if facts in _CLEAN.get(comp, ()):
                 self.check_ids(comp, seen_ids)
@@ -111,7 +135,7 @@ class _Verifier:
             before = len(self.diags)
             self.check_computation(comp, seen_ids)
             if len(self.diags) == before:
-                _CLEAN.setdefault(comp, set()).add(facts)
+                _remember(comp, facts)
 
     def check_ids(self, comp: Computation, seen_ids: set[str]):
         """The module-wide part of `check_computation`: ids unique across
@@ -132,6 +156,8 @@ class _Verifier:
                 )
             )
         handlers = self._HANDLERS
+        facts = self.facts
+        passed = _PASSED.get
         for instr in comp.instructions:
             if instr.id in seen_ids:
                 self.fail(instr, "unique ids", "duplicate instruction id in module")
@@ -139,6 +165,12 @@ class _Verifier:
             for op in instr.operands:
                 if op not in defined:
                     self.fail(instr, "def before use", f"operand %{op.id} not defined earlier in {comp.name}")
+            defined.add(instr)
+            # its own rules read only the instruction, the objects it holds
+            # and the facts, so they hold as they did in a clean computation
+            entry = passed(id(instr))
+            if entry is not None and facts in entry[1] and entry[0]() is not None:
+                continue
             rule = handlers.get(instr.opcode)
             if rule is None:
                 self.fail(instr, "opcode", f"unknown opcode {instr.opcode}")
@@ -152,7 +184,6 @@ class _Verifier:
                     handler(self, instr)
                 else:
                     self.fail(instr, "operand count", operand_count_message(instr.opcode, len(instr.operands)))
-            defined.add(instr)
         if comp.root not in defined:
             self.diags.append(Diagnostic(comp.name, "root", "root is not an instruction of the computation"))
 

@@ -1,13 +1,17 @@
+import json
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import compiled_small_presets
+from parse_errors import OUTCOMES
+from parse_errors import inputs as corpus_inputs
 from test_cli_fuzz import ODD_TOKENS, TOKEN, forced_shard_programs
-from shardgraph.generators import GenConfig, _chain, build_training_module, gen_module
+from shardgraph.generators import MODELS, GenConfig, _chain, build_training_module, gen_module
 from shardgraph.ir import modules_equal, ring_topology
-from shardgraph.textfmt import _SCAN, _TOKEN, ParseError, parse_module, print_module
+from shardgraph.textfmt import _SCAN, _TOKEN, ParseError, _parse_lines, _Parser, parse_module, print_module
 
 MINI = """
 module N=2 topology=ring {
@@ -255,17 +259,27 @@ def test_values_the_ir_rejects_are_parse_errors(old, new, message, line, col):
     assert (e.value.line, e.value.col) == (line, col)
 
 
-def _raises_only_parse_error(text: str) -> None:
+def _agrees(text: str) -> bool:
+    """Whether the line path reads `text`. It must read only text the token
+    parser accepts, as the same module, and must give back `text` when the
+    module is printed; anything else, the token parser raises only
+    ParseError on."""
+    lines = _parse_lines(text)
     try:
-        parse_module(text)
+        tokens = _Parser(text).parse_module()
     except ParseError:
-        pass
+        assert lines is None
+        return False
+    if lines is not None:
+        assert modules_equal(lines, tokens)
+        assert print_module(lines) == text
+    return lines is not None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.text())
 def test_any_text_raises_nothing_but_parse_error(text):
-    _raises_only_parse_error(text)
+    _agrees(text)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -291,7 +305,69 @@ def test_token_mutants_of_emitted_programs_raise_nothing_but_parse_error(program
             tokens.insert(k, token)
         else:
             tokens[k] = token
-    _raises_only_parse_error("".join(tokens))
+    _agrees("".join(tokens))
+
+
+def test_line_edits_of_emitted_programs_agree_with_the_token_parser():
+    """One token of one line replaced, by an odd token or by another token
+    of the same program, the line's blanks kept: most edits leave text the
+    line path must decide on, and some leave it valid."""
+    read = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(sorted(forced_shard_programs().items())),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.one_of(st.sampled_from(ODD_TOKENS + ["²", "-0", "1.0"]), st.integers(0, 10**6)),
+    )
+    def edit(program, line, token, new):
+        lines = program[1].split("\n")
+        line %= len(lines)
+        tokens = TOKEN.findall(lines[line])
+        spots = [i for i, t in enumerate(tokens) if not t.isspace()]
+        if spots:
+            if isinstance(new, int):  # a token of the program
+                pool = [t for t in TOKEN.findall(program[1]) if not t.isspace()]
+                new = pool[new % len(pool)]
+            tokens[spots[token % len(spots)]] = new
+            lines[line] = "".join(tokens)
+        read.append(_agrees("\n".join(lines)))
+
+    edit()
+    assert read.count(True) > 20 and read.count(False) > 100, (read.count(True), read.count(False))
+
+
+def test_line_path_gives_up_on_every_rejected_corpus_text():
+    """Over the golden parse corpus, whose outcomes the token parser set: the
+    line path reads only accepted texts, and reads them as the token parser
+    does."""
+    golden = json.loads(OUTCOMES.read_text())
+    read = 0
+    for label, text in corpus_inputs():
+        module = _parse_lines(text)
+        if module is None:
+            continue
+        read += 1
+        assert golden[label] == "accepted", label
+        assert modules_equal(module, _Parser(text).parse_module()), label
+        assert print_module(module) == text, label
+    assert read >= 20
+
+
+def test_printed_programs_take_the_line_path():
+    """Every generator preset and every program a compile emits prints as
+    text the line path reads, so a printer change that leaves that form
+    fails here instead of falling back to the token parser unnoticed."""
+    programs = [(model, gen_module(model)) for model in MODELS]
+    for name, baseline, result, main in compiled_small_presets():
+        programs += [(f"{name} baseline", baseline), (f"{name} main", main)]
+        programs += [(f"{name} {p}", getattr(result, p)) for p in ("shard_program", "main", "unshard_program")]
+    for name, m in programs:
+        text = print_module(m)
+        module = _parse_lines(text)
+        assert module is not None, name
+        assert modules_equal(module, m), name
 
 
 # The tokenizer's patterns before their alternatives were reordered and their

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from shardgraph.ir import (
     Computation,
     F32,
     GraphBuilder,
+    Instruction,
     Module,
     OPCODES,
     PRED,
@@ -23,7 +25,7 @@ from shardgraph.ir import (
 from shardgraph.generators import gen_module
 from shardgraph.simulator import SimulationError, Simulator
 from shardgraph.textfmt import ParseError, parse_module, print_module
-from shardgraph.verify import verify
+from shardgraph.verify import Diagnostic, verify
 
 
 def module_of(comp, n=2):
@@ -272,6 +274,90 @@ class TestRememberedComputations:
         # the remembered branch is visited second, so the duplicate is its
         assert [(d.instruction, d.rule) for d in verify(m)] == [("dup", "unique ids")]
         assert [(d.instruction, d.rule) for d in verify(m)] == [("dup", "unique ids")]
+
+
+class TestSharedInstructions:
+    """An instruction that passed in a clean computation is not checked by
+    its own rules again at the same replica count and tile; the rules that
+    depend on the computation holding it still run."""
+
+    @pytest.fixture
+    def handled(self, monkeypatch):
+        from shardgraph.verify import _Verifier
+
+        seen: list[str] = []  # ids whose opcode handler ran, in order
+        counting = {}
+        for op, (counts, owned, handler) in _Verifier._HANDLERS.items():
+            def run(self, instr, handler=handler):
+                seen.append(instr.id)
+                return handler(self, instr)
+
+            counting[op] = (counts, owned, run)
+        monkeypatch.setattr(_Verifier, "_HANDLERS", counting)
+        return seen
+
+    def test_a_rebuilt_computation_checks_only_its_new_instructions(self, handled):
+        gb = GraphBuilder("main")
+        p = gb.parameter(0, F4, "p")
+        sq = gb.emit("sqrt", F4, (p,), id="sq")
+        assert verify(module_of(gb.finish(sq))) == []
+        assert handled == ["p", "sq"]
+        added = Instruction("twice", "add", F4, (sq, sq))
+        assert verify(module_of(Computation("main", [p, sq, added], added))) == []
+        assert handled == ["p", "sq", "twice"]
+
+    def test_a_shared_instruction_placed_before_its_operand_is_reported(self):
+        gb = GraphBuilder("main")
+        p = gb.parameter(0, F4, "p")
+        sq = gb.emit("sqrt", F4, (p,), id="sq")
+        assert verify(module_of(gb.finish(sq))) == []
+        diags = verify(module_of(Computation("main", [sq, p], sq)))
+        assert [(d.instruction, d.rule) for d in diags] == [("sq", "def before use")]
+
+    def test_shared_instructions_keep_ids_parameters_and_root_checks(self):
+        gb = GraphBuilder("main")
+        p = gb.parameter(0, F4, "p")
+        sq = gb.emit("sqrt", F4, (p,), id="sq")
+        assert verify(module_of(gb.finish(sq))) == []
+        other = Instruction("sq", "sqrt", F4, (p,))
+        assert rules(verify(module_of(Computation("main", [p, sq, other], other)))) == {"unique ids"}
+        second = Instruction("p2", "parameter", F4, index=0)
+        assert rules(verify(module_of(Computation("main", [p, sq, second], sq)))) == {"parameter indices"}
+        assert rules(verify(module_of(Computation("main", [p, sq], other)))) == {"root"}
+
+    def test_a_shared_instruction_is_checked_again_at_another_replica_count(self):
+        clean = _grouped_all_reduce()
+        assert verify(module_of(clean, n=8)) == []
+        rebuilt = Computation("main", clean.instructions, clean.root)
+        diags = verify(module_of(rebuilt, n=4))
+        assert [(d.instruction, d.rule) for d in diags] == [("ar", "replica groups")]
+
+    def test_an_instruction_of_a_malformed_computation_is_checked_again(self, handled):
+        gb = GraphBuilder("main")
+        p = gb.parameter(2, F4, "p")  # no parameter 0
+        sq = gb.emit("sqrt", F4, (p,), id="sq")
+        assert rules(verify(module_of(gb.finish(sq)))) == {"parameter indices"}
+        fixed = Instruction("p", "parameter", F4, index=0)
+        sq2 = Instruction("sq", "sqrt", F4, (fixed,))
+        assert verify(module_of(Computation("main", [fixed, sq2, sq], sq2))) == [
+            Diagnostic("sq", "unique ids", "duplicate instruction id in module"),
+            Diagnostic("sq", "def before use", "operand %p not defined earlier in main"),
+        ]
+        assert handled == ["p", "sq", "p", "sq", "sq"]
+
+    def test_the_memory_goes_with_the_clean_computation(self):
+        from shardgraph.verify import _PASSED
+
+        gb = GraphBuilder("main")
+        p = gb.parameter(0, F4, "p")
+        m = module_of(gb.finish(gb.emit("sqrt", F4, (p,), id="sq")))
+        assert verify(m) == []
+        ids = [id(i) for i in m.entry.instructions]
+        assert all(i in _PASSED for i in ids)
+        del m, p, gb
+        gc.collect()
+        # the ids may now name new objects, which were never checked
+        assert not any(i in _PASSED for i in ids)
 
 
 def test_computation_holds_a_tuple():
