@@ -21,15 +21,28 @@ Tokens are ASCII: punctuation `{}()[]=,:` and `->`; words
 after an exponent marker, and `-inf`; strings `"..."` without escapes.
 Blanks, newlines and `#` comments separate them; any other character,
 non-ASCII digits and letters included, is an error outside strings and
-comments. One compiled pattern scans the whole text in C and the parser
-reads plain token strings. Positions are worked out only for an error, by
-scanning again up to the failing token: lines count newlines between
-tokens, and columns count characters, where a comment counts none and a
-newline inside a string counts as one.
+comments.
+
+`parse_module` has two paths, and the input alone picks one:
+
+- The line reader (`_parse_lines`) takes text exactly as `print_module`
+  writes it: one compiled pattern per kind of line, shapes looked up by
+  their text, and each value checked by printing it back. It reads only
+  such text, which the token parser accepts too, and builds the module the
+  token parser builds from it, through the same constructors. On any other
+  line, and on anything the token parser would reject, it gives up.
+- The token parser (`_Parser`) then reads the whole text. It is the only
+  path for comments, other spacing and hand-written modules, and the only
+  code that raises `ParseError`. One compiled pattern scans the whole text
+  in C, and the parser reads plain token strings. Positions are worked out
+  only for an error, by scanning again up to the failing token: lines count
+  newlines between tokens, and columns count characters, where a comment
+  counts none and a newline inside a string counts as one.
 
 Every malformed input raises `ParseError`, including values the IR
 rejects (a negative dimension, a replica count that is not the topology's)
-and bad sharding spec strings.
+and bad sharding spec strings. Nothing is remembered from one call to the
+next.
 """
 
 from __future__ import annotations

@@ -19,6 +19,14 @@ computation is not checked again at the same count and tile; the
 module-wide checks (ids unique across the module, computation names unique)
 run on every call. A compile therefore checks each computation object once,
 however many passes share it.
+
+An instruction's own rules (operand count, callees, its opcode's shape
+rule) read only the instruction, the objects it holds and those two facts.
+So in a computation not yet found clean, an instruction that a clean
+computation holds at the same count and tile skips them; unique ids,
+def-before-use, parameter indices and the root check run for every
+computation. A pass that rebuilds a body therefore checks only the
+instructions it made anew.
 """
 
 from __future__ import annotations
