@@ -355,6 +355,57 @@ def test_line_path_gives_up_on_every_rejected_corpus_text():
     assert read >= 20
 
 
+CONST = """module N=1 topology=ring {
+  entry computation main () -> f32[2] {
+    %c = f32[2] constant(1.0, 2.5)
+    return (%c)
+  }
+}
+"""
+LOOP = print_module(gen_module("mlp", replicas=2, steps=2, layers=1, dim=8))
+UNUSED = "  computation unused (%q: f32[4]) -> f32[4] {\n    %q = f32[4] parameter(0)\n    return (%q)\n  }\n"
+
+
+@pytest.mark.parametrize("base, old, new, accepted", [
+    # the token parser reads these, but the module prints as other text
+    (MESH, "2x2 {", "2x2 tile=8x128 {", True),
+    (MESH, "N=4", "N=04", True),
+    (MESH, "f32[4] parameter", "f32[04] parameter", True),
+    (MESH, "parameter(0)", "parameter(00)", True),
+    (MESH, "(%p: f32[4])", "(%p: f32[4], %q: s32[])", True),  # the signature is not read
+    (MESH, "-> f32[4] {", "-> s32[] {", True),  # nor compared with the root
+    (MESH, "  entry computation", "  computation", True),  # the entry is then the last one
+    (MESH, "    return (%p)", "    return (%p)  # root", True),
+    (MESH, "{\n  entry", "{\n" + UNUSED + "  entry", True),  # not reached from the entry
+    (CONST, "constant(1.0, 2.5)", "constant(1.0, 2.50)", True),
+    (CONST, "constant(1.0, 2.5)", "constant(1, 2.5)", True),
+    (LOOP, "  computation train_cond", "  entry computation train_cond", True),  # main is still the entry
+    (LOOP, "direction=lt", "direction=lt, kind=add", True),  # an attribute compare does not print
+    (LOOP, "broadcast(%constant), dims=[]", "broadcast(%constant)", True),  # dims unset: printing fails
+    # and these it rejects
+    (MESH, "2x2 {", "0x4 {", False),
+    (MESH, "2x2 {", "2x2 tile=8x0 {", False),
+    (MESH, "(%p: f32[4])", "(%p: f32[4]é)", False),
+    (CONST, "-> f32[2] {\n    %c = f32[2] constant", "-> (f32[2]) {\n    %c = (f32[2]) constant", False),
+    (CONST, "    return", "    %c = f32[2] constant(1.0, 2.5)\n    return", False),
+], ids=[
+    "default-tile", "leading-zero-N", "leading-zero-dim", "leading-zero-index", "other-signature",
+    "other-result-shape", "no-entry-mark", "comment", "unreached-computation", "trailing-zero-literal",
+    "integer-literal", "two-entry-marks", "unprinted-attribute", "missing-attribute",
+    "zero-mesh-dim", "zero-tile-dim", "non-ascii-signature", "tuple-constant-with-values", "duplicate-id",
+])
+def test_line_path_leaves_other_text_to_the_token_parser(base, old, new, accepted):
+    assert _parse_lines(base) is not None
+    text = base.replace(old, new, 1)
+    assert text != base
+    assert _parse_lines(text) is None
+    if accepted:
+        parse_module(text)
+    else:
+        with pytest.raises(ParseError):
+            parse_module(text)
+
+
 def test_printed_programs_take_the_line_path():
     """Every generator preset and every program a compile emits prints as
     text the line path reads, so a printer change that leaves that form
