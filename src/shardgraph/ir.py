@@ -12,7 +12,10 @@ computations instead of mutating. Two things rely on this invariant. Passes
 share every instruction and every computation they leave unchanged between
 their input and their output (`transform._clone_instruction` and
 `transform.rebuild_module`), and `verify` remembers the computation objects
-it found well-formed and does not check them again.
+it found well-formed and does not check them again. The one field set after
+an instruction is built is `Instruction.verified_at`, `verify`'s note of the
+replica count and tile at which the instruction passed its own rules. It is
+not part of the instruction's value, and a new instruction starts without it.
 """
 
 from __future__ import annotations
@@ -409,6 +412,9 @@ class Instruction:
     branches: tuple["Computation", ...] | None = None  # conditional: (true, false)
     fused: "Computation | None" = None  # fusion
     spec: object | None = None  # sharding spec carried by collective fusions
+    # `verify`'s note, not a value: the (replica_count, tile) at which the
+    # instruction passed its own rules inside a computation found clean
+    verified_at: tuple | None = field(default=None, init=False)
 
     def __repr__(self) -> str:
         return f"<{self.id}: {self.shape} {self.opcode}>"

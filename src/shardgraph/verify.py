@@ -22,11 +22,13 @@ however many passes share it.
 
 An instruction's own rules (operand count, callees, its opcode's shape
 rule) read only the instruction, the objects it holds and those two facts.
-So in a computation not yet found clean, an instruction that a clean
-computation holds at the same count and tile skips them; unique ids,
+So each instruction of a clean computation gets a note of the facts
+(`Instruction.verified_at`), and in a computation not yet found clean an
+instruction noted at the same count and tile skips them; unique ids,
 def-before-use, parameter indices and the root check run for every
-computation. A pass that rebuilds a body therefore checks only the
-instructions it made anew.
+computation. The note lives and dies with the instruction, and a new
+instruction starts without one. A pass that rebuilds a body therefore checks
+only the instructions it made anew.
 """
 
 from __future__ import annotations
@@ -87,29 +89,6 @@ def check(m: Module):
 # computation -> the (replica_count, tile) pairs it passed every
 # per-computation check at
 _CLEAN: weakref.WeakKeyDictionary[Computation, set[tuple]] = weakref.WeakKeyDictionary()
-# `id()` of each instruction of a clean computation -> (a weak reference to
-# that computation, its set in `_CLEAN`). A slotted instruction cannot be
-# weakly referenced, so it is named through the computation that holds it:
-# while the reference is live the instruction is too, and the id names no
-# other object. The computation's entries go when it dies.
-_PASSED: dict[int, tuple[weakref.ref, set[tuple]]] = {}
-
-
-def _remember(comp: Computation, facts: tuple):
-    clean = _CLEAN.get(comp)
-    if clean is None:
-        clean = _CLEAN[comp] = set()
-        instrs = comp.instructions
-        entry = (weakref.ref(comp, lambda ref: _forget(ref, instrs)), clean)
-        _PASSED.update(dict.fromkeys(map(id, instrs), entry))
-    clean.add(facts)
-
-
-def _forget(ref: weakref.ref, instrs: tuple[Instruction, ...]):
-    """Drop the entries a dead computation's reference still holds."""
-    for i in map(id, instrs):
-        if _PASSED.get(i, (None,))[0] is ref:
-            del _PASSED[i]
 
 
 class _Verifier:
@@ -143,7 +122,9 @@ class _Verifier:
             before = len(self.diags)
             self.check_computation(comp, seen_ids)
             if len(self.diags) == before:
-                _remember(comp, facts)
+                _CLEAN.setdefault(comp, set()).add(facts)
+                for instr in comp.instructions:
+                    instr.verified_at = facts
 
     def check_ids(self, comp: Computation, seen_ids: set[str]):
         """The module-wide part of `check_computation`: ids unique across
@@ -165,7 +146,6 @@ class _Verifier:
             )
         handlers = self._HANDLERS
         facts = self.facts
-        passed = _PASSED.get
         for instr in comp.instructions:
             if instr.id in seen_ids:
                 self.fail(instr, "unique ids", "duplicate instruction id in module")
@@ -174,10 +154,7 @@ class _Verifier:
                 if op not in defined:
                     self.fail(instr, "def before use", f"operand %{op.id} not defined earlier in {comp.name}")
             defined.add(instr)
-            # its own rules read only the instruction, the objects it holds
-            # and the facts, so they hold as they did in a clean computation
-            entry = passed(id(instr))
-            if entry is not None and facts in entry[1] and entry[0]() is not None:
+            if instr.verified_at == facts:  # its own rules held in a clean computation
                 continue
             rule = handlers.get(instr.opcode)
             if rule is None:

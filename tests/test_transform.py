@@ -710,7 +710,8 @@ class TestCloneInstruction:
 
     def _original(self, opcode):
         """An instruction with every field set away from its default; a field
-        this table does not know gets a fresh object."""
+        this table does not know gets a fresh object. `verify`'s note, the one
+        field not given to the constructor, is set as a clean check sets it."""
         values = {
             "id": "orig",
             "opcode": opcode,
@@ -736,8 +737,11 @@ class TestCloneInstruction:
         for f in dataclasses.fields(Instruction):
             v = values.get(f.name, object())
             assert f.default is dataclasses.MISSING or v != f.default, f.name
-            kwargs[f.name] = v
-        return Instruction(**kwargs)
+            if f.init:
+                kwargs[f.name] = v
+        instr = Instruction(**kwargs)
+        instr.verified_at = (2, (8, 128))
+        return instr
 
     @pytest.mark.parametrize(
         "opcode, remapped",
@@ -755,6 +759,8 @@ class TestCloneInstruction:
             got, old = getattr(clone, f.name), getattr(instr, f.name)
             if f.name == "operands":
                 assert got is operands
+            elif not f.init:  # a new instruction, which `verify` has not checked
+                assert got is None, f.name
             elif f.name in remapped and f.name == "branches":
                 assert got == tuple(comp_map[b.name] for b in old)
             elif f.name in remapped:

@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 
 import numpy as np
 import pytest
@@ -345,19 +344,17 @@ class TestSharedInstructions:
         ]
         assert handled == ["p", "sq", "p", "sq", "sq"]
 
-    def test_the_memory_goes_with_the_clean_computation(self):
-        from shardgraph.verify import _PASSED
-
+    def test_a_copy_of_a_clean_instruction_is_checked(self):
         gb = GraphBuilder("main")
         p = gb.parameter(0, F4, "p")
-        m = module_of(gb.finish(gb.emit("sqrt", F4, (p,), id="sq")))
-        assert verify(m) == []
-        ids = [id(i) for i in m.entry.instructions]
-        assert all(i in _PASSED for i in ids)
-        del m, p, gb
-        gc.collect()
-        # the ids may now name new objects, which were never checked
-        assert not any(i in _PASSED for i in ids)
+        sq = gb.emit("sqrt", F4, (p,), id="sq")
+        assert verify(module_of(gb.finish(sq))) == []
+        assert sq.verified_at == (2, (8, 128))
+        # `dataclasses.replace` builds a new object, which carries no note
+        wrong = dataclasses.replace(sq, shape=Shape((5,), F32))
+        assert wrong.verified_at is None
+        diags = verify(module_of(Computation("main", [p, wrong], wrong)))
+        assert [(d.instruction, d.rule) for d in diags] == [("sq", "result shape")]
 
 
 def test_computation_holds_a_tuple():
