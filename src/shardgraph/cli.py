@@ -4,7 +4,8 @@ Subcommands: `analyze` (redundancy and profitability), `transform` (three-
 program split to a directory), `simulate`, `cost`, `compare` (end-to-end
 baseline vs. transformed diff of outputs, modeled cost and peak memory), and
 `gen` (synthetic training modules). SHARDGRAPH_SEED provides the seed when
---seed is not given.
+--seed is not given. `transform` and `compare` go through `pipeline`; this
+module reads arguments, draws inputs, maps errors to stages and prints.
 
 A user error (unreadable or malformed input file, bad argument, invalid cost
 model) prints one `[stage] message` line to stderr and exits 2. Every
@@ -24,10 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import generators, profitability, transform
-from .costmodel import DEFAULT_TRIP_COUNT, CostModel, amortization_steps, cost
+from . import generators, pipeline, profitability
+from .costmodel import DEFAULT_TRIP_COUNT, CostModel, cost
 from .ir import Module, Topology, TupleShape, mesh_topology, ring_topology
-from .memory import baseline_manifest, memory_plan_for
 from .redundancy import analyze
 from .simulator import PerReplica, SimulationError, run
 from .textfmt import ParseError, parse_module, print_module
@@ -155,19 +155,14 @@ def _plan(m: Module, cm: CostModel, steps: int | None):
         raise CLIError("analyze", str(e)) from None
 
 
-def _compile(m: Module, decisions, steps: int | None, args):
-    """`apply`, then demotion and batching unless switched off: the
-    transform result and the final main program."""
+def _split(m: Module, cm: CostModel, args, steps: int | None) -> pipeline.Compiled:
+    """The planned module's three-program split, honouring --no-demote and
+    --no-batch; a `TransformError` becomes a `[transform]` error."""
+    decisions = _plan(m, cm, steps)
     try:
-        result = transform.apply(m, decisions, steps_hint=steps)
-        main = result.main
-        if not args.no_demote:
-            main = transform.demote_allgather_precision(main)
-        if not args.no_batch:
-            main = transform.batch_collectives(main)
+        return pipeline.compile_module(m, decisions, steps, demote=not args.no_demote, batch=not args.no_batch)
     except TransformError as e:
         raise CLIError("transform", str(e)) from None
-    return result, main
 
 
 def cmd_analyze(args) -> int:
@@ -184,14 +179,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_transform(args) -> int:
     steps = _steps(args)
-    m = _load_verified(args.module)
-    decisions = _plan(m, _cost_model(args), steps)
-    result, main = _compile(m, decisions, steps, args)
+    compiled = _split(_load_verified(args.module), _cost_model(args), args, steps)
+    result = compiled.result
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "main.ir").write_text(print_module(main))
-    (out / "shard.ir").write_text(print_module(result.shard_program))
-    (out / "unshard.ir").write_text(print_module(result.unshard_program))
+    for name, prog in (("main", compiled.main), ("shard", result.shard_program), ("unshard", result.unshard_program)):
+        (out / f"{name}.ir").write_text(print_module(prog))
     (out / "manifest.json").write_text(result.manifest.to_json() + "\n")
     sharded = [v.name for v in result.manifest.variables if v.residency == "sharded"]
     print(f"wrote {out}/: main.ir shard.ir unshard.ir manifest.json "
@@ -321,115 +314,37 @@ def cmd_gen(args) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def _chain_inputs(module: Module, outputs_per_replica) -> dict:
-    params = module.entry.parameters
-    return {
-        p.id: PerReplica([out[idx] for out in outputs_per_replica])
-        for idx, p in enumerate(params)
-    }
-
-
-def _flatten(v):
-    if isinstance(v, tuple):
-        out = []
-        for e in v:
-            out.extend(_flatten(e))
-        return out
-    return [np.asarray(v)]
-
-
-def _diff_outputs(a, b):
-    """(max absolute diff, max scaled diff). The scaled diff divides by
-    1 + |baseline| so it behaves like a relative tolerance on large values
-    and an absolute one near zero."""
-    max_abs = 0.0
-    max_rel = 0.0
-    for va, vb in zip(a, b):
-        fa, fb = _flatten(va), _flatten(vb)
-        for xa, xb in zip(fa, fb):
-            xa64 = xa.astype(np.float64)
-            xb64 = xb.astype(np.float64)
-            d = np.abs(xa64 - xb64)
-            if d.size == 0:
-                continue
-            max_abs = max(max_abs, float(np.max(d)))
-            max_rel = max(max_rel, float(np.max(d / (1.0 + np.abs(xa64)))))
-    return max_abs, max_rel
-
-
 def cmd_compare(args) -> int:
     steps = _steps(args)
     m = _load_verified(args.module, args)
     cm = _cost_model(args)
     seed = _seed(args)
-    loop = m.training_loop()
-    amortize = amortization_steps(loop, steps)
-
-    decisions = _plan(m, cm, amortize)
-    result, main = _compile(m, decisions, amortize, args)
-
+    compiled = _split(m, cm, args, steps)
     report: dict = {
         "replicas": m.replica_count,
         "topology": str(m.topology),
-        "decisions": [d.to_dict() for d in decisions],
+        "decisions": [d.to_dict() for d in compiled.decisions],
     }
-
-    max_abs = max_rel = 0.0
     if not args.cost_only:
+        aux = {v.name for v in compiled.result.manifest.variables if v.kind == "aux"}
+        inputs = random_inputs(m, seed, aux_names=aux)
         try:
-            aux = {v.name for v in result.manifest.variables if v.kind == "aux"}
-            inputs = random_inputs(m, seed, aux_names=aux)
-            k = 1 if loop is not None else (steps or 1)
-            base_out = _run_chained(m, inputs, seed, k)
-            sh = run(result.shard_program, inputs, seed=seed)
-            main_out = _run_chained(main, _chain_inputs(main, sh.outputs), seed, k)
-            fin = run(result.unshard_program, _chain_inputs(result.unshard_program, main_out), seed=seed)
+            report["max_abs_diff"], report["max_rel_diff"] = pipeline.max_diffs(*compiled.run(inputs, seed))
         except SimulationError as e:
             raise CLIError("simulate", str(e)) from None
-        for r in range(m.replica_count):
-            a, rel = _diff_outputs([base_out[r]], [fin.outputs[r]])
-            max_abs, max_rel = max(max_abs, a), max(max_rel, rel)
-        report["max_abs_diff"] = max_abs
-        report["max_rel_diff"] = max_rel
-
-    members = profitability.update_member_ids(decisions)
-    base_cost = cost(m, cm, members)
-    main_cost = cost(main, cm, members)
-    shard_cost = cost(result.shard_program, cm, members)
-    unshard_cost = cost(result.unshard_program, cm, members)
-    boundary = (shard_cost.total_step_time + unshard_cost.total_step_time) / amortize
-    trans_time = main_cost.total_step_time + boundary
-    speedup = base_cost.total_step_time / trans_time if trans_time else 1.0
-    report["baseline_cost"] = base_cost.to_dict()
-    report["transformed_cost"] = main_cost.to_dict()
-    report["boundary_amortized_sec"] = boundary
-    report["speedup"] = speedup
-
-    base_mem = memory_plan_for(m, baseline_manifest(result.manifest), m)
-    trans_mem = memory_plan_for(main, result.manifest, m)
-    report["baseline_memory"] = base_mem.to_dict()
-    report["transformed_memory"] = trans_mem.to_dict()
-    report["memory_saving_ratio"] = (
-        base_mem.peak_bytes / trans_mem.peak_bytes if trans_mem.peak_bytes else 1.0
-    )
+    model = compiled.model(cm)
+    report["baseline_cost"] = model.baseline_cost.to_dict()
+    report["transformed_cost"] = model.transformed_cost.to_dict()
+    report["boundary_amortized_sec"] = model.boundary
+    report["speedup"] = model.speedup
+    report["baseline_memory"] = model.baseline_memory.to_dict()
+    report["transformed_memory"] = model.transformed_memory.to_dict()
+    report["memory_saving_ratio"] = model.memory_saving
 
     if args.json:
         _emit_json(report, args.json)
     _print_compare_table(report, args.cost_only)
-
-    if args.cost_only:
-        return 0
-    return 0 if max_rel <= args.tolerance else 1
-
-
-def _run_chained(m: Module, inputs: dict, seed: int, k: int):
-    outs = None
-    for _ in range(k):
-        if outs is not None:
-            inputs = _chain_inputs(m, outs)
-        res = run(m, inputs, seed=seed)
-        outs = res.outputs
-    return outs
+    return 0 if args.cost_only or report["max_rel_diff"] <= args.tolerance else 1
 
 
 def _print_compare_table(report: dict, cost_only: bool):

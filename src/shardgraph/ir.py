@@ -220,7 +220,7 @@ class Opcode(NamedTuple):
 
 
 _CALLEES = {"while": ("cond", "body"), "conditional": ("true", "false"), "fusion": ("calls",)}
-# a fusion's line leaves out `spec` and `groups` when they are unset
+# a line leaves out an unset attribute, as a fusion's line does `spec` and `groups`
 _ATTRIBUTES = {
     "iota": ("dim",),
     "compare": ("direction",),

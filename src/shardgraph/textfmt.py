@@ -96,7 +96,22 @@ def _fmt_number(v: float, etype: ElementType) -> str:
     return repr(float(v))
 
 
+def _fmt_ints(v: tuple[int, ...]) -> str:
+    return f"[{','.join(map(str, v))}]"
+
+
+# the instruction field of each attribute key whose field has another name
+_FIELDS = {"dim": "dims", "low": "pad_low", "high": "pad_high", "sizes": "slice_sizes", "calls": "fused",
+           "true": "branches", "false": "branches"}
+# the printed value of each attribute key, from its field
+_FORMATS = {key: _fmt_ints for key in ("dims", "low", "high", "sizes")}
+_FORMATS.update((key, str) for key in ("index", "kind", "direction", "groups"))
+_FORMATS.update((key, lambda v: v.name) for key in ("cond", "body", "calls"))
+_FORMATS.update(dim=lambda v: str(v[0]), true=lambda v: v[0].name, false=lambda v: v[1].name, spec=lambda v: f'"{v}"')
+
+
 def _instruction_line(instr: Instruction) -> str:
+    """The instruction's line, leaving out each unset attribute of its opcode (`ir.OPCODES`)."""
     op = instr.opcode
     if op == "parameter":
         args = str(instr.index)
@@ -107,39 +122,11 @@ def _instruction_line(instr: Instruction) -> str:
     line = f"%{instr.id} = {instr.shape} {op}({args})"
     if op == "parameter" and instr.replica_equal:
         line += " {replica_equal}"
-    attrs: list[str] = []
-    if op == "iota":
-        attrs.append(f"dim={instr.dims[0]}")
-    elif op == "compare":
-        attrs.append(f"direction={instr.direction}")
-    elif op == "broadcast":
-        attrs.append(f"dims=[{','.join(str(d) for d in instr.dims)}]")
-    elif op == "reduce":
-        attrs.append(f"dims=[{','.join(str(d) for d in instr.dims)}]")
-        attrs.append(f"kind={instr.kind}")
-    elif op == "pad":
-        attrs.append(f"low=[{','.join(str(d) for d in instr.pad_low)}]")
-        attrs.append(f"high=[{','.join(str(d) for d in instr.pad_high)}]")
-    elif op == "dynamic-slice":
-        attrs.append(f"sizes=[{','.join(str(d) for d in instr.slice_sizes)}]")
-    elif op == "get-tuple-element":
-        attrs.append(f"index={instr.index}")
-    elif op == "all-reduce":
-        attrs.append(f"kind={instr.kind}")
-        attrs.append(f"groups={instr.groups}")
-    elif op == "while":
-        attrs.append(f"cond={instr.cond.name}")
-        attrs.append(f"body={instr.body.name}")
-    elif op == "conditional":
-        attrs.append(f"true={instr.branches[0].name}")
-        attrs.append(f"false={instr.branches[1].name}")
-    elif op == "fusion":
-        attrs.append(f"kind={instr.kind}")
-        attrs.append(f"calls={instr.fused.name}")
-        if instr.spec is not None:
-            attrs.append(f'spec="{instr.spec}"')
-        if instr.groups is not None:
-            attrs.append(f"groups={instr.groups}")
+    attrs = []
+    for key in OPCODES[op].attributes:
+        value = getattr(instr, _FIELDS.get(key, key))
+        if value is not None:
+            attrs.append(f"{key}={_FORMATS[key](value)}")
     if attrs:
         line += ", " + ", ".join(attrs)
     return line
@@ -544,42 +531,16 @@ class _Parser:
         while self.accept(","):
             key = self.expect_kind("word")
             self.expect("=")
-            if key == "dim":
-                attrs["dims"] = (self.expect_number(),)
-            elif key == "dims":
-                attrs["dims"] = self.parse_int_list()
-            elif key == "kind":
-                attrs["kind"] = self.expect_kind("word")
-            elif key == "direction":
-                attrs["direction"] = self.expect_kind("word")
-            elif key == "groups":
-                attrs["groups"] = self.parse_groups()
-            elif key == "low":
-                attrs["pad_low"] = self.parse_int_list()
-            elif key == "high":
-                attrs["pad_high"] = self.parse_int_list()
-            elif key == "sizes":
-                attrs["slice_sizes"] = self.parse_int_list()
-            elif key == "index":
-                attrs["index"] = self.expect_number()
-            elif key == "cond":
-                attrs["cond"] = self._callee(comps, key, opcode)
-            elif key == "body":
-                attrs["body"] = self._callee(comps, key, opcode)
-            elif key == "true":
-                attrs.setdefault("_branches", [None, None])[0] = self._callee(comps, key, opcode)
-            elif key == "false":
-                attrs.setdefault("_branches", [None, None])[1] = self._callee(comps, key, opcode)
-            elif key == "calls":
-                attrs["fused"] = self._callee(comps, key, opcode)
-            elif key == "spec":
-                spec = self.expect_kind("string")[1:-1]
-                try:
-                    attrs["spec"] = parse_spec_string(spec)
-                except ValueError as e:
-                    self.error(f"bad sharding spec {spec!r}: {e}", self.pos - 1)
+            if key in _CALLER:
+                value = self._callee(comps, key, opcode)
+            elif key in _VALUE_PARSERS:
+                value = _VALUE_PARSERS[key](self)
             else:
                 self.error(f"unknown attribute {key!r}")
+            if key in ("true", "false"):
+                attrs.setdefault("_branches", [None, None])[key == "false"] = value
+            else:
+                attrs[_FIELDS.get(key, key)] = value
 
         branches = attrs.pop("_branches", None)
         if branches is not None:
@@ -592,6 +553,13 @@ class _Parser:
             attrs["spec"] = dataclasses.replace(attrs["spec"], group=attrs["groups"])
         return Instruction(id=iid, opcode=opcode, shape=shape, operands=tuple(operands), **attrs)
 
+    def parse_spec(self):
+        spec = self.expect_kind("string")[1:-1]
+        try:
+            return parse_spec_string(spec)
+        except ValueError as e:
+            self.error(f"bad sharding spec {spec!r}: {e}", self.pos - 1)
+
     def _callee(self, comps: dict[str, Computation], key: str, opcode: str) -> Computation:
         """The computation a callee attribute names; only the opcode that
         calls it (`ir.OPCODES`) takes the attribute."""
@@ -601,6 +569,21 @@ class _Parser:
         if opcode != _CALLER[key]:
             self.error(f"attribute {key!r} belongs to {_CALLER[key]}, not {opcode}", self.pos - 3)
         return comps[t]
+
+
+# the token parser's reader of each attribute value other than a callee
+_VALUE_PARSERS = {
+    "dim": lambda p: (p.expect_number(),),
+    "dims": _Parser.parse_int_list,
+    "low": _Parser.parse_int_list,
+    "high": _Parser.parse_int_list,
+    "sizes": _Parser.parse_int_list,
+    "index": _Parser.expect_number,
+    "kind": lambda p: p.expect_kind("word"),
+    "direction": lambda p: p.expect_kind("word"),
+    "groups": _Parser.parse_groups,
+    "spec": _Parser.parse_spec,
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -622,26 +605,15 @@ _WORD_VALUE = re.compile(_WORD)
 
 # the shorter attribute lists of a fusion line (`ir.OPCODES` has the full one)
 _FUSION_KEYS = {("kind", "calls"), ("kind", "calls", "spec"), ("kind", "calls", "groups")}
-# the instruction field of each key whose field has another name
-_FIELDS = {"dim": "dims", "low": "pad_low", "high": "pad_high", "sizes": "slice_sizes", "calls": "fused"}
 
 
-# Each reader returns the value the token parser makes of a printed value, and
-# raises ValueError unless printing that value gives back the same text.
-
-
-def _int(t: str) -> int:
-    v = int(t)
-    if str(v) != t:
-        raise ValueError(t)
-    return v
+# Each reader returns the value the token parser makes of a printed value. The
+# line reader gives up unless printing that value, with the printer's formatter
+# of the key (`_FORMATS`), gives back the same text.
 
 
 def _ints(t: str) -> tuple[int, ...]:
-    v = tuple(map(int, t[1:-1].split(","))) if t != "[]" else ()
-    if f"[{','.join(map(str, v))}]" != t:
-        raise ValueError(t)
-    return v
+    return tuple(map(int, t[1:-1].split(","))) if t != "[]" else ()
 
 
 def _word(t: str) -> str:
@@ -653,30 +625,20 @@ def _word(t: str) -> str:
 def _groups(t: str) -> ReplicaGroups:
     if t == "all":
         return ALL_REPLICAS
-    groups = ReplicaGroups(tuple(tuple(map(int, g.split(","))) for g in t[2:-2].split("},{")))
-    if str(groups) != t:
-        raise ValueError(t)
-    return groups
-
-
-def _spec(t: str):
-    spec = parse_spec_string(t[1:-1])
-    if f'"{spec}"' != t:
-        raise ValueError(t)
-    return spec
+    return ReplicaGroups(tuple(tuple(map(int, g.split(","))) for g in t[2:-2].split("},{")))
 
 
 _READERS = {
-    "dim": lambda t: (_int(t),),
+    "dim": lambda t: (int(t),),
     "dims": _ints,
     "low": _ints,
     "high": _ints,
     "sizes": _ints,
-    "index": _int,
+    "index": int,
     "kind": _word,
     "direction": _word,
     "groups": _groups,
-    "spec": _spec,
+    "spec": lambda t: parse_spec_string(t[1:-1]),
 }
 
 
@@ -745,7 +707,9 @@ def _read_lines(lines: list[str]) -> Module | None:
             operands = ()
             attrs = {}
             if opcode == "parameter":
-                attrs["index"] = _int(args)
+                attrs["index"] = int(args)
+                if str(attrs["index"]) != args:
+                    return None
                 if rest == " {replica_equal}":
                     attrs["replica_equal"] = True
                     rest = ""
@@ -767,10 +731,14 @@ def _read_lines(lines: list[str]) -> Module | None:
                 keys = tuple(key for key, _ in pairs)
                 if keys != info.attributes and (opcode != "fusion" or keys not in _FUSION_KEYS):
                     return None
-                for key, value in pairs:
-                    attrs[_FIELDS.get(key, key)] = comps[value] if key in _CALLER else _READERS[key](value)
+                for key, text in pairs:
+                    if key in _CALLER:
+                        value = comps[text]
+                    elif _FORMATS[key](value := _READERS[key](text)) != text:
+                        return None
+                    attrs[_FIELDS.get(key, key)] = value
                 if opcode == "conditional":
-                    attrs["branches"] = (attrs.pop("true"), attrs.pop("false"))
+                    attrs["branches"] = (comps[pairs[0][1]], comps[pairs[1][1]])
                 elif "spec" in attrs and "groups" in attrs:
                     attrs["spec"] = dataclasses.replace(attrs["spec"], group=attrs["groups"])
             by_id[iid] = Instruction(iid, opcode, shape, operands, **attrs)

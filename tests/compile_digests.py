@@ -21,8 +21,7 @@ import json
 from pathlib import Path
 
 from conftest import small_preset
-from shardgraph import profitability, transform
-from shardgraph.costmodel import amortization_steps
+from shardgraph import pipeline, profitability, transform
 from shardgraph.generators import MODELS, gen_module
 from shardgraph.ir import mesh_topology, ring_topology
 from shardgraph.textfmt import print_module
@@ -37,13 +36,12 @@ def _sha(text: str) -> str:
 
 def compile_digests(m, force: bool) -> dict[str, str]:
     """The digest of each compiler output for `m`, keyed by output name."""
-    steps = amortization_steps(m.training_loop(), None)
-    decisions = profitability.plan(m, steps=steps)
+    decisions = profitability.plan(m)
     if force:
         for d in decisions:
             d.shard = True
-    result = transform.apply(m, decisions, steps_hint=steps)
-    demoted = transform.demote_allgather_precision(result.main)
+    compiled = pipeline.compile_module(m, decisions, batch=False)
+    result, demoted = compiled.result, compiled.main
     batched = transform.batch_collectives(demoted)
     return {
         "decisions": _sha(json.dumps([d.to_dict() for d in decisions], sort_keys=True)),

@@ -1,11 +1,10 @@
 import numpy as np
-import pytest
 
-from shardgraph import profitability, transform
-from shardgraph.costmodel import amortization_steps
+from shardgraph import pipeline, profitability
 from shardgraph.generators import MODELS, WeightDef, build_training_module, preset
-from shardgraph.ir import Module, Shape, TupleShape, mesh_topology, ring_topology
-from shardgraph.simulator import PerReplica, run
+from shardgraph.ir import ALL_REPLICAS, Module, Shape, TupleShape, mesh_topology, ring_topology
+from shardgraph.sharding import choose_spec
+from shardgraph.simulator import PerReplica
 
 
 def bitwise_same(a, b) -> bool:
@@ -20,14 +19,6 @@ def bitwise_same(a, b) -> bool:
         )
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def chain_inputs(module: Module, outputs_per_replica) -> dict:
-    params = module.entry.parameters
-    return {
-        p.id: PerReplica([out[idx] for out in outputs_per_replica])
-        for idx, p in enumerate(params)
-    }
 
 
 def training_inputs(m: Module, seed: int) -> dict:
@@ -54,51 +45,26 @@ def training_inputs(m: Module, seed: int) -> dict:
     return inputs
 
 
-def run_pipeline(m: Module, steps, seed, force=True, demote=False, batch=False, pin_full_groups=True):
-    """Baseline vs shard/main/unshard composition; returns (baseline outputs,
-    composed outputs, transform result, main program).
+def run_pipeline(m: Module, steps, seed, demote=False, batch=False, pin_full_groups=True):
+    """Baseline vs shard/main/unshard composition with every cluster forced
+    to shard; returns (baseline outputs, composed outputs, transform result,
+    main program).
 
-    Forced decisions pin full-group sharding by default, so the transformed
+    The forced decisions pin full-group sharding by default, so the transformed
     collectives use the same rings as the baseline all-reduce and results
     stay bitwise identical. With `pin_full_groups=False` they keep the
     planner's groups; row-local sharding on a mesh re-associates reductions
     and is held to compare's tolerance in
     test_transform.py::TestPartialSharding::test_planner_row_groups_within_tolerance."""
-    from shardgraph.ir import ALL_REPLICAS, Shape
-    from shardgraph.sharding import choose_spec
-
     decisions = profitability.plan(m, steps=steps)
-    if force:
-        for d in decisions:
-            d.shard = True
-            if pin_full_groups and not d.groups.is_all:
-                d.groups = ALL_REPLICAS
-                d.spec = choose_spec(
-                    Shape(d.cluster.dims, d.cluster.etype), m.replica_count, m.tile
-                )
-    result = transform.apply(m, decisions, steps_hint=steps)
-    main = result.main
-    if demote:
-        main = transform.demote_allgather_precision(main)
-    if batch:
-        main = transform.batch_collectives(main)
-    inputs = training_inputs(m, seed)
-    loop = any(i.opcode == "while" for i in m.entry.instructions)
-    k = 1 if loop else steps
-    base_outs = _chained(m, inputs, seed, k)
-    sh = run(result.shard_program, inputs, seed=seed)
-    main_outs = _chained(main, chain_inputs(main, sh.outputs), seed, k)
-    fin = run(result.unshard_program, chain_inputs(result.unshard_program, main_outs), seed=seed)
-    return base_outs, fin.outputs, result, main
-
-
-def _chained(m, inputs, seed, k):
-    outs = None
-    for _ in range(k):
-        if outs is not None:
-            inputs = chain_inputs(m, outs)
-        outs = run(m, inputs, seed=seed).outputs
-    return outs
+    for d in decisions:
+        d.shard = True
+        if pin_full_groups and not d.groups.is_all:
+            d.groups = ALL_REPLICAS
+            d.spec = choose_spec(Shape(d.cluster.dims, d.cluster.etype), m.replica_count, m.tile)
+    compiled = pipeline.compile_module(m, decisions, steps, demote=demote, batch=batch)
+    base_outs, outs = compiled.run(training_inputs(m, seed), seed)
+    return base_outs, outs, compiled.result, compiled.main
 
 
 def outputs_bitwise_equal(a, b) -> bool:
@@ -131,10 +97,8 @@ def compiled_small_presets():
         for label, topo in (("ring4", ring_topology(4)), ("mesh2x2", mesh_topology(2, 2))):
             for loop, steps in (("loop", 2), ("noloop", None)):
                 m = small_preset(model, topo, steps)
-                amortize = amortization_steps(m.training_loop(), None)
-                decisions = profitability.plan(m, steps=amortize)
+                decisions = profitability.plan(m)
                 for d in decisions:
                     d.shard = True
-                result = transform.apply(m, decisions, steps_hint=amortize)
-                main = transform.batch_collectives(transform.demote_allgather_precision(result.main))
-                yield f"{model}/{label}/{loop}", m, result, main
+                compiled = pipeline.compile_module(m, decisions)
+                yield f"{model}/{label}/{loop}", m, compiled.result, compiled.main

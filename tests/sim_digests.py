@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import chain_inputs, small_preset, training_inputs
+from conftest import small_preset, training_inputs
 from randmod import random_inputs_for, random_module
-from shardgraph import profitability, transform
+from shardgraph import pipeline, profitability
 from shardgraph.generators import MODELS, gen_module
 from shardgraph.ir import mesh_topology, ring_topology
 from shardgraph.simulator import run
@@ -70,11 +70,10 @@ def compute() -> dict[str, str]:
             decisions = profitability.plan(m, steps=2)
             for d in decisions:
                 d.shard = True  # the planner's groups: row-local on the mesh
-            res = transform.apply(m, decisions, steps_hint=2)
-            main = transform.batch_collectives(transform.demote_allgather_precision(res.main))
-            sh = run(res.shard_program, training_inputs(m, 0), seed=1)
-            mo = run(main, chain_inputs(main, sh.outputs), seed=1)
-            fin = run(res.unshard_program, chain_inputs(res.unshard_program, mo.outputs), seed=1)
+            c = pipeline.compile_module(m, decisions, 2)
+            sh = run(c.result.shard_program, training_inputs(m, 0), seed=1)
+            mo = run(c.main, pipeline.chain_inputs(c.main, sh.outputs), seed=1)
+            fin = run(c.result.unshard_program, pipeline.chain_inputs(c.result.unshard_program, mo.outputs), seed=1)
             out[f"{key}/shard"] = result_digest(sh)
             out[f"{key}/main"] = result_digest(mo)
             out[f"{key}/unshard"] = result_digest(fin)

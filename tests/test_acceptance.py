@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bitwise_same, chain_inputs, outputs_bitwise_equal, run_pipeline, training_inputs
+from conftest import bitwise_same, outputs_bitwise_equal, run_pipeline, training_inputs
 from randmod import random_inputs_for, random_module
 from shardgraph import profitability, transform
 from shardgraph.costmodel import CostModel
@@ -26,6 +26,7 @@ from shardgraph.ir import (
     ring_topology,
     scalar,
 )
+from shardgraph.pipeline import chain_inputs
 from shardgraph.redundancy import analyze
 from shardgraph.sharding import choose_spec
 from shardgraph.simulator import Simulator, cost, ring_all_gather, ring_reduce_scatter, run
@@ -90,7 +91,7 @@ def test_criterion_1_equivalence_suite():
         m = build_training_module(cfg)
         assert verify(m) == [], f"case {case}"
         base, fin, res, main = run_pipeline(
-            m, steps=cfg.steps, seed=case, force=True,
+            m, steps=cfg.steps, seed=case,
             demote=cfg.mixed_precision, batch=(case % 2 == 0),
         )
         assert outputs_bitwise_equal(base, fin), (

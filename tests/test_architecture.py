@@ -2,9 +2,10 @@
 simulator, the cost model and the memory accountant) must not depend on the
 planner and the transform it checks: the simulator takes no uniformity from
 the redundancy analysis, and the cost model no rule from the planner.
-Imports are followed through every module of the package, so a dependency
-cannot hide behind another module. No module turns the garbage collector's
-knobs."""
+`pipeline`, which composes the two, sits above both, and only `cli` imports
+it. Imports are followed through every module of the package, so a
+dependency cannot hide behind another module. No module turns the garbage
+collector's knobs."""
 
 import ast
 from pathlib import Path
@@ -76,6 +77,13 @@ def test_oracle_does_not_import_the_compiler(name):
     reached = package_imports(name)
     assert "ir" in reached, name
     assert not reached & {"profitability", "transform", "redundancy"}
+
+
+def test_pipeline_sits_above_the_compiler_and_the_oracle():
+    reached = package_imports("pipeline")
+    assert {"profitability", "transform"} <= reached and {"simulator", "costmodel", "memory"} <= reached
+    importers = {path.stem for path in PACKAGE.glob("*.py") if "pipeline" in package_imports(path.stem)}
+    assert importers == {"cli"}
 
 
 def test_format_dims_are_walked_once():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import small_preset
-from shardgraph import profitability, transform
+from shardgraph import pipeline, profitability, transform
 from shardgraph.cli import main, random_inputs
 from shardgraph.generators import gen_module
 from shardgraph.ir import F32, PRED, S32, GraphBuilder, Module, TupleShape, modules_equal, ring_topology, scalar
@@ -205,6 +205,24 @@ def test_compare_tolerance_breach_nonzero_exit(tmp_path):
     # with matched rings the diff is exactly zero, so even -0.0 tolerance trips
     # only when a real difference exists; check the normal path too
     assert main(["compare", str(path), "--seed", "2"]) == 0
+
+
+def test_transform_records_the_horizon_it_planned_for(mlp_ir, tmp_path):
+    assert main(["transform", str(mlp_ir), "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["notes"]["steps_assumed"] == 3  # the loop's trips
+
+
+@pytest.mark.parametrize("base, out, diffs", [
+    ([1, 2, 3], [1, 2, np.nan], ("Infinity", "Infinity")),  # a NaN in only one of a pair
+    ([1, 2, np.nan], [1, 50, np.nan], ("48.0", "16.0")),  # NaNs at the same position are equal
+], ids=["one-sided-nan", "same-position-nan"])
+def test_compare_diff_keeps_nan(base, out, diffs, mlp_ir, tmp_path, monkeypatch):
+    outputs = tuple([(np.array(v, np.float32),)] for v in (base, out))  # one replica, one output
+    monkeypatch.setattr(pipeline.Compiled, "run", lambda self, inputs, seed: outputs)
+    report = tmp_path / "r.json"
+    assert main(["compare", str(mlp_ir), "--json", str(report)]) == 1
+    text = report.read_text()
+    assert f'"max_abs_diff": {diffs[0]},' in text and f'"max_rel_diff": {diffs[1]},' in text
 
 
 def test_compare_explicit_full_group_on_mesh(tmp_path):

@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import bitwise_same, chain_inputs, small_preset, training_inputs
+from conftest import bitwise_same, small_preset, training_inputs
 from shardgraph import profitability, transform
 from shardgraph.costmodel import CostModel, Phase, collective_phases
 from shardgraph.generators import MODELS, gen_module
@@ -24,6 +24,7 @@ from shardgraph.ir import (
     ring_topology,
     scalar,
 )
+from shardgraph.pipeline import chain_inputs
 from shardgraph.sharding import build_reduce_scatter, build_unshard_ops, choose_spec
 from shardgraph.simulator import (
     PerReplica,

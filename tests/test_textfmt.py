@@ -381,7 +381,7 @@ UNUSED = "  computation unused (%q: f32[4]) -> f32[4] {\n    %q = f32[4] paramet
     (CONST, "constant(1.0, 2.5)", "constant(1, 2.5)", True),
     (LOOP, "  computation train_cond", "  entry computation train_cond", True),  # main is still the entry
     (LOOP, "direction=lt", "direction=lt, kind=add", True),  # an attribute compare does not print
-    (LOOP, "broadcast(%constant), dims=[]", "broadcast(%constant)", True),  # dims unset: printing fails
+    (LOOP, "broadcast(%constant), dims=[]", "broadcast(%constant)", True),  # dims unset: printed without it
     # and these it rejects
     (MESH, "2x2 {", "0x4 {", False),
     (MESH, "2x2 {", "2x2 tile=8x0 {", False),
@@ -404,6 +404,23 @@ def test_line_path_leaves_other_text_to_the_token_parser(base, old, new, accepte
     else:
         with pytest.raises(ParseError):
             parse_module(text)
+
+
+@pytest.mark.parametrize("line", [
+    "%b = f32[4] broadcast(%c)",
+    "%q = f32[6] pad(%p, %c), low=[1]",
+    "%io = s32[4] iota()",
+    "%r = f32[] reduce(%p, %c), dims=[0]",
+    "%ar = f32[4] all-reduce(%p), kind=add",
+    "%cmp = pred[4] compare(%p, %p)",
+], ids=["broadcast-dims", "pad-high", "iota-dim", "reduce-kind", "all-reduce-groups", "compare-direction"])
+def test_an_unset_attribute_is_not_printed(line):
+    """An attribute the text leaves out stays unset, and the printer leaves
+    it out again instead of raising or printing `None`."""
+    text = MESH.replace("    return", f"    %c = f32[] constant(0.0)\n    {line}\n    return")
+    m = parse_module(text)
+    assert print_module(m) == text
+    assert modules_equal(parse_module(print_module(m)), m)
 
 
 def test_printed_programs_take_the_line_path():

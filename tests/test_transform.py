@@ -7,7 +7,6 @@ import pytest
 
 from conftest import (
     bitwise_same,
-    chain_inputs,
     compiled_small_presets,
     outputs_bitwise_equal,
     run_pipeline,
@@ -36,6 +35,7 @@ from shardgraph.ir import (
     ring_topology,
     scalar,
 )
+from shardgraph.pipeline import chain_inputs
 from shardgraph.sharding import build_reduce_scatter, build_unshard_ops, choose_spec
 from shardgraph.simulator import PerReplica, cost, run
 from shardgraph.textfmt import parse_module, print_module
