@@ -45,9 +45,18 @@ class CLIError(Exception):
 
 
 def _seed(args) -> int:
+    """--seed, else SHARDGRAPH_SEED, else 0; a non-negative integer."""
     if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("SHARDGRAPH_SEED", "0"))
+        seed, source = args.seed, "--seed"
+    else:
+        text, source = os.environ.get("SHARDGRAPH_SEED", "0"), "SHARDGRAPH_SEED"
+        try:
+            seed = int(text)
+        except ValueError:
+            raise CLIError("args", f"SHARDGRAPH_SEED {text!r} is not an integer") from None
+    if seed < 0:
+        raise CLIError("args", f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _parse_topology(text: str, n: int | None) -> Topology:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ir import Computation, Instruction, Module, ReplicaGroups, Shape, Topology, is_collective, physical_bytes
-from .sharding import ShardingSpec, choose_spec
+from .sharding import ShardingSpec
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def collective_phases(
     shape: Shape,
     topology: Topology,
     group: ReplicaGroups,
-    spec: ShardingSpec | None = None,
+    spec: ShardingSpec,
     tile=(8, 128),
 ) -> list[Phase]:
     """Ring phases for one reduce-scatter or all-gather on one tensor.
@@ -95,8 +95,6 @@ def collective_phases(
     g = group.group_size(topology.n)
     if g == 1:
         return []
-    if spec is None:
-        spec = choose_spec(shape, g, tile, group)
     shard_bytes = physical_bytes(spec.shard_shape(shape.etype), tile)
 
     if topology.two_phase(group):

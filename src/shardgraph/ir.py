@@ -11,9 +11,9 @@ instructions as a tuple, and passes construct fresh instructions and
 computations instead of mutating. Two things rely on this invariant. Passes
 share every instruction and every computation they leave unchanged between
 their input and their output (`transform._clone_instruction` and
-`transform.rebuild_module`), and `verify` remembers the computation objects
-it found well-formed and does not check them again. The one field set after
-an instruction is built is `Instruction.verified_at`, `verify`'s note of the
+`transform.rebuild_module`), and `verify` does not put an instruction it
+found well-formed through its own rules again. The one field set after an
+instruction is built is `Instruction.verified_at`, `verify`'s note of the
 replica count and tile at which the instruction passed its own rules. It is
 not part of the instruction's value, and a new instruction starts without it.
 """
@@ -250,6 +250,13 @@ OPCODES: dict[str, Opcode] = {
     for op in ops.split()
 }
 CALLING_OPCODES = frozenset(op for op, info in OPCODES.items() if info.callees)
+# the `Instruction` field that holds each printed attribute, for the printer,
+# both parsers and `verify`
+ATTRIBUTE_FIELDS = {"dim": "dims", "low": "pad_low", "high": "pad_high", "sizes": "slice_sizes",
+                    "calls": "fused", "true": "branches", "false": "branches"}
+ATTRIBUTE_FIELDS.update(
+    (key, key) for info in OPCODES.values() for key in info.attributes if key not in ATTRIBUTE_FIELDS
+)
 
 
 def operand_count_message(opcode: str, got: int) -> str:

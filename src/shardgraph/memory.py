@@ -214,11 +214,10 @@ def step_computation(m: Module) -> Computation:
     return loop.body if loop is not None else m.entry
 
 
-def memory_plan_for(m: Module, manifest: Manifest, baseline: Module | None = None) -> MemoryReport:
+def memory_plan_for(m: Module, manifest: Manifest, baseline: Module) -> MemoryReport:
     """Accountant over the step computation of `m` using full shapes from the
-    baseline entry signature (or from `m` itself for unsharded modules)."""
-    source = baseline or m
-    full_shapes = {p.id: p.shape for p in source.entry.parameters if isinstance(p.shape, Shape)}
+    baseline entry signature (`m` itself when `m` is the baseline)."""
+    full_shapes = {p.id: p.shape for p in baseline.entry.parameters if isinstance(p.shape, Shape)}
     # variables whose init was not a parameter: take the full shape from the spec
     for v in manifest.variables:
         if v.name not in full_shapes and v.spec is not None:

@@ -56,7 +56,6 @@ class FrontierUse:
     user: Instruction
     placement: str  # "in-loop" | "loop-output" | "branch" | "outfeed"
     frequency: Fraction | None = None
-    slot: int | None = None
 
 
 @dataclass
@@ -64,7 +63,6 @@ class Cluster:
     anchor: Instruction
     computation: Computation
     members: dict[str, Instruction]
-    inputs: list[Instruction]  # redundant full tensors produced outside the cluster
     frontier: list[FrontierUse]
     state_slots: dict[int, tuple[Instruction, bool]]  # slot -> (gte member, output paired)
     dims: tuple[int, ...]
@@ -98,21 +96,11 @@ def _is_member_candidate(
     return False
 
 
-def enclosing_loop(m: Module, comp: Computation) -> Instruction | None:
-    if comp is m.entry:
-        return None  # the entry is no loop's body
-    for ins in m.all_instructions():
-        if ins.opcode == "while" and ins.body is comp:
-            return ins
-    return None
-
-
 def find_clusters(
     comp: Computation,
     rmap: RedundancyMap,
-    m: Module,
-    users: dict[str, list[Instruction]] | None = None,
-    loop: Instruction | None = None,
+    users: dict[str, list[Instruction]],
+    loop: Instruction | None,
 ) -> list[Cluster]:
     """One cluster per `groups=all` single-tensor all-reduce in `comp`.
 
@@ -126,23 +114,16 @@ def find_clusters(
     which become frontier entries. Clusters are pairwise disjoint.
 
     `users` is `ir.users_map(comp)` and `loop` the while whose body is
-    `comp`; `plan` passes both, and they are worked out when not given.
+    `comp`, or None when `comp` is the entry.
     """
-    if users is None:
-        users = users_map(comp)
-    if loop is None:
-        loop = enclosing_loop(m, comp)
     root = comp.root
     root_ops = root.operands if root.opcode == "tuple" else ()
-    root_slot: dict[str, int] = {}  # the first root slot of each root operand
-    for slot, o in enumerate(root_ops):
-        if o.id not in root_slot:
-            root_slot[o.id] = slot
+    root_outputs = {o.id for o in root_ops}
     branch_freq: dict[str, Fraction | None] = {}  # conditional id -> frequency
 
     def classify(member: Instruction, user: Instruction) -> FrontierUse:
         if user is root and user.opcode == "tuple":
-            return FrontierUse(member, user, "loop-output", slot=root_slot[member.id])
+            return FrontierUse(member, user, "loop-output")
         if user.opcode == "outfeed":
             return FrontierUse(member, user, "outfeed")
         if user.opcode == "tuple":
@@ -198,31 +179,16 @@ def find_clusters(
                     continue
                 if any(u.id in members for u in users.get(ins.id, ())):
                     continue
-                if ins.id in root_slot:
+                if ins.id in root_outputs:
                     continue
                 del members[ins.id]
                 changed = True
 
-        inputs: list[Instruction] = []
         frontier: list[FrontierUse] = []
         for ins in members.values():
             for user in users.get(ins.id, ()):
                 if user.id not in members:
                     frontier.append(classify(ins, user))
-            if ins is anchor:
-                continue
-            for op in ins.operands:
-                if op.id in members or op is anchor:
-                    continue
-                if (
-                    isinstance(op.shape, Shape)
-                    and op.shape.dims == dims
-                    and rmap.verdicts.get(op.id, False)
-                    and op.opcode != "parameter"
-                    and op not in inputs
-                ):
-                    inputs.append(op)
-                # scalar and non-matching operands pass through untouched
 
         state_slots: dict[int, tuple[Instruction, bool]] = {}
         if state_param is not None:
@@ -242,7 +208,6 @@ def find_clusters(
                 anchor=anchor,
                 computation=comp,
                 members=members,
-                inputs=inputs,
                 frontier=frontier,
                 state_slots=state_slots,
                 dims=dims,
@@ -298,11 +263,7 @@ class ShardingDecision:
         }
 
 
-def select_groups(
-    shape: Shape,
-    m: Module,
-    threshold: int = PARTIAL_SHARDING_THRESHOLD_BYTES,
-) -> ReplicaGroups:
+def select_groups(shape: Shape, m: Module) -> ReplicaGroups:
     """Full sharding by default; on a mesh, shard within rows instead when the
     fully-sharded piece would be small enough to be latency-bound, or when the
     row-local format wastes fewer padded bytes than the full one."""
@@ -312,7 +273,7 @@ def select_groups(
     rows = topo.row_groups()
     full_spec = choose_spec(shape, m.replica_count, m.tile)
     shard_bytes = physical_bytes(full_spec.shard_shape(shape.etype), m.tile)
-    if shard_bytes < threshold:
+    if shard_bytes < PARTIAL_SHARDING_THRESHOLD_BYTES:
         return rows
     row_spec = choose_spec(shape, rows.group_size(m.replica_count), m.tile, rows)
     if row_spec.waste_bytes(shape.etype, m.tile) < full_spec.waste_bytes(shape.etype, m.tile):
@@ -346,9 +307,7 @@ def state_veto(cluster: Cluster, loop: Instruction | None) -> str | None:
     return None
 
 
-def cluster_io_bytes(
-    cluster: Cluster, m: Module, users: dict[str, list[Instruction]] | None = None
-) -> int:
+def cluster_io_bytes(cluster: Cluster, m: Module, users: dict[str, list[Instruction]]) -> int:
     """Combined physical bytes of the update subgraph's inputs and outputs.
 
     Inputs: the anchor's reduced gradient, state reads (slot projections and
@@ -357,7 +316,7 @@ def cluster_io_bytes(
     outside the cluster (state writes, frontier uses). Broadcast members and
     intermediate arithmetic fuse away and do not count.
 
-    `users` is `ir.users_map(cluster.computation)`, built when not given.
+    `users` is `ir.users_map(cluster.computation)`.
     """
     conduits = {
         i.id
@@ -384,8 +343,6 @@ def cluster_io_bytes(
                 seen.add(op.id)
                 if op.opcode != "broadcast":
                     total += physical_bytes(op.shape, m.tile)
-    if users is None:
-        users = users_map(cluster.computation)
     for ins in cluster.update_members:
         if ins.id in conduits or ins.id in seen:
             continue
@@ -397,10 +354,10 @@ def cluster_io_bytes(
 def evaluate(
     cluster: Cluster,
     m: Module,
+    users: dict[str, list[Instruction]],
+    loop: Instruction | None,
     cm: CostModel | None = None,
     steps: int | None = None,
-    loop: Instruction | None = None,
-    users: dict[str, list[Instruction]] | None = None,
 ) -> ShardingDecision:
     """Decide whether to shard one cluster. Benefit is the saved update
     traffic; cost is the weighted time of the all-gathers sharding makes
@@ -409,10 +366,9 @@ def evaluate(
     an unconditioned outfeed of a member, or loop state that cannot stay
     sharded (`state_veto`; `loop` is the loop whose body holds the cluster).
     A vetoed decision's reason names the veto. The loop-boundary gathers are
-    amortized over `costmodel.amortization_steps(loop, steps)`.
-
-    `plan` passes `users`, the users map of the cluster's computation, which
-    it builds once for all clusters; it is built here when not given."""
+    amortized over `costmodel.amortization_steps(loop, steps)`. `users` is
+    the users map of the cluster's computation, which `plan` builds once for
+    all clusters."""
     cm = cm or CostModel()
     n = m.replica_count
     shape = Shape(cluster.dims, cluster.etype)
@@ -490,8 +446,8 @@ def plan(m: Module, cm: CostModel | None = None, steps: int | None = None) -> li
     rmap = analyze(m)
     comp = loop.body if loop is not None else m.entry
     users = users_map(comp)
-    clusters = find_clusters(comp, rmap, m, users, loop)
-    return [evaluate(c, m, cm, steps=steps, loop=loop, users=users) for c in clusters]
+    clusters = find_clusters(comp, rmap, users, loop)
+    return [evaluate(c, m, users, loop, cm, steps) for c in clusters]
 
 
 def update_member_ids(decisions: list[ShardingDecision]) -> set[str]:

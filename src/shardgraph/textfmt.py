@@ -55,6 +55,7 @@ from operator import itemgetter
 
 from .ir import (
     ALL_REPLICAS,
+    ATTRIBUTE_FIELDS,
     Computation,
     ElementType,
     Instruction,
@@ -100,9 +101,6 @@ def _fmt_ints(v: tuple[int, ...]) -> str:
     return f"[{','.join(map(str, v))}]"
 
 
-# the instruction field of each attribute key whose field has another name
-_FIELDS = {"dim": "dims", "low": "pad_low", "high": "pad_high", "sizes": "slice_sizes", "calls": "fused",
-           "true": "branches", "false": "branches"}
 # the printed value of each attribute key, from its field
 _FORMATS = {key: _fmt_ints for key in ("dims", "low", "high", "sizes")}
 _FORMATS.update((key, str) for key in ("index", "kind", "direction", "groups"))
@@ -124,7 +122,7 @@ def _instruction_line(instr: Instruction) -> str:
         line += " {replica_equal}"
     attrs = []
     for key in OPCODES[op].attributes:
-        value = getattr(instr, _FIELDS.get(key, key))
+        value = getattr(instr, ATTRIBUTE_FIELDS[key])
         if value is not None:
             attrs.append(f"{key}={_FORMATS[key](value)}")
     if attrs:
@@ -540,7 +538,7 @@ class _Parser:
             if key in ("true", "false"):
                 attrs.setdefault("_branches", [None, None])[key == "false"] = value
             else:
-                attrs[_FIELDS.get(key, key)] = value
+                attrs[ATTRIBUTE_FIELDS[key]] = value
 
         branches = attrs.pop("_branches", None)
         if branches is not None:
@@ -736,7 +734,7 @@ def _read_lines(lines: list[str]) -> Module | None:
                         value = comps[text]
                     elif _FORMATS[key](value := _READERS[key](text)) != text:
                         return None
-                    attrs[_FIELDS.get(key, key)] = value
+                    attrs[ATTRIBUTE_FIELDS[key]] = value
                 if opcode == "conditional":
                     attrs["branches"] = (comps[pairs[0][1]], comps[pairs[1][1]])
                 elif "spec" in attrs and "groups" in attrs:

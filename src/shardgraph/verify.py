@@ -11,32 +11,26 @@ instruction with a valid operand count; nested computation signatures
 replica-group partitions; id uniqueness and def-before-use ordering.
 `verify` reports a malformed module, and does not raise on one.
 
-A computation that passes every per-computation check is remembered, in a
-weak map, for the replica count and tile it was checked at: the only module
-facts those checks read (replica groups read the count, bitcasts the tile).
-IR objects are not changed after they are built (see `ir`), so a remembered
-computation is not checked again at the same count and tile; the
-module-wide checks (ids unique across the module, computation names unique)
-run on every call. A compile therefore checks each computation object once,
-however many passes share it.
-
-An instruction's own rules (operand count, callees, its opcode's shape
-rule) read only the instruction, the objects it holds and those two facts.
-So each instruction of a clean computation gets a note of the facts
-(`Instruction.verified_at`), and in a computation not yet found clean an
-instruction noted at the same count and tile skips them; unique ids,
-def-before-use, parameter indices and the root check run for every
-computation. The note lives and dies with the instruction, and a new
-instruction starts without one. A pass that rebuilds a body therefore checks
-only the instructions it made anew.
+An instruction's own rules (operand count, callees, its opcode's shape rule)
+read only the instruction, the objects it holds and two module facts: the
+replica count (replica groups) and the tile (bitcasts). IR objects are not
+changed after they are built (see `ir`), so each instruction of a computation
+found clean gets a note of those facts (`Instruction.verified_at`), and an
+instruction noted at the same count and tile skips its own rules. Everything
+else runs for every computation on every call: unique ids across the module,
+unique computation names, def-before-use, parameter indices and the root
+check. The note lives and dies with the instruction, and a new instruction
+starts without one. A compile therefore puts each instruction object through
+its own rules once, however many passes share it, and a pass that rebuilds a
+body checks only the instructions it made anew.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .ir import (
+    ATTRIBUTE_FIELDS,
     COLLECTIVE_FUSION_KINDS,
     COMPARE_DIRECTIONS,
     Computation,
@@ -53,9 +47,7 @@ from .ir import (
     physical_bytes,
 )
 
-_CALLEE_FIELDS = ("cond", "body", "branches", "fused")
-# the instruction field that holds each callee attribute of the text format
-_FIELD_OF = {"cond": "cond", "body": "body", "true": "branches", "false": "branches", "calls": "fused"}
+_CALLEE_FIELDS = tuple(dict.fromkeys(ATTRIBUTE_FIELDS[a] for info in OPCODES.values() for a in info.callees))
 
 # shapes are interned (see `ir`), so these are compared by identity
 _S32_SCALAR = Shape((), ElementType.S32)
@@ -86,11 +78,6 @@ def check(m: Module):
         raise ValueError("module failed verification:\n" + "\n".join(str(d) for d in diags))
 
 
-# computation -> the (replica_count, tile) pairs it passed every
-# per-computation check at
-_CLEAN: weakref.WeakKeyDictionary[Computation, set[tuple]] = weakref.WeakKeyDictionary()
-
-
 class _Verifier:
     _HANDLERS: dict = {}  # opcode -> (operand counts, callee fields, handler), filled in from `ir.OPCODES`
 
@@ -116,23 +103,11 @@ class _Verifier:
             )
         facts = self.facts
         for comp in comps:
-            if facts in _CLEAN.get(comp, ()):
-                self.check_ids(comp, seen_ids)
-                continue
             before = len(self.diags)
             self.check_computation(comp, seen_ids)
             if len(self.diags) == before:
-                _CLEAN.setdefault(comp, set()).add(facts)
                 for instr in comp.instructions:
                     instr.verified_at = facts
-
-    def check_ids(self, comp: Computation, seen_ids: set[str]):
-        """The module-wide part of `check_computation`: ids unique across
-        the module."""
-        for instr in comp.instructions:
-            if instr.id in seen_ids:
-                self.fail(instr, "unique ids", "duplicate instruction id in module")
-            seen_ids.add(instr.id)
 
     def check_computation(self, comp: Computation, seen_ids: set[str]):
         defined: set[Instruction] = set()  # by identity: the `id` ints share low bits and crowd a set
@@ -154,7 +129,7 @@ class _Verifier:
                 if op not in defined:
                     self.fail(instr, "def before use", f"operand %{op.id} not defined earlier in {comp.name}")
             defined.add(instr)
-            if instr.verified_at == facts:  # its own rules held in a clean computation
+            if instr.verified_at == facts:  # its own rules held in a computation found clean
                 continue
             rule = handlers.get(instr.opcode)
             if rule is None:
@@ -565,7 +540,7 @@ class _Verifier:
 _Verifier._HANDLERS = {
     op: (
         info.operands,
-        frozenset(_FIELD_OF[attr] for attr in info.callees),
+        frozenset(ATTRIBUTE_FIELDS[attr] for attr in info.callees),
         getattr(_Verifier, "op_" + op.replace("-", "_")),
     )
     for op, info in OPCODES.items()

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from shardgraph import pipeline, profitability
 from shardgraph.generators import MODELS, WeightDef, build_training_module, preset
@@ -102,3 +103,20 @@ def compiled_small_presets():
                     d.shard = True
                 compiled = pipeline.compile_module(m, decisions)
                 yield f"{model}/{label}/{loop}", m, compiled.result, compiled.main
+
+
+@pytest.fixture
+def handled(monkeypatch):
+    """The instructions whose opcode handler `verify` runs, in order, kept alive."""
+    from shardgraph.verify import _Verifier
+
+    seen: list = []
+    counting = {}
+    for op, (counts, owned, handler) in _Verifier._HANDLERS.items():
+        def run(self, instr, handler=handler):
+            seen.append(instr)
+            return handler(self, instr)
+
+        counting[op] = (counts, owned, run)
+    monkeypatch.setattr(_Verifier, "_HANDLERS", counting)
+    return seen

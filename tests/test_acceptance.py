@@ -26,7 +26,7 @@ from shardgraph.ir import (
     ring_topology,
     scalar,
 )
-from shardgraph.pipeline import chain_inputs
+from shardgraph.pipeline import chain_inputs, compile_module
 from shardgraph.redundancy import analyze
 from shardgraph.sharding import choose_spec
 from shardgraph.simulator import Simulator, cost, ring_all_gather, ring_reduce_scatter, run
@@ -273,20 +273,11 @@ def test_criterion_6_cost_trends():
     def compare_costs(model):
         m = gen_module(model)
         decisions = profitability.plan(m)
-        res = transform.apply(m, decisions, steps_hint=1000)
-        main = transform.batch_collectives(
-            transform.demote_allgather_precision(res.main)
-        )
-        base_cost = cost(m, update_members=profitability.update_member_ids(decisions))
-        main_cost = cost(main)
-        boundary = (
-            cost(res.shard_program).total_step_time
-            + cost(res.unshard_program).total_step_time
-        ) / 1000
-        speedup = base_cost.total_step_time / (main_cost.total_step_time + boundary)
+        modeled = compile_module(m, decisions, 1000).model(CostModel())
+        base_cost = modeled.baseline_cost
         share = base_cost.weight_update_compute / base_cost.total_step_time
         sharded = sum(1 for d in decisions if d.shard)
-        return share, speedup, sharded, len(decisions)
+        return share, modeled.speedup, sharded, len(decisions)
 
     share, speedup, sharded, total = compare_costs("transformer-like")
     assert share > 0.40, f"transformer-like weight-update share {share:.3f}"

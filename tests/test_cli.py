@@ -97,6 +97,23 @@ def test_simulate_seed_env_fallback(mlp_ir, tmp_path, monkeypatch):
     assert json.loads(a.read_text()) == json.loads(b.read_text())
 
 
+@pytest.mark.parametrize("command", [["compare", "--cost-only"], ["simulate"]], ids=["compare", "simulate"])
+@pytest.mark.parametrize(
+    "env, flags, message",
+    [
+        ("abc", [], "[args] SHARDGRAPH_SEED 'abc' is not an integer"),
+        ("-1", [], "[args] SHARDGRAPH_SEED must be non-negative, got -1"),
+        ("7", ["--seed", "-1"], "[args] --seed must be non-negative, got -1"),
+    ],
+    ids=["env-not-an-integer", "env-negative", "flag-negative"],
+)
+def test_a_bad_seed_is_an_args_error(mlp_ir, monkeypatch, capsys, command, env, flags, message):
+    monkeypatch.setenv("SHARDGRAPH_SEED", env)
+    assert main([command[0], str(mlp_ir), *command[1:], *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message] and captured.out == ""
+
+
 def test_cost_json(mlp_ir, tmp_path):
     out = tmp_path / "c.json"
     assert main(["cost", str(mlp_ir), "--json", str(out)]) == 0

@@ -25,6 +25,7 @@ from shardgraph.ir import (
     physical_bytes,
     ring_topology,
     scalar,
+    users_map,
 )
 from shardgraph.profitability import cluster_io_bytes, evaluate, find_clusters, plan, select_groups
 from shardgraph.redundancy import analyze
@@ -36,14 +37,18 @@ def step_computation(m):
     return (loop.body if loop else m.entry), loop
 
 
+def clusters_of(m):
+    """The clusters `plan` finds in `m`'s step computation."""
+    comp, loop = step_computation(m)
+    return find_clusters(comp, analyze(m), users_map(comp), loop)
+
+
 class TestFindClusters:
     def test_update_cluster_members_and_frontier(self):
         # all-reduce -> update around weight + two aux; weight feeds a matmul
         # (frontier) and the loop output
         m = gen_module("mlp", replicas=4, steps=3, layers=1, dim=8)
-        comp, loop = step_computation(m)
-        rmap = analyze(m)
-        clusters = find_clusters(comp, rmap, m)
+        clusters = clusters_of(m)
         assert len(clusters) == 1
         c = clusters[0]
         assert c.anchor.id == "ar0"
@@ -56,8 +61,7 @@ class TestFindClusters:
 
     def test_two_weights_two_disjoint_clusters(self):
         m = gen_module("mlp", replicas=4, steps=3, layers=2, dim=8)
-        comp, _ = step_computation(m)
-        clusters = find_clusters(comp, analyze(m), m)
+        clusters = clusters_of(m)
         assert len(clusters) == 2
         assert not (set(clusters[0].members) & set(clusters[1].members))
 
@@ -68,7 +72,7 @@ class TestFindClusters:
         gb.emit("outfeed", TupleShape(()), (ar,), id="sink")
         root = gb.emit("tuple", TupleShape(()), ())
         m = Module(gb.finish(root), 4, ring_topology(4))
-        clusters = find_clusters(m.entry, analyze(m), m)
+        clusters = clusters_of(m)
         assert len(clusters) == 1
         c = clusters[0]
         assert set(c.members) == {"ar"}
@@ -78,17 +82,14 @@ class TestFindClusters:
         # an elementwise op feeding only a reduce stays in the full domain
         m = gen_module("mlp", replicas=4, steps=2, layers=1, dim=8, optimizer="lars")
         comp, _ = step_computation(m)
-        clusters = find_clusters(comp, analyze(m), m)
-        [c] = clusters
+        [c] = clusters_of(m)
         # w*w (the norm square) is consumed only by the norm reduce
         wsq = [i for i in comp.instructions if i.opcode == "mul" and i.operands[0].id == "b.w0" and i.operands[1].id == "b.w0"]
         assert wsq and wsq[0].id not in c.members
 
     def test_scalar_all_reduce_not_an_anchor(self):
         m = gen_module("mlp", replicas=4, steps=2, layers=1, dim=8, optimizer="lars")
-        comp, _ = step_computation(m)
-        clusters = find_clusters(comp, analyze(m), m)
-        assert [c.anchor.id for c in clusters] == ["ar0"]
+        assert [c.anchor.id for c in clusters_of(m)] == ["ar0"]
 
 
 class TestFrequency:
@@ -190,8 +191,8 @@ class TestEvaluate:
         gb.emit("outfeed", TupleShape(()), (ar,), id="sink")
         root = gb.emit("tuple", TupleShape(()), ())
         m = Module(gb.finish(root), 4, ring_topology(4))
-        clusters = find_clusters(m.entry, analyze(m), m)
-        d = evaluate(clusters[0], m)
+        [c] = clusters_of(m)
+        d = evaluate(c, m, users_map(m.entry), None)
         assert not d.shard
         assert d.update_bytes == 0
 
@@ -254,7 +255,7 @@ class TestEvaluate:
             [d] = plan(m, cm, steps=steps)
             assert d.shard == (d.benefit_sec > d.cost_sec)
             assert d.benefit_sec == pytest.approx(
-                cluster_io_bytes(d.cluster, m) * (1 - 1 / 8) / cm.mem_bandwidth
+                cluster_io_bytes(d.cluster, m, users_map(d.cluster.computation)) * (1 - 1 / 8) / cm.mem_bandwidth
             )
 
     def test_partial_groups_on_mesh_for_small_shards(self):
@@ -291,29 +292,14 @@ class TestSharedUsersMap:
         assert len(decisions) == layers
         assert built == [comp]
 
-    def test_shared_map_gives_the_same_decisions(self):
-        from shardgraph.ir import users_map
-
-        m = gen_module("mlp", replicas=4, steps=3, layers=3, dim=64)
-        comp, loop = step_computation(m)
-        rmap = analyze(m)
-        users = users_map(comp)
-        alone = find_clusters(comp, rmap, m)
-        shared = find_clusters(comp, rmap, m, users, loop)
-        assert [sorted(c.members) for c in alone] == [sorted(c.members) for c in shared]
-        for a, b in zip(alone, shared):
-            assert cluster_io_bytes(a, m) == cluster_io_bytes(b, m, users)
-            assert evaluate(a, m, loop=loop).to_dict() == evaluate(b, m, loop=loop, users=users).to_dict()
-
 
 class TestClusterIoBytes:
     def test_adam_counts_seven_weights(self):
         # inputs: gradient + w + m + v, outputs: w' + m' + v'  => 7 tensors
         m = gen_module("mlp", replicas=4, steps=3, layers=1, dim=64)
-        comp, _ = step_computation(m)
-        [c] = find_clusters(comp, analyze(m), m)
+        [c] = clusters_of(m)
         per_tensor = physical_bytes(Shape((64, 64), F32))
-        assert cluster_io_bytes(c, m) == 7 * per_tensor
+        assert cluster_io_bytes(c, m, users_map(c.computation)) == 7 * per_tensor
 
 
 def test_cost_weights_a_branch_as_the_planner_does():

@@ -804,23 +804,9 @@ class TestCloneInstruction:
 
 
 class TestVerifyOnce:
-    """A compile checks each computation object at most once: `verify`
-    remembers what it found clean, so the passes' own checks of shared
-    computations cost nothing."""
-
-    @pytest.fixture
-    def checked(self, monkeypatch):
-        from shardgraph.verify import _Verifier
-
-        seen: list = []  # the computations checked, in order, kept alive
-        original = _Verifier.check_computation
-
-        def counting(self, comp, seen_ids):
-            seen.append(comp)
-            return original(self, comp, seen_ids)
-
-        monkeypatch.setattr(_Verifier, "check_computation", counting)
-        return seen
+    """A compile puts each instruction object through its opcode's rules at
+    most once: `verify` notes what it found clean, so the passes' own checks
+    of shared instructions skip those rules."""
 
     @pytest.mark.parametrize(
         "build",
@@ -830,7 +816,7 @@ class TestVerifyOnce:
         ],
         ids=["transformer-like-3", "mlp-outfeed"],
     )
-    def test_each_computation_is_checked_at_most_once(self, build, checked):
+    def test_each_instruction_is_checked_at_most_once(self, build, handled):
         m = build()
         assert verify(m) == []
         decisions = profitability.plan(m, steps=1000)
@@ -839,10 +825,11 @@ class TestVerifyOnce:
         res = transform.apply(m, decisions, steps_hint=1000)
         main = transform.batch_collectives(transform.demote_allgather_precision(res.main))
         assert main is not res.main
-        assert len({id(c) for c in checked}) == len(checked)
-        # and every program the compile hands out was checked
+        checked = {id(i) for i in handled}
+        assert len(checked) == len(handled)
+        # and every instruction of every program the compile hands out was checked
         for prog in (m, res.main, res.shard_program, res.unshard_program, main):
-            assert all(any(c is k for k in checked) for c in prog.computations())
+            assert all(id(i) in checked for c in prog.computations() for i in c.instructions)
 
     def test_apply_checks_a_malformed_input(self):
         # a computation found clean at 4 replicas, then put into a module of
