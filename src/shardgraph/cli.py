@@ -59,6 +59,15 @@ def _seed(args) -> int:
     return seed
 
 
+def _at_least(args, low: int, *names: str):
+    """An `[args]` error for the first of the integer arguments `names` that
+    is given and below `low`."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < low:
+            raise CLIError("args", f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+
+
 def _parse_topology(text: str, n: int | None) -> Topology:
     """`ring` of `n` replicas, or an `RxC` (or `meshRxC`) mesh, which must
     have `n` replicas unless `n` is None."""
@@ -93,6 +102,7 @@ def _load_module(path: str) -> Module:
 
 
 def _override_topology(m: Module, args) -> Module:
+    _at_least(args, 1, "replicas")
     if args.replicas is None and args.topology is None:
         return m
     n = args.replicas if args.replicas is not None else m.replica_count
@@ -132,8 +142,7 @@ def _json_default(o):
 
 def _steps(args) -> int | None:
     """The --steps horizon of `analyze`, `transform` and `compare`, if given."""
-    if args.steps is not None and args.steps < 1:
-        raise CLIError("args", "--steps must be at least 1")
+    _at_least(args, 1, "steps")
     return args.steps
 
 
@@ -294,6 +303,8 @@ def cmd_cost(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    _at_least(args, 1, "replicas", "layers", "dim", "batch", "outfeed_every")
+    _at_least(args, 0, "steps")
     topo = None
     if args.topology:
         # without --replicas a mesh sets the replica count and a ring has 8
@@ -325,6 +336,8 @@ def cmd_gen(args) -> int:
 
 def cmd_compare(args) -> int:
     steps = _steps(args)
+    if not args.tolerance >= 0:  # NaN too
+        raise CLIError("args", f"--tolerance must be a non-negative number, got {args.tolerance}")
     m = _load_verified(args.module, args)
     cm = _cost_model(args)
     seed = _seed(args)

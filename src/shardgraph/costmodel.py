@@ -34,7 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ir import Computation, Instruction, Module, ReplicaGroups, Shape, Topology, is_collective, physical_bytes
+from .ir import (
+    Computation, ElementType, Instruction, Module, ReplicaGroups, Shape, Topology, is_collective, physical_bytes,
+)
 from .sharding import ShardingSpec
 
 
@@ -76,15 +78,10 @@ class Phase:
     piece_bytes: float
 
 
-def collective_phases(
-    op: str,  # "reduce_scatter" | "all_gather"
-    shape: Shape,
-    topology: Topology,
-    group: ReplicaGroups,
-    spec: ShardingSpec,
-    tile=(8, 128),
-) -> list[Phase]:
-    """Ring phases for one reduce-scatter or all-gather on one tensor.
+def collective_phases(op: str, spec: ShardingSpec, etype: ElementType, topology: Topology, tile) -> list[Phase]:
+    """Ring phases for one reduce-scatter or all-gather (`op` is
+    "reduce_scatter" or "all_gather") of a tensor of element type `etype` in
+    the format `spec`, over the spec's group.
 
     Each takes G-1 rounds per phase, with piece size equal to the sharding
     format's physical shard bytes (piece boundaries must match the exposed
@@ -92,12 +89,12 @@ def collective_phases(
     is two-phase: rows exchange superpieces (one per column), then columns
     exchange the final shards.
     """
-    g = group.group_size(topology.n)
+    g = spec.group.group_size(topology.n)
     if g == 1:
         return []
-    shard_bytes = physical_bytes(spec.shard_shape(shape.etype), tile)
+    shard_bytes = physical_bytes(spec.shard_shape(etype), tile)
 
-    if topology.two_phase(group):
+    if topology.two_phase(spec.group):
         m, r = topology.cols, topology.rows
         scatter = [Phase(m - 1, shard_bytes * r), Phase(r - 1, shard_bytes)]
     else:
@@ -134,8 +131,8 @@ def instruction_phases(instr: Instruction, m: Module) -> list[Phase]:
         return all_reduce_phases(total, m.topology, instr.groups)
     spec: ShardingSpec = instr.spec
     if instr.kind == "reduce_scatter":
-        return collective_phases("reduce_scatter", instr.operands[0].shape, m.topology, spec.group, spec, m.tile)
-    return collective_phases("all_gather", instr.shape, m.topology, spec.group, spec, m.tile)
+        return collective_phases("reduce_scatter", spec, instr.operands[0].shape.etype, m.topology, m.tile)
+    return collective_phases("all_gather", spec, instr.shape.etype, m.topology, m.tile)
 
 
 # --------------------------------------------------------------------------- #

@@ -14,8 +14,10 @@ amortization horizon are `costmodel`'s rules, the ones `cost` uses too.
 
 This module makes every sharding decision: whether a cluster shards (a
 cluster whose loop state cannot stay sharded is kept, see `state_veto`), and
-within which groups (`select_groups`: all replicas, or the rows of a mesh).
-`transform.apply` emits exactly the decisions it is given.
+in which format (`select_spec`: sharded over all replicas, or within the rows
+of a mesh). A decision's spec is its one record of the format and of the
+replica group it shards over (`spec.group`). `transform.apply` emits exactly
+the decisions it is given.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .ir import (
     ELEMENTWISE_BINARY,
     Instruction,
     Module,
-    ReplicaGroups,
     Shape,
     TupleShape,
     physical_bytes,
@@ -65,8 +66,6 @@ class Cluster:
     members: dict[str, Instruction]
     frontier: list[FrontierUse]
     state_slots: dict[int, tuple[Instruction, bool]]  # slot -> (gte member, output paired)
-    dims: tuple[int, ...]
-    etype: object
 
     @property
     def update_members(self) -> list[Instruction]:
@@ -150,7 +149,6 @@ def find_clusters(
         if not isinstance(anchor.shape, Shape) or anchor.shape.rank == 0:
             continue
         dims = anchor.shape.dims
-        etype = anchor.shape.etype
         members: dict[str, Instruction] = {anchor.id: anchor}
         work = [anchor]
         while work:
@@ -210,8 +208,6 @@ def find_clusters(
                 members=members,
                 frontier=frontier,
                 state_slots=state_slots,
-                dims=dims,
-                etype=etype,
             )
         )
     return clusters
@@ -236,8 +232,7 @@ class AgSite:
 class ShardingDecision:
     cluster: Cluster
     shard: bool
-    groups: ReplicaGroups
-    spec: ShardingSpec | None
+    spec: ShardingSpec
     benefit_sec: float
     cost_sec: float
     update_bytes: int
@@ -256,29 +251,30 @@ class ShardingDecision:
             "cost_sec": self.cost_sec,
             "update_bytes": self.update_bytes,
             "decision": "shard" if self.shard else "keep",
-            "groups": str(self.groups),
-            "spec": str(self.spec) if self.spec else None,
+            "groups": str(self.spec.group),
+            "spec": str(self.spec),
             "ag_sites": [s.to_dict() for s in self.ag_sites],
             "reason": self.reason,
         }
 
 
-def select_groups(shape: Shape, m: Module) -> ReplicaGroups:
-    """Full sharding by default; on a mesh, shard within rows instead when the
-    fully-sharded piece would be small enough to be latency-bound, or when the
-    row-local format wastes fewer padded bytes than the full one."""
+def select_spec(shape: Shape, m: Module) -> ShardingSpec:
+    """The format to shard `shape` in: over all replicas by default; on a
+    mesh, within its rows instead when the fully-sharded piece would be small
+    enough to be latency-bound, or when the row-local format wastes fewer
+    padded bytes than the full one."""
     topo = m.topology
-    if topo.kind != "mesh" or topo.rows <= 1 or topo.cols <= 1:
-        return ALL_REPLICAS
-    rows = topo.row_groups()
     full_spec = choose_spec(shape, m.replica_count, m.tile)
+    if topo.kind != "mesh" or topo.rows <= 1 or topo.cols <= 1:
+        return full_spec
+    rows = topo.row_groups()
+    row_spec = choose_spec(shape, rows.group_size(m.replica_count), m.tile, rows)
     shard_bytes = physical_bytes(full_spec.shard_shape(shape.etype), m.tile)
     if shard_bytes < PARTIAL_SHARDING_THRESHOLD_BYTES:
-        return rows
-    row_spec = choose_spec(shape, rows.group_size(m.replica_count), m.tile, rows)
+        return row_spec
     if row_spec.waste_bytes(shape.etype, m.tile) < full_spec.waste_bytes(shape.etype, m.tile):
-        return rows
-    return ALL_REPLICAS
+        return row_spec
+    return full_spec
 
 
 def _slots_read(comp: Computation) -> set[int]:
@@ -330,15 +326,14 @@ def cluster_io_bytes(cluster: Cluster, m: Module, users: dict[str, list[Instruct
     }
     if not compute:
         return 0
-    tensor = physical_bytes(Shape(cluster.dims, cluster.etype), m.tile)
-    total = tensor  # the anchor's output feeds the update
+    total = physical_bytes(cluster.anchor.shape, m.tile)  # the anchor's output feeds the update
     seen: set[str] = {cluster.anchor.id}
     for ins in cluster.update_members:
         for op in ins.operands:
             if op.id in compute or op.id in seen or op is cluster.anchor:
                 continue
             if op.id in conduits or (
-                isinstance(op.shape, Shape) and op.shape.dims == cluster.dims
+                isinstance(op.shape, Shape) and op.shape.dims == cluster.anchor.shape.dims
             ):
                 seen.add(op.id)
                 if op.opcode != "broadcast":
@@ -370,11 +365,9 @@ def evaluate(
     the users map of the cluster's computation, which `plan` builds once for
     all clusters."""
     cm = cm or CostModel()
-    n = m.replica_count
-    shape = Shape(cluster.dims, cluster.etype)
-    groups = select_groups(shape, m)
-    s = groups.group_size(n)
-    spec = choose_spec(shape, s, m.tile, groups)
+    shape = cluster.anchor.shape
+    spec = select_spec(shape, m)
+    s = spec.shard_count
 
     steps = amortization_steps(loop, steps)
     update_bytes = cluster_io_bytes(cluster, m, users)
@@ -404,10 +397,10 @@ def evaluate(
     # Communication delta: the reduce-scatter plus the weighted all-gathers
     # replace the anchoring all-reduce. With a low-waste format one in-loop
     # gather comes out free; pad-heavy formats pay their padding here.
-    ag_time = cm.phases_time(collective_phases("all_gather", shape, m.topology, groups, spec, m.tile))
-    rs_time = cm.phases_time(collective_phases("reduce_scatter", shape, m.topology, groups, spec, m.tile))
+    ag_time = cm.phases_time(collective_phases("all_gather", spec, shape.etype, m.topology, m.tile))
+    rs_time = cm.phases_time(collective_phases("reduce_scatter", spec, shape.etype, m.topology, m.tile))
     ar_time = cm.phases_time(all_reduce_phases(physical_bytes(shape, m.tile), m.topology, ALL_REPLICAS))
-    if not groups.is_all:
+    if not spec.group.is_all:
         # partial sharding adds a cross-group all-reduce on the shard
         shard_bytes = physical_bytes(spec.shard_shape(shape.etype), m.tile)
         rs_time += cm.phases_time(all_reduce_phases(shard_bytes, m.topology, m.topology.col_groups()))
@@ -426,7 +419,6 @@ def evaluate(
     return ShardingDecision(
         cluster=cluster,
         shard=shard,
-        groups=groups,
         spec=spec,
         benefit_sec=benefit,
         cost_sec=cost_sec,

@@ -44,7 +44,6 @@ def _uniform(shape, value: bool) -> Verdict:
 @dataclass
 class RedundancyMap:
     verdicts: dict[str, bool] = field(default_factory=dict)
-    parameter_verdicts: dict[str, tuple] = field(default_factory=dict)
 
     def redundant(self, instr_id: str) -> bool:
         return self.verdicts[instr_id]
@@ -72,7 +71,6 @@ class _Analysis:
         self.map.verdicts[instr.id] = verdict_all(v)
 
     def run_computation(self, comp: Computation, param_verdicts: list[Verdict]) -> Verdict:
-        self.map.parameter_verdicts[comp.name] = tuple(param_verdicts)
         env: dict[str, Verdict] = {}
         for instr in comp.instructions:
             v = self.eval(instr, env, param_verdicts)

@@ -33,7 +33,6 @@ from .ir import (
     GraphBuilder,
     Instruction,
     Module,
-    ReplicaGroups,
     Shape,
     TupleShape,
     scalar,
@@ -154,13 +153,6 @@ def _replica_id(gb: GraphBuilder, cache: dict) -> Instruction:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass
-class _ClusterPlan:
-    decision: ShardingDecision
-    cross_groups: ReplicaGroups | None  # column all-reduce for partial sharding
-    sharded_params: dict[int, tuple[str, int | None]]  # entry param index -> (name, output slot)
-
-
 class _BodyRewriter:
     """Re-emits a step computation with cluster members at shard shapes.
 
@@ -169,7 +161,10 @@ class _BodyRewriter:
     before that first use.
     """
 
-    def __init__(self, m: Module, comp: Computation, plans: list[_ClusterPlan], state_shape, sharded_slots: dict[int, ShardingSpec]):
+    def __init__(
+        self, m: Module, comp: Computation, decisions: list[ShardingDecision], state_shape,
+        sharded_slots: dict[int, ShardingSpec],
+    ):
         self.m = m
         self.comp = comp
         self.state_shape = state_shape  # None when the computation has plain parameters
@@ -178,32 +173,29 @@ class _BodyRewriter:
         self.mapping: dict[str, Instruction] = {}
         self.shard_of: dict[str, Instruction] = {}  # member id -> shard value
         self.full_of: dict[str, Instruction] = {}  # member id -> gathered value
+        self.input_shards: dict[str, Instruction] = {}  # non-member id -> its shard
         self.placements: list[tuple[str, str]] = []  # (variable/member, placement)
         self._rids: dict = {}
-        self._plan_of: dict[str, _ClusterPlan] = {}
-        for p in plans:
-            for mid in p.decision.cluster.members:
-                self._plan_of[mid] = p
+        self._spec_of = {mid: d.spec for d in decisions for mid in d.cluster.members}
         self._branch_args = {  # ids of the values passed to a conditional branch
             a.id for i in comp.instructions if i.opcode == "conditional" for a in i.operands[1:]
         }
 
     def full_value(self, instr: Instruction) -> Instruction:
         """Full tensor for a member value, gathered on first demand."""
-        if instr.id not in self._plan_of:
+        if instr.id not in self._spec_of:
             return self.mapping[instr.id]
         if instr.id in self.full_of:
             return self.full_of[instr.id]
-        p = self._plan_of[instr.id]
         ag = build_unshard_ops(
-            p.decision.spec, self.shard_of[instr.id], self.gb, kind="all_gather", name_hint=f"ag_{instr.id}"
+            self._spec_of[instr.id], self.shard_of[instr.id], self.gb, kind="all_gather", name_hint=f"ag_{instr.id}"
         )
         self.full_of[instr.id] = ag
         self.placements.append((instr.id, "in-loop"))
         return ag
 
     def operand(self, o: Instruction) -> Instruction:
-        if o.id in self._plan_of:
+        if o.id in self._spec_of:
             return self.full_value(o)
         return self.mapping[o.id]
 
@@ -214,15 +206,14 @@ class _BodyRewriter:
         return self.gb.finish(self.mapping[self.comp.root.id])
 
     def emit(self, instr: Instruction) -> Instruction:
-        plan = self._plan_of.get(instr.id)
-        if plan is not None:
-            shard = self.emit_member(instr, plan)
+        spec = self._spec_of.get(instr.id)
+        if spec is not None:
+            shard = self.emit_member(instr, spec)
             self.shard_of[instr.id] = shard
             return shard
         return self.emit_other(instr)
 
-    def emit_member(self, instr: Instruction, plan: _ClusterPlan) -> Instruction:
-        spec = plan.decision.spec
+    def emit_member(self, instr: Instruction, spec: ShardingSpec) -> Instruction:
         etype = instr.shape.etype if isinstance(instr.shape, Shape) else None
         shard_shape = spec.shard_shape(etype)
         op = instr.opcode
@@ -236,14 +227,15 @@ class _BodyRewriter:
                 reduce_kind=instr.kind,
                 name_hint=f"rs_{instr.id}",
             )
-            if plan.cross_groups is not None:
+            if not spec.group.is_all and self.m.topology.rows > 1:
+                # row-local sharding: the column all-reduce completes the sum
                 rs = self.gb.emit(
                     "all-reduce",
                     rs.shape,
                     (rs,),
                     id=self.gb.fresh_id(f"xg_{instr.id}"),
                     kind=instr.kind,
-                    groups=plan.cross_groups,
+                    groups=self.m.topology.col_groups(),
                 )
             return rs
         if op == "get-tuple-element":
@@ -264,10 +256,10 @@ class _BodyRewriter:
         # tensor operands use shard values (gathering inputs produced outside)
         operands = []
         for o in instr.operands:
-            if o.id in self._plan_of:
+            if o.id in self._spec_of:
                 operands.append(self.shard_of[o.id])
             elif isinstance(o.shape, Shape) and o.shape.dims == spec.source_dims:
-                operands.append(self.input_shard(o, plan))
+                operands.append(self.input_shard(o, spec))
             else:
                 operands.append(self.mapping[o.id])
         out_shape = shard_shape
@@ -278,17 +270,14 @@ class _BodyRewriter:
             kind=instr.kind, direction=instr.direction, dims=instr.dims,
         )
 
-    def input_shard(self, o: Instruction, plan: _ClusterPlan) -> Instruction:
-        """Slice a full redundant tensor produced outside the cluster."""
-        key = f"{o.id}//shard"
-        if key in self.full_of:
-            return self.full_of[key]
-        sh = build_shard_ops(
-            plan.decision.spec, self.mapping[o.id], _replica_id(self.gb, self._rids), self.gb, self.m.topology,
-            name_hint=f"slice_{o.id}",
-        )
-        self.full_of[key] = sh
-        return sh
+    def input_shard(self, o: Instruction, spec: ShardingSpec) -> Instruction:
+        """Slice a full redundant tensor produced outside the cluster, once."""
+        if o.id not in self.input_shards:
+            self.input_shards[o.id] = build_shard_ops(
+                spec, self.mapping[o.id], _replica_id(self.gb, self._rids), self.gb, self.m.topology,
+                name_hint=f"slice_{o.id}",
+            )
+        return self.input_shards[o.id]
 
     def emit_other(self, instr: Instruction) -> Instruction:
         if instr.opcode == "parameter" and self.state_shape is not None:
@@ -296,7 +285,7 @@ class _BodyRewriter:
         if instr is self.comp.root and instr.opcode == "tuple":
             operands = []
             for slot, o in enumerate(instr.operands):
-                if slot in self.sharded_slots and o.id in self._plan_of:
+                if slot in self.sharded_slots and o.id in self._spec_of:
                     operands.append(self.shard_of[o.id])
                 else:
                     operands.append(self.operand(o))
@@ -305,7 +294,7 @@ class _BodyRewriter:
         if instr.opcode == "tuple" and self._feeds_conditional(instr):
             # branch argument: pass shards through; the branch gathers inside
             operands = [
-                self.shard_of[o.id] if o.id in self._plan_of else self.mapping[o.id]
+                self.shard_of[o.id] if o.id in self._spec_of else self.mapping[o.id]
                 for o in instr.operands
             ]
             shape = TupleShape(tuple(op.shape for op in operands))
@@ -315,7 +304,7 @@ class _BodyRewriter:
         return _clone_instruction(instr, self.gb, tuple(self.operand(o) for o in instr.operands), {})
 
     def _feeds_conditional(self, instr: Instruction) -> bool:
-        return instr.id in self._branch_args and any(o.id in self._plan_of for o in instr.operands)
+        return instr.id in self._branch_args and any(o.id in self._spec_of for o in instr.operands)
 
     def emit_conditional(self, instr: Instruction) -> Instruction:
         new_branches = []
@@ -327,8 +316,8 @@ class _BodyRewriter:
             specs_by_slot: dict[int, ShardingSpec] = {}
             if arg.opcode == "tuple":
                 for i, o in enumerate(arg.operands):
-                    if o.id in self._plan_of:
-                        specs_by_slot[i] = self._plan_of[o.id].decision.spec
+                    if o.id in self._spec_of:
+                        specs_by_slot[i] = self._spec_of[o.id]
             new_branches.append(_rewrite_branch(branch, new_arg.shape, specs_by_slot))
             for i in specs_by_slot:
                 self.placements.append((f"{arg.id}[{i}]", "branch"))
@@ -389,41 +378,14 @@ def apply(m: Module, decisions: list[ShardingDecision], steps_hint: int | None =
         if veto is not None:
             raise TransformError(f"cannot shard the cluster of %{d.cluster.anchor.id}: {veto}")
 
-    out_slots: dict[str, list[int]] = {}  # entry root element id -> its positions
-    if loop is None and body.root.opcode == "tuple":
-        for slot, value in enumerate(body.root.operands):
-            out_slots.setdefault(value.id, []).append(slot)
-    plans: list[_ClusterPlan] = []
-    for d in active:
-        cluster = d.cluster
-        cross = None
-        if not d.groups.is_all and m.topology.rows > 1:
-            cross = m.topology.col_groups()
-        sharded_params: dict[int, tuple[str, int | None]] = {}
-        if loop is None:
-            member_out_slots = sorted(
-                i for mid in cluster.members if mid != cluster.anchor.id for i in out_slots.get(mid, ())
-            )
-            params = sorted((i for i in cluster.members.values() if i.opcode == "parameter"), key=lambda i: i.index)
-            for pidx, ins in enumerate(params):
-                out_slot = member_out_slots[pidx] if pidx < len(member_out_slots) else None
-                sharded_params[ins.index] = (ins.id, out_slot)
-        plans.append(
-            _ClusterPlan(
-                decision=d,
-                cross_groups=cross,
-                sharded_params=sharded_params,
-            )
-        )
-
-    main, manifest = _apply_loop(m, loop, plans) if loop is not None else _apply_entry(m, plans)
+    main, manifest = _apply_loop(m, loop, active) if loop is not None else _apply_entry(m, active)
     manifest.notes["steps_assumed"] = steps_hint or 0
     manifest.notes["unshard_idempotent"] = False
     shard_prog = _build_shard_program(m, main, manifest)
     unshard_prog = _build_unshard_program(m, main, manifest)
     for prog in (main, shard_prog, unshard_prog):
         check(prog)
-    return TransformResult(main, shard_prog, unshard_prog, manifest, [p.decision for p in plans])
+    return TransformResult(main, shard_prog, unshard_prog, manifest, active)
 
 
 def _new_state_shape(old: TupleShape, sharded: dict[int, ShardingSpec]) -> TupleShape:
@@ -436,16 +398,13 @@ def _new_state_shape(old: TupleShape, sharded: dict[int, ShardingSpec]) -> Tuple
     return TupleShape(tuple(elems))
 
 
-def _apply_loop(m: Module, loop: Instruction, plans: list[_ClusterPlan]) -> tuple[Module, Manifest]:
+def _apply_loop(m: Module, loop: Instruction, decisions: list[ShardingDecision]) -> tuple[Module, Manifest]:
     body = loop.body
-    sharded_slots: dict[int, ShardingSpec] = {}
-    for p in plans:
-        for slot in p.decision.cluster.state_slots:
-            sharded_slots[slot] = p.decision.spec
+    sharded_slots = {slot: d.spec for d in decisions for slot in d.cluster.state_slots}
     init = loop.operands[0]
     new_state = _new_state_shape(init.shape, sharded_slots)
 
-    body_rw = _BodyRewriter(m, body, plans, new_state, sharded_slots)
+    body_rw = _BodyRewriter(m, body, decisions, new_state, sharded_slots)
     new_body = body_rw.run()
     new_cond = _BodyRewriter(m, loop.cond, [], new_state, {}).run()
 
@@ -496,7 +455,6 @@ def _apply_loop(m: Module, loop: Instruction, plans: list[_ClusterPlan]) -> tupl
     manifest = Manifest()
 
     # Variable records: classify by whether the body gathers the slot's value.
-    gathered_members = set(body_rw.full_of)
     out_slots = _root_slot_index(m.entry, loop)
     slot_gte = _slot_gtes(body)
     placements_of: dict[str, list[str]] = {}
@@ -506,7 +464,7 @@ def _apply_loop(m: Module, loop: Instruction, plans: list[_ClusterPlan]) -> tupl
         src = init.operands[slot] if init.opcode == "tuple" else None
         name = src.id if src is not None and src.opcode == "parameter" else f"slot{slot}"
         gte_member = slot_gte.get(slot)
-        gathered = gte_member is not None and gte_member.id in gathered_members
+        gathered = gte_member is not None and gte_member.id in body_rw.full_of
         manifest.variables.append(
             VariableInfo(
                 name=name,
@@ -570,39 +528,44 @@ def _add_full_slot_records(manifest, init, sharded_slots, out_slots):
         )
 
 
-def _apply_entry(m: Module, plans: list[_ClusterPlan]) -> tuple[Module, Manifest]:
+def _apply_entry(m: Module, decisions: list[ShardingDecision]) -> tuple[Module, Manifest]:
     """Transform a module with no compiler-visible loop: the step computation
     is the entry itself; sharded variables enter as shard-shaped parameters
-    and leave sharded in the corresponding outputs."""
-    sharded_params: dict[int, ShardingSpec] = {}
-    sharded_out_slots: dict[int, ShardingSpec] = {}
-    for p in plans:
-        for pidx, (name, out_slot) in p.sharded_params.items():
-            sharded_params[pidx] = p.decision.spec
-            if out_slot is not None:
-                sharded_out_slots[out_slot] = p.decision.spec
+    and leave sharded in the corresponding outputs. A cluster's parameters,
+    in index order, pair with the root positions of its members, in position
+    order; a parameter left over has no sharded output."""
+    root = m.entry.root
+    positions: dict[str, list[int]] = {}  # root element id -> its positions
+    for pos, value in enumerate(root.operands if root.opcode == "tuple" else ()):
+        positions.setdefault(value.id, []).append(pos)
+    pairs: list[tuple[Instruction, int | None, ShardingSpec]] = []  # (parameter, output position, spec)
+    for d in decisions:
+        c = d.cluster
+        outs = sorted(pos for mid in c.members if mid != c.anchor.id for pos in positions.get(mid, ()))
+        params = sorted((i for i in c.members.values() if i.opcode == "parameter"), key=lambda i: i.index)
+        pairs += [(p, outs[k] if k < len(outs) else None, d.spec) for k, p in enumerate(params)]
+    sharded_out_slots = {pos: spec for _, pos, spec in pairs if pos is not None}
 
-    body_rw = _BodyRewriter(m, m.entry, plans, None, sharded_out_slots)
+    body_rw = _BodyRewriter(m, m.entry, decisions, None, sharded_out_slots)
     main = Module(body_rw.run(), m.replica_count, m.topology, m.tile)
 
     manifest = Manifest()
-    gathered_members = set(body_rw.full_of)
-    for p in plans:
-        for pidx, (name, out_slot) in sorted(p.sharded_params.items()):
-            gathered = name in gathered_members  # the name is the parameter member's id
-            manifest.variables.append(
-                VariableInfo(
-                    name=name,
-                    kind="weight" if gathered else "aux",
-                    param_index=pidx,
-                    slot=None,
-                    output_index=out_slot,
-                    residency="sharded",
-                    spec=p.decision.spec,
-                    gathered_in_body=gathered,
-                    placements=("in-loop",) if gathered else ("loop-boundary",),
-                )
+    for param, pos, spec in pairs:
+        gathered = param.id in body_rw.full_of
+        manifest.variables.append(
+            VariableInfo(
+                name=param.id,
+                kind="weight" if gathered else "aux",
+                param_index=param.index,
+                slot=None,
+                output_index=pos,
+                residency="sharded",
+                spec=spec,
+                gathered_in_body=gathered,
+                placements=("in-loop",) if gathered else ("loop-boundary",),
             )
+        )
+    sharded_params = {param.index for param, _, _ in pairs}
     for param in m.entry.parameters:
         if param.index not in sharded_params:
             manifest.variables.append(

@@ -3,7 +3,7 @@ import pytest
 
 from shardgraph import pipeline, profitability
 from shardgraph.generators import MODELS, WeightDef, build_training_module, preset
-from shardgraph.ir import ALL_REPLICAS, Module, Shape, TupleShape, mesh_topology, ring_topology
+from shardgraph.ir import Module, TupleShape, mesh_topology, ring_topology
 from shardgraph.sharding import choose_spec
 from shardgraph.simulator import PerReplica
 
@@ -60,9 +60,8 @@ def run_pipeline(m: Module, steps, seed, demote=False, batch=False, pin_full_gro
     decisions = profitability.plan(m, steps=steps)
     for d in decisions:
         d.shard = True
-        if pin_full_groups and not d.groups.is_all:
-            d.groups = ALL_REPLICAS
-            d.spec = choose_spec(Shape(d.cluster.dims, d.cluster.etype), m.replica_count, m.tile)
+        if pin_full_groups and not d.spec.group.is_all:
+            d.spec = choose_spec(d.cluster.anchor.shape, m.replica_count, m.tile)
     compiled = pipeline.compile_module(m, decisions, steps, demote=demote, batch=batch)
     base_outs, outs = compiled.run(training_inputs(m, seed), seed)
     return base_outs, outs, compiled.result, compiled.main

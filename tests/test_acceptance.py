@@ -318,7 +318,7 @@ def test_criterion_7_latency_and_batching():
     decisions = profitability.plan(m2, steps=2)
     for d in decisions:
         d.shard = True
-        assert not d.groups.is_all  # partial sharding on the mesh
+        assert not d.spec.group.is_all  # partial sharding on the mesh
     res = transform.apply(m2, decisions, steps_hint=2)
     batched = transform.batch_collectives(res.main)
 

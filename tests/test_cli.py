@@ -213,15 +213,17 @@ def test_compare_deterministic_given_flags(mlp_ir, tmp_path):
     assert json.loads(a.read_text()) == json.loads(b.read_text())
 
 
-def test_compare_tolerance_breach_nonzero_exit(tmp_path):
+def test_compare_tolerance_breach_nonzero_exit(tmp_path, monkeypatch):
     path = tmp_path / "m.ir"
     assert main(["gen", "mlp", "--layers", "1", "--dim", "64", "--replicas", "4",
                  "--steps", "2", "--out", str(path)]) == 0
-    rc = main(["compare", str(path), "--seed", "2", "--tolerance", "-1"])
-    assert rc == 1  # any nonzero diff breaches a negative tolerance; exact zero passes
-    # with matched rings the diff is exactly zero, so even -0.0 tolerance trips
-    # only when a real difference exists; check the normal path too
+    # with matched rings the diff is exactly zero, so even a zero tolerance passes
     assert main(["compare", str(path), "--seed", "2"]) == 0
+    assert main(["compare", str(path), "--seed", "2", "--tolerance", "0"]) == 0
+    # a scaled diff above the tolerance exits 1; one equal to it passes
+    monkeypatch.setattr(pipeline, "max_diffs", lambda base, outs: (1e-3, 1e-5))
+    assert main(["compare", str(path), "--seed", "2"]) == 1
+    assert main(["compare", str(path), "--seed", "2", "--tolerance", "1e-5"]) == 0
 
 
 def test_transform_records_the_horizon_it_planned_for(mlp_ir, tmp_path):
@@ -326,9 +328,27 @@ def _small_mlp(tmp_path, loop_steps: str) -> str:
                            "--steps", "0"], "args"),
         (lambda tmp_path: ["analyze", _small_mlp(tmp_path, "3"), "--profit", "--steps", "0"], "args"),
         (lambda tmp_path: ["compare", _small_mlp(tmp_path, "0"), "--steps", "-5"], "args"),
+        (lambda tmp_path: ["compare", _small_mlp(tmp_path, "3"), "--replicas", "0"], "args"),
+        (lambda tmp_path: ["compare", _small_mlp(tmp_path, "3"), "--replicas", "-2"], "args"),
+        (lambda tmp_path: ["simulate", _small_mlp(tmp_path, "3"), "--replicas", "0"], "args"),
+        (lambda tmp_path: ["compare", _small_mlp(tmp_path, "3"), "--tolerance", "nan"], "args"),
+        (lambda tmp_path: ["compare", _small_mlp(tmp_path, "3"), "--tolerance", "-1"], "args"),
+        (lambda tmp_path: ["gen", "mlp", "--replicas", "0"], "args"),
+        (lambda tmp_path: ["gen", "mlp", "--topology", "ring", "--replicas", "0"], "args"),
+        (lambda tmp_path: ["gen", "mlp", "--layers", "-2"], "args"),
+        (lambda tmp_path: ["gen", "mlp", "--layers", "0"], "args"),
+        (lambda tmp_path: ["gen", "mlp", "--dim", "-4"], "args"),
+        (lambda tmp_path: ["gen", "mlp", "--dim", "0"], "args"),
+        (lambda tmp_path: ["gen", "mlp", "--batch", "0"], "args"),
+        (lambda tmp_path: ["gen", "mlp", "--outfeed-every", "0"], "args"),
+        (lambda tmp_path: ["gen", "mlp", "--steps", "-1"], "args"),
+        (lambda tmp_path: ["gen", "mlp", "--steps", "-5"], "args"),
     ],
     ids=["truncated-ir", "missing-file", "bad-topology", "zero-bandwidth", "transform-steps-0",
-         "analyze-steps-0", "compare-steps-negative"],
+         "analyze-steps-0", "compare-steps-negative", "compare-replicas-0", "compare-replicas-negative",
+         "simulate-replicas-0", "compare-tolerance-nan", "compare-tolerance-negative", "gen-replicas-0",
+         "gen-ring-replicas-0", "gen-layers-negative", "gen-layers-0", "gen-dim-negative", "gen-dim-0",
+         "gen-batch-0", "gen-outfeed-every-0", "gen-steps-minus-1", "gen-steps-negative"],
 )
 def test_user_error_is_one_line_exit_2(argv, stage, tmp_path, capsys):
     args = argv(tmp_path)

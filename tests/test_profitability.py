@@ -27,7 +27,7 @@ from shardgraph.ir import (
     scalar,
     users_map,
 )
-from shardgraph.profitability import cluster_io_bytes, evaluate, find_clusters, plan, select_groups
+from shardgraph.profitability import cluster_io_bytes, evaluate, find_clusters, plan, select_spec
 from shardgraph.redundancy import analyze
 from shardgraph.textfmt import parse_module, print_module
 
@@ -262,13 +262,13 @@ class TestEvaluate:
         m = gen_module("mlp", replicas=2048, topology=mesh_topology(32, 64),
                        steps=1000, layers=1, dim=512)
         shape = Shape((512, 512), F32)
-        groups = select_groups(shape, m)
+        groups = select_spec(shape, m).group
         assert not groups.is_all
         assert groups.groups == m.topology.row_groups().groups
 
     def test_full_groups_on_ring(self):
         m = gen_module("mlp", replicas=16, steps=1000, layers=1, dim=512)
-        assert select_groups(Shape((512, 512), F32), m).is_all
+        assert select_spec(Shape((512, 512), F32), m).group.is_all
 
 
 class TestSharedUsersMap:

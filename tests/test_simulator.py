@@ -10,6 +10,7 @@ from shardgraph.costmodel import CostModel, Phase, collective_phases
 from shardgraph.generators import MODELS, gen_module
 from shardgraph.ir import (
     ALL_REPLICAS,
+    DEFAULT_TILE,
     F16R,
     F32,
     GraphBuilder,
@@ -726,7 +727,7 @@ class TestRingCollectives:
         spec = choose_spec(shape, 4)
         shard_bytes = physical_bytes(Shape(spec.shard_dims, F32))
         for op in ("reduce_scatter", "all_gather"):
-            assert collective_phases(op, shape, topo, ALL_REPLICAS, spec) == [Phase(3, shard_bytes)]
+            assert collective_phases(op, spec, F32, topo, DEFAULT_TILE) == [Phase(3, shard_bytes)]
             stats = run_one_collective(op, spec, topo).stats
             assert stats.rounds == 3
             assert stats.bytes_sent == 3 * shard_bytes
@@ -737,8 +738,8 @@ class TestRingCollectives:
         shard_bytes = physical_bytes(Shape(spec.shard_dims, F32))
         # row phase: (C-1) rounds of R*shard, column phase: (R-1) rounds of shard
         scatter = [Phase(1, 2 * shard_bytes), Phase(1, shard_bytes)]
-        assert collective_phases("reduce_scatter", shape, topo, ALL_REPLICAS, spec) == scatter
-        assert collective_phases("all_gather", shape, topo, ALL_REPLICAS, spec) == scatter[::-1]
+        assert collective_phases("reduce_scatter", spec, F32, topo, DEFAULT_TILE) == scatter
+        assert collective_phases("all_gather", spec, F32, topo, DEFAULT_TILE) == scatter[::-1]
         stats = run_one_collective("reduce_scatter", spec, topo).stats
         assert stats.rounds == (2 - 1) + (2 - 1)
         assert stats.bytes_sent == 1 * 2 * shard_bytes + 1 * shard_bytes
@@ -785,7 +786,7 @@ class TestCountersMatchModel:
                 decisions = profitability.plan(m, steps=2)
                 for d in decisions:
                     d.shard = True  # keep the planner's groups: row-local on the mesh
-                partial |= any(not d.groups.is_all for d in decisions)
+                partial |= any(not d.spec.group.is_all for d in decisions)
                 res = transform.apply(m, decisions, steps_hint=2)
                 main = transform.batch_collectives(transform.demote_allgather_precision(res.main))
                 batched |= any(i.opcode == "all-reduce" and len(i.operands) > 1 for i in main.all_instructions())

@@ -13,7 +13,7 @@ from conftest import (
     small_preset,
     training_inputs,
 )
-from shardgraph import profitability, transform
+from shardgraph import pipeline, profitability, transform
 from shardgraph.cli import main
 from shardgraph.generators import MODELS, GenConfig, _chain, build_training_module, gen_module
 from shardgraph.ir import (
@@ -245,8 +245,7 @@ class TestPartialSharding:
         decisions = profitability.plan(m, steps=2)
         for d in decisions:
             d.shard = True
-            d.groups = topo.row_groups()
-            d.spec = choose_spec(Shape(d.cluster.dims, d.cluster.etype), 4, group=d.groups)
+            d.spec = choose_spec(d.cluster.anchor.shape, 4, group=topo.row_groups())
         res = transform.apply(m, decisions, steps_hint=2)
         body = next(i for i in res.main.entry.instructions if i.opcode == "while").body
         assert len(fusions_of(body, "reduce_scatter")) == len(decisions)
@@ -262,7 +261,7 @@ class TestPartialSharding:
                         topology=topo, steps=2)
         m = build_training_module(cfg)
         base, fin, res, main = run_pipeline(m, steps=2, seed=6, pin_full_groups=False)
-        assert res.decisions and all(d.groups == topo.row_groups() for d in res.decisions)
+        assert res.decisions and all(d.spec.group == topo.row_groups() for d in res.decisions)
         body = next(i for i in main.entry.instructions if i.opcode == "while").body
         cross = [i for i in body.instructions if i.opcode == "all-reduce" and i.groups == topo.col_groups()]
         assert len(cross) == len(res.decisions)
@@ -369,6 +368,59 @@ class TestStateSlotVeto:
         res = transform.apply(m, [d], steps_hint=1000)
         [w] = [v for v in res.manifest.variables if v.slot == 1]
         assert w.residency == "sharded"
+
+
+SWAPPED_OUTPUTS = """module N=4 topology=ring {
+  entry computation main (%w: f32[8,8] {replica_equal}, %m: f32[8,8] {replica_equal}) -> (f32[8,8], f32[8,8]) {
+    %w = f32[8,8] parameter(0) {replica_equal}
+    %m = f32[8,8] parameter(1) {replica_equal}
+    %g = f32[8,8] rng()
+    %ar = f32[8,8] all-reduce(%g), kind=add, groups=all
+    %mu = f32[] constant(0.9)
+    %mub = f32[8,8] broadcast(%mu), dims=[]
+    %mm = f32[8,8] mul(%m, %mub)
+    %mn = f32[8,8] add(%mm, %ar)
+    %lr = f32[] constant(0.01)
+    %lrb = f32[8,8] broadcast(%lr), dims=[]
+    %step = f32[8,8] mul(%mn, %lrb)
+    %wn = f32[8,8] sub(%w, %step)
+    %out = (f32[8,8], f32[8,8]) tuple(%mn, %wn)
+    return (%out)
+  }
+}
+"""
+
+
+class TestLooplessPairing:
+    """Without a loop, a cluster's parameters in index order pair with the
+    root positions of its members in position order. Here the root lists
+    the momentum before the weight, the reverse of the parameters, an order
+    the generator never writes."""
+
+    def test_manifest_pairs_and_outputs_are_bitwise_equal(self):
+        m = parse_module(SWAPPED_OUTPUTS)
+        assert verify(m) == []
+        [d] = profitability.plan(m)
+        assert d.shard
+        compiled = pipeline.compile_module(m, [d])
+        triples = [
+            (v.name, v.param_index, v.output_index)
+            for v in compiled.result.manifest.variables
+            if v.residency == "sharded"
+        ]
+        assert triples == [("w", 0, 0), ("m", 1, 1)]
+        inputs = {"w": np.full((8, 8), 0.5, np.float32), "m": np.full((8, 8), 0.25, np.float32)}
+        base, outs = compiled.run(inputs, 3)
+        assert outputs_bitwise_equal(base, outs)
+
+    def test_compare_reports_no_difference(self, tmp_path):
+        path = tmp_path / "swapped.ir"
+        path.write_text(SWAPPED_OUTPUTS)
+        report = tmp_path / "c.json"
+        assert main(["compare", str(path), "--seed", "3", "--json", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert [d["decision"] for d in data["decisions"]] == ["shard"]
+        assert data["max_rel_diff"] == 0.0
 
 
 def test_every_shard_decision_becomes_a_reduce_scatter():

@@ -210,8 +210,10 @@ def _grouped_all_reduce():
 
 
 class TestRememberedComputations:
-    """`verify` does not check again a computation it found clean at the
-    same replica count and tile; everything else it still reports."""
+    """An instruction found clean carries a note of the replica count and
+    tile it was checked at (`Instruction.verified_at`). Its own rules are
+    checked again at any other replica count or tile, and the rules that
+    span the module, such as unique ids, run on every call."""
 
     def test_replica_count_override_is_checked_again(self):
         entry = _grouped_all_reduce()
@@ -259,7 +261,7 @@ class TestRememberedComputations:
         assert verify(m) == first
         assert verify(module_of(m.entry)) == first
 
-    def test_duplicate_id_with_a_remembered_computation_is_reported(self):
+    def test_duplicate_id_with_a_noted_instruction_is_reported(self):
         remembered = GraphBuilder("fb")
         remembered_c = remembered.finish(remembered.parameter(0, scalar(F32), "dup"))
         assert verify(module_of(remembered_c)) == []
