@@ -221,6 +221,8 @@ def _inputs_from_file(m: Module, path: str) -> dict:
             raise CLIError("inputs", f"{path}: missing parameter {p.id!r}")
         entry = raw[p.id]
         if isinstance(entry, dict) and "per_replica" in entry:
+            if not isinstance(entry["per_replica"], list):
+                raise CLIError("inputs", f"{path}: parameter {p.id!r}: per_replica must be a list")
             inputs[p.id] = PerReplica(entry["per_replica"])
         elif isinstance(entry, dict) and "value" in entry:
             inputs[p.id] = entry["value"]

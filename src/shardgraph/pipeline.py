@@ -20,9 +20,12 @@ from .simulator import PerReplica, run
 
 
 def chain_inputs(module: Module, outputs_per_replica) -> dict:
-    """`module`'s entry parameters bound, by position, to another program's outputs."""
-    params = module.entry.parameters
-    return {p.id: PerReplica([out[idx] for out in outputs_per_replica]) for idx, p in enumerate(params)}
+    """`module`'s entry parameters bound to another program's outputs:
+    parameter k takes output k, the step state rule of
+    `profitability.find_clusters`. An output that is one array, not a tuple,
+    is output 0."""
+    outs = [out if isinstance(out, tuple) else (out,) for out in outputs_per_replica]
+    return {p.id: PerReplica([out[k] for out in outs]) for k, p in enumerate(module.entry.parameters)}
 
 
 def _run_chained(m: Module, inputs: dict, seed: int, k: int):

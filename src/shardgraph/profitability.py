@@ -65,7 +65,7 @@ class Cluster:
     computation: Computation
     members: dict[str, Instruction]
     frontier: list[FrontierUse]
-    state_slots: dict[int, tuple[Instruction, bool]]  # slot -> (gte member, output paired)
+    state_slots: dict[int, tuple[Instruction, bool]]  # slot k -> (reader of input k, written back by root element k)
 
     @property
     def update_members(self) -> list[Instruction]:
@@ -112,6 +112,12 @@ def find_clusters(
     instructions, unsupported opcodes, the computation root and side effects,
     which become frontier entries. Clusters are pairwise disjoint.
 
+    The step's state follows one rule: slot k is read from input k and
+    written back by root element k. In a loop body, input k is element k of
+    the state tuple, read by a projection; in the entry, it is parameter k.
+    `Cluster.state_slots` holds each slot a member reads, written back when
+    root element k is an update member of the same cluster.
+
     `users` is `ir.users_map(comp)` and `loop` the while whose body is
     `comp`, or None when `comp` is the entry.
     """
@@ -134,9 +140,9 @@ def find_clusters(
                 return FrontierUse(member, user, "branch", frequency=branch_freq[cond.id])
         return FrontierUse(member, user, "in-loop")
 
-    state_param = None
+    state_param = None  # the loop state, when `comp` is the body
     params = comp.parameters
-    if len(params) == 1 and isinstance(params[0].shape, TupleShape):
+    if loop is not None and len(params) == 1 and isinstance(params[0].shape, TupleShape):
         state_param = params[0]
 
     claimed: set[str] = set()
@@ -189,16 +195,19 @@ def find_clusters(
                     frontier.append(classify(ins, user))
 
         state_slots: dict[int, tuple[Instruction, bool]] = {}
-        if state_param is not None:
-            for ins in members.values():
-                if ins.opcode == "get-tuple-element" and ins.operands[0] is state_param:
-                    slot = ins.index
-                    paired = (
-                        slot < len(root_ops)
-                        and root_ops[slot].id in members
-                        and root_ops[slot] is not anchor
-                    )
-                    state_slots[slot] = (ins, paired)
+        for ins in members.values():
+            if loop is None:
+                reads_state = ins.opcode == "parameter"
+            else:
+                reads_state = ins.opcode == "get-tuple-element" and ins.operands[0] is state_param
+            if reads_state:
+                slot = ins.index
+                paired = (
+                    slot < len(root_ops)
+                    and root_ops[slot].id in members
+                    and root_ops[slot] is not anchor
+                )
+                state_slots[slot] = (ins, paired)
 
         claimed.update(members)
         clusters.append(
@@ -290,9 +299,10 @@ def _slots_read(comp: Computation) -> set[int]:
 
 
 def state_veto(cluster: Cluster, loop: Instruction | None) -> str | None:
-    """Why the cluster's loop state cannot stay sharded across iterations, or
-    None when it can. Every state slot the update reads must be written back
-    by the update, and the loop condition, which would see a shard of it,
+    """Why the cluster's state cannot stay sharded across steps, or None when
+    it can. Every state slot the update reads must be written back by the
+    update at its own position (`find_clusters`'s rule), with or without a
+    loop; with one, the loop condition, which would see a shard of the slot,
     must not read it."""
     cond_slots = _slots_read(loop.cond) if loop is not None else set()
     for slot, (_, paired) in sorted(cluster.state_slots.items()):
@@ -390,9 +400,12 @@ def evaluate(
     veto = veto or state_veto(cluster, loop)
     for tensor in in_loop_tensors:
         ag_sites.append(AgSite(tensor, "in-loop", 1.0))
-    for slot, (gte, paired) in sorted(cluster.state_slots.items()):
-        if paired:
-            ag_sites.append(AgSite(gte.id, "loop-boundary", 1.0 / steps))
+    # a loop's boundary gathers; those of a loop-less step's unshard program
+    # are not priced here, only in `pipeline.Compiled.model`
+    if loop is not None:
+        for slot, (read, paired) in sorted(cluster.state_slots.items()):
+            if paired:
+                ag_sites.append(AgSite(read.id, "loop-boundary", 1.0 / steps))
 
     # Communication delta: the reduce-scatter plus the weighted all-gathers
     # replace the anchoring all-reduce. With a low-waste format one in-loop

@@ -2,11 +2,15 @@
 
 `apply` rewrites each profitable cluster: the anchoring all-reduce becomes a
 reduce-scatter fusion, update operators are re-emitted at the shard shape,
-loop-carried weights and auxiliaries stay sharded across iterations, and
-consumers that need full tensors are fed by an all-gather placed immediately
-before their first use. The result is a three-program split: a sharding
-program (full state in, sharded state out), the main program, and an
-unsharding program, plus a manifest describing slot residency.
+weights and auxiliaries stay sharded across steps, and consumers that need
+full tensors are fed by an all-gather placed immediately before their first
+use. The result is a three-program split: a sharding program (full state in,
+sharded state out), the main program, and an unsharding program, plus a
+manifest describing slot residency.
+
+The step state is the planner's (`profitability.Cluster.state_slots`): slot
+k is read from input k and written back by root element k, with a loop (the
+loop state tuple) or without one (the entry's parameters and root).
 
 `apply` decides nothing: it emits every `shard` decision it is given,
 row-local ones included (a reduce-scatter within each mesh row followed by an
@@ -174,7 +178,6 @@ class _BodyRewriter:
         self.shard_of: dict[str, Instruction] = {}  # member id -> shard value
         self.full_of: dict[str, Instruction] = {}  # member id -> gathered value
         self.input_shards: dict[str, Instruction] = {}  # non-member id -> its shard
-        self.placements: list[tuple[str, str]] = []  # (variable/member, placement)
         self._rids: dict = {}
         self._spec_of = {mid: d.spec for d in decisions for mid in d.cluster.members}
         self._branch_args = {  # ids of the values passed to a conditional branch
@@ -191,7 +194,6 @@ class _BodyRewriter:
             self._spec_of[instr.id], self.shard_of[instr.id], self.gb, kind="all_gather", name_hint=f"ag_{instr.id}"
         )
         self.full_of[instr.id] = ag
-        self.placements.append((instr.id, "in-loop"))
         return ag
 
     def operand(self, o: Instruction) -> Instruction:
@@ -285,7 +287,7 @@ class _BodyRewriter:
         if instr is self.comp.root and instr.opcode == "tuple":
             operands = []
             for slot, o in enumerate(instr.operands):
-                if slot in self.sharded_slots and o.id in self._spec_of:
+                if slot in self.sharded_slots:  # written back by a member (`state_veto`)
                     operands.append(self.shard_of[o.id])
                 else:
                     operands.append(self.operand(o))
@@ -319,8 +321,6 @@ class _BodyRewriter:
                     if o.id in self._spec_of:
                         specs_by_slot[i] = self._spec_of[o.id]
             new_branches.append(_rewrite_branch(branch, new_arg.shape, specs_by_slot))
-            for i in specs_by_slot:
-                self.placements.append((f"{arg.id}[{i}]", "branch"))
         operands = tuple(self.mapping[o.id] for o in instr.operands)
         return self.gb.emit(
             "conditional", instr.shape, operands, id=instr.id, branches=tuple(new_branches)
@@ -354,11 +354,12 @@ def apply(m: Module, decisions: list[ShardingDecision], steps_hint: int | None =
     """Rewrite `m` according to the sharding decisions.
 
     Produces the three-program split. Every `shard` decision is emitted; one
-    whose anchor or members are not in the step computation, or whose loop
-    state cannot stay sharded (`profitability.state_veto`), raises
-    TransformError. When no decision shards anything, the main program is
-    structurally identical to the input and the sharding and unsharding
-    programs are positional pass-throughs.
+    whose anchor or members are not in the step computation, or whose state
+    cannot stay sharded (`profitability.state_veto`), raises TransformError.
+    The state slots of the `shard` decisions' clusters are the sharded state.
+    When no decision shards anything, the main program is structurally
+    identical to the input and the sharding and unsharding programs are
+    positional pass-throughs.
     """
     check(m)
     loop = m.training_loop()
@@ -378,7 +379,16 @@ def apply(m: Module, decisions: list[ShardingDecision], steps_hint: int | None =
         if veto is not None:
             raise TransformError(f"cannot shard the cluster of %{d.cluster.anchor.id}: {veto}")
 
-    main, manifest = _apply_loop(m, loop, active) if loop is not None else _apply_entry(m, active)
+    sharded_slots = {slot: d.spec for d in active for slot in d.cluster.state_slots}
+    if loop is not None:
+        main, full_of = _apply_loop(m, loop, active, sharded_slots)
+        init = loop.operands[0]
+        sources = init.operands if init.opcode == "tuple" else None
+        out_slots = _root_slot_index(m.entry, loop)
+    else:
+        main, full_of = _apply_entry(m, active, sharded_slots)
+        sources, out_slots = m.entry.parameters, None
+    manifest = _manifest(active, full_of, sources, out_slots)
     manifest.notes["steps_assumed"] = steps_hint or 0
     manifest.notes["unshard_idempotent"] = False
     shard_prog = _build_shard_program(m, main, manifest)
@@ -398,9 +408,13 @@ def _new_state_shape(old: TupleShape, sharded: dict[int, ShardingSpec]) -> Tuple
     return TupleShape(tuple(elems))
 
 
-def _apply_loop(m: Module, loop: Instruction, decisions: list[ShardingDecision]) -> tuple[Module, Manifest]:
+def _apply_loop(
+    m: Module, loop: Instruction, decisions: list[ShardingDecision], sharded_slots: dict[int, ShardingSpec]
+) -> tuple[Module, dict[str, Instruction]]:
+    """The main program of a module with a training loop: the sharded slots
+    of the loop state carry shards, entering through shard-shaped parameters
+    or sliced in the entry. Returns it with the body's gathered values."""
     body = loop.body
-    sharded_slots = {slot: d.spec for d in decisions for slot in d.cluster.state_slots}
     init = loop.operands[0]
     new_state = _new_state_shape(init.shape, sharded_slots)
 
@@ -452,47 +466,7 @@ def _apply_loop(m: Module, loop: Instruction, decisions: list[ShardingDecision])
         return None
 
     main = Module(_rebuild_computation(m.entry, {}, rewriter), m.replica_count, m.topology, m.tile)
-    manifest = Manifest()
-
-    # Variable records: classify by whether the body gathers the slot's value.
-    out_slots = _root_slot_index(m.entry, loop)
-    slot_gte = _slot_gtes(body)
-    placements_of: dict[str, list[str]] = {}
-    for mid, pl in body_rw.placements:
-        placements_of.setdefault(mid, []).append(pl)
-    for slot, spec in sorted(sharded_slots.items()):
-        src = init.operands[slot] if init.opcode == "tuple" else None
-        name = src.id if src is not None and src.opcode == "parameter" else f"slot{slot}"
-        gte_member = slot_gte.get(slot)
-        gathered = gte_member is not None and gte_member.id in body_rw.full_of
-        manifest.variables.append(
-            VariableInfo(
-                name=name,
-                kind="weight" if gathered else "aux",
-                param_index=src.index if src is not None and src.opcode == "parameter" else -1,
-                slot=slot,
-                output_index=out_slots.get(slot, slot),
-                residency="sharded",
-                spec=spec,
-                gathered_in_body=gathered,
-                placements=tuple(placements_of.get(gte_member.id, ()) if gte_member is not None else ())
-                + ("loop-boundary",),
-            )
-        )
-    _add_full_slot_records(manifest, init, sharded_slots, out_slots)
-    return main, manifest
-
-
-def _slot_gtes(body: Computation) -> dict[int, Instruction]:
-    """The first projection of each slot of the body's state parameter."""
-    params = body.parameters
-    if len(params) != 1:
-        return {}
-    out: dict[int, Instruction] = {}
-    for i in body.instructions:
-        if i.opcode == "get-tuple-element" and i.operands[0] is params[0] and i.index not in out:
-            out[i.index] = i
-    return out
+    return main, body_rw.full_of
 
 
 def _root_slot_index(entry: Computation, loop: Instruction) -> dict[int, int]:
@@ -509,76 +483,63 @@ def _root_slot_index(entry: Computation, loop: Instruction) -> dict[int, int]:
     return out
 
 
-def _add_full_slot_records(manifest, init, sharded_slots, out_slots):
-    if init.opcode != "tuple":
-        return
-    for slot, o in enumerate(init.operands):
-        if slot in sharded_slots:
-            continue
-        name = o.id if o.opcode == "parameter" else f"slot{slot}"
-        manifest.variables.append(
-            VariableInfo(
-                name=name,
-                kind="other",
-                param_index=o.index if o.opcode == "parameter" else -1,
-                slot=slot,
-                output_index=out_slots.get(slot, slot),
-                residency="full",
-            )
-        )
+def _apply_entry(
+    m: Module, decisions: list[ShardingDecision], sharded_slots: dict[int, ShardingSpec]
+) -> tuple[Module, dict[str, Instruction]]:
+    """The main program of a module with no compiler-visible loop: the step
+    computation is the entry itself. Sharded slot k enters as a shard-shaped
+    parameter k and leaves sharded as root element k. Returns it with the
+    entry's gathered values."""
+    body_rw = _BodyRewriter(m, m.entry, decisions, None, sharded_slots)
+    return Module(body_rw.run(), m.replica_count, m.topology, m.tile), body_rw.full_of
 
 
-def _apply_entry(m: Module, decisions: list[ShardingDecision]) -> tuple[Module, Manifest]:
-    """Transform a module with no compiler-visible loop: the step computation
-    is the entry itself; sharded variables enter as shard-shaped parameters
-    and leave sharded in the corresponding outputs. A cluster's parameters,
-    in index order, pair with the root positions of its members, in position
-    order; a parameter left over has no sharded output."""
-    root = m.entry.root
-    positions: dict[str, list[int]] = {}  # root element id -> its positions
-    for pos, value in enumerate(root.operands if root.opcode == "tuple" else ()):
-        positions.setdefault(value.id, []).append(pos)
-    pairs: list[tuple[Instruction, int | None, ShardingSpec]] = []  # (parameter, output position, spec)
-    for d in decisions:
-        c = d.cluster
-        outs = sorted(pos for mid in c.members if mid != c.anchor.id for pos in positions.get(mid, ()))
-        params = sorted((i for i in c.members.values() if i.opcode == "parameter"), key=lambda i: i.index)
-        pairs += [(p, outs[k] if k < len(outs) else None, d.spec) for k, p in enumerate(params)]
-    sharded_out_slots = {pos: spec for _, pos, spec in pairs if pos is not None}
-
-    body_rw = _BodyRewriter(m, m.entry, decisions, None, sharded_out_slots)
-    main = Module(body_rw.run(), m.replica_count, m.topology, m.tile)
-
+def _manifest(
+    decisions: list[ShardingDecision],
+    full_of: dict[str, Instruction],
+    sources: tuple[Instruction, ...] | None,
+    out_slots: dict[int, int] | None,
+) -> Manifest:
+    """One record per state slot, the sharded ones (the slots of the
+    decisions' clusters) first, in slot order.
+    Slot k starts from `sources[k]` in the entry; when a loop's state is not
+    built by a tuple, `sources` is None and only the sharded slots are
+    recorded. A sharded slot is a weight when the step gathers the member
+    that reads it (`full_of`), else an aux. With a loop, `out_slots` maps
+    slots to positions in the entry root. Without one it is None: slot k is
+    written back to output k, and the records carry no slot."""
+    looped = out_slots is not None
+    sharded = {slot: (d.spec, read) for d in decisions for slot, (read, _) in d.cluster.state_slots.items()}
     manifest = Manifest()
-    for param, pos, spec in pairs:
-        gathered = param.id in body_rw.full_of
+
+    def record(slot: int, **fields):
+        src = sources[slot] if sources is not None else None
+        param = src is not None and src.opcode == "parameter"
         manifest.variables.append(
             VariableInfo(
-                name=param.id,
-                kind="weight" if gathered else "aux",
-                param_index=param.index,
-                slot=None,
-                output_index=pos,
-                residency="sharded",
-                spec=spec,
-                gathered_in_body=gathered,
-                placements=("in-loop",) if gathered else ("loop-boundary",),
+                name=src.id if param else f"slot{slot}",
+                param_index=src.index if param else -1,
+                slot=slot if looped else None,
+                **fields,
             )
         )
-    sharded_params = {param.index for param, _, _ in pairs}
-    for param in m.entry.parameters:
-        if param.index not in sharded_params:
-            manifest.variables.append(
-                VariableInfo(
-                    name=param.id,
-                    kind="other",
-                    param_index=param.index,
-                    slot=None,
-                    output_index=None,
-                    residency="full",
-                )
-            )
-    return main, manifest
+
+    for slot, (spec, read) in sorted(sharded.items()):
+        gathered = read.id in full_of
+        placements = ("in-loop", "loop-boundary") if looped else ("in-loop",)
+        record(
+            slot,
+            kind="weight" if gathered else "aux",
+            output_index=out_slots.get(slot, slot) if looped else slot,
+            residency="sharded",
+            spec=spec,
+            gathered_in_body=gathered,
+            placements=placements if gathered else ("loop-boundary",),
+        )
+    for slot in range(len(sources or ())):
+        if slot not in sharded:
+            record(slot, kind="other", output_index=out_slots.get(slot, slot) if looped else None, residency="full")
+    return manifest
 
 
 def _build_shard_program(baseline: Module, main: Module, manifest: Manifest) -> Module:

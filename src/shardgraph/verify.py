@@ -8,7 +8,8 @@ opcode that calls no computation holds none), both read from `ir.OPCODES`
 as the parser reads them; per-opcode shape rules, which run only on an
 instruction with a valid operand count; nested computation signatures
 (while body T=>T and condition T=>pred[], equal branch result shapes);
-replica-group partitions; id uniqueness and def-before-use ordering.
+replica-group partitions, and a sharding fusion's spec against its group;
+id uniqueness and def-before-use ordering.
 `verify` reports a malformed module, and does not raise on one.
 
 An instruction's own rules (operand count, callees, its opcode's shape rule)
@@ -487,6 +488,7 @@ class _Verifier:
                 self.fail(instr, "fusion spec", f"fusion kind {instr.kind} requires a sharding spec")
                 return
             self._check_groups(instr)
+            self._check_spec_group(instr)
             self._check_collective_fusion(instr)
             return
         params = comp.parameters
@@ -498,6 +500,19 @@ class _Verifier:
                 self.fail(instr, "fusion argument", f"parameter {p.id} is {p.shape}, operand is {o.shape}")
         if comp.root.shape != instr.shape:
             self.fail(instr, "result shape", f"fused root is {comp.root.shape}, fusion is {instr.shape}")
+
+    def _check_spec_group(self, instr: Instruction):
+        """A sharding fusion's spec shards over the fusion's own group, one
+        shard per replica of a group."""
+        spec, groups = instr.spec, instr.groups
+        if groups is None:  # reported by `_check_groups`
+            return
+        if groups != spec.group:
+            self.fail(instr, "fusion spec", f"spec group {spec.group} != groups {groups}")
+        elif groups.is_all or self._group_problems[groups] is None:
+            size = groups.group_size(self.m.replica_count)
+            if spec.shard_count != size:
+                self.fail(instr, "fusion spec", f"spec shard count {spec.shard_count} != group size {size}")
 
     def _check_collective_fusion(self, instr: Instruction):
         spec = instr.spec

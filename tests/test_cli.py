@@ -317,6 +317,15 @@ def _small_mlp(tmp_path, loop_steps: str) -> str:
     return str(path)
 
 
+def _scalar_per_replica(tmp_path):
+    """An inputs file whose `per_replica` entries are numbers, not lists."""
+    path = _small_mlp(tmp_path, "3")
+    inputs = tmp_path / "in.json"
+    params = parse_module((tmp_path / "m.ir").read_text()).entry.parameters
+    inputs.write_text(json.dumps({p.id: {"per_replica": 5} for p in params}))
+    return ["simulate", path, "--inputs", str(inputs)]
+
+
 @pytest.mark.parametrize(
     "argv, stage",
     [
@@ -343,12 +352,14 @@ def _small_mlp(tmp_path, loop_steps: str) -> str:
         (lambda tmp_path: ["gen", "mlp", "--outfeed-every", "0"], "args"),
         (lambda tmp_path: ["gen", "mlp", "--steps", "-1"], "args"),
         (lambda tmp_path: ["gen", "mlp", "--steps", "-5"], "args"),
+        (_scalar_per_replica, "inputs"),
     ],
     ids=["truncated-ir", "missing-file", "bad-topology", "zero-bandwidth", "transform-steps-0",
          "analyze-steps-0", "compare-steps-negative", "compare-replicas-0", "compare-replicas-negative",
          "simulate-replicas-0", "compare-tolerance-nan", "compare-tolerance-negative", "gen-replicas-0",
          "gen-ring-replicas-0", "gen-layers-negative", "gen-layers-0", "gen-dim-negative", "gen-dim-0",
-         "gen-batch-0", "gen-outfeed-every-0", "gen-steps-minus-1", "gen-steps-negative"],
+         "gen-batch-0", "gen-outfeed-every-0", "gen-steps-minus-1", "gen-steps-negative",
+         "inputs-per-replica-not-a-list"],
 )
 def test_user_error_is_one_line_exit_2(argv, stage, tmp_path, capsys):
     args = argv(tmp_path)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import small_preset
 from shardgraph.costmodel import (
     DEFAULT_TRIP_COUNT,
     CostModel,
@@ -11,7 +12,7 @@ from shardgraph.costmodel import (
     loop_trip_count,
     predicate_mod_frequency,
 )
-from shardgraph.generators import GenConfig, _chain, build_training_module, gen_module
+from shardgraph.generators import MODELS, GenConfig, _chain, build_training_module, gen_module
 from shardgraph.ir import (
     ALL_REPLICAS,
     F32,
@@ -58,6 +59,17 @@ class TestFindClusters:
         assert {p for _, p in placements} <= {"in-loop", "loop-output"}
         assert set(c.state_slots) == {2, 3, 4}
         assert all(paired for _, paired in c.state_slots.values())
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_loopless_state_slots_are_the_parameter_members(self, model):
+        # without a loop, slot k is entry parameter k, written back by root
+        # element k; the generator writes every update back at its position
+        clusters = clusters_of(small_preset(model, ring_topology(4), steps=None))
+        assert clusters
+        for c in clusters:
+            params = {i.index for i in c.members.values() if i.opcode == "parameter"}
+            assert params and set(c.state_slots) == params
+            assert all(paired for _, paired in c.state_slots.values())
 
     def test_two_weights_two_disjoint_clusters(self):
         m = gen_module("mlp", replicas=4, steps=3, layers=2, dim=8)

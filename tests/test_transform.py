@@ -392,10 +392,12 @@ SWAPPED_OUTPUTS = """module N=4 topology=ring {
 
 
 class TestLooplessPairing:
-    """Without a loop, a cluster's parameters in index order pair with the
-    root positions of its members in position order. Here the root lists
-    the momentum before the weight, the reverse of the parameters, an order
-    the generator never writes."""
+    """Without a loop, slot k is read from parameter k and written back by
+    root element k, as `compare` chains steps. Here the root lists the
+    momentum before the weight, the reverse of the parameters, an order the
+    generator never writes: the weight's slot is written back by the new
+    momentum, an update member of its cluster, and chaining feeds that
+    output back into the weight."""
 
     def test_manifest_pairs_and_outputs_are_bitwise_equal(self):
         m = parse_module(SWAPPED_OUTPUTS)
@@ -421,6 +423,73 @@ class TestLooplessPairing:
         data = json.loads(report.read_text())
         assert [d["decision"] for d in data["decisions"]] == ["shard"]
         assert data["max_rel_diff"] == 0.0
+
+
+ROOT_SKIPS_THE_WEIGHT = """module N=4 topology=ring {
+  entry computation main (%x: f32[8,8] {replica_equal}, %w: f32[8,8] {replica_equal}) -> (f32[8,8], f32[8,8]) {
+    %x = f32[8,8] parameter(0) {replica_equal}
+    %w = f32[8,8] parameter(1) {replica_equal}
+    %g = f32[8,8] rng()
+    %ar = f32[8,8] all-reduce(%g), kind=add, groups=all
+    %lr = f32[] constant(0.01)
+    %lrb = f32[8,8] broadcast(%lr), dims=[]
+    %step = f32[8,8] mul(%ar, %lrb)
+    %wn = f32[8,8] sub(%w, %step)
+    %out = (f32[8,8], f32[8,8]) tuple(%wn, %x)
+    return (%out)
+  }
+}
+"""
+
+
+class TestLooplessStateRule:
+    """The weight is parameter 1, but its update is root element 0, the
+    position of %x: slot 1 is not written back, so the weight cannot stay
+    sharded across chained steps."""
+
+    def test_planner_keeps_and_transform_rejects(self):
+        m = parse_module(ROOT_SKIPS_THE_WEIGHT)
+        assert verify(m) == []
+        [d] = profitability.plan(m)
+        assert set(d.cluster.state_slots) == {1}
+        reason = "state slot 1 is not written back by the update"
+        assert not d.shard and d.reason == reason
+        d.shard = True
+        with pytest.raises(transform.TransformError, match=reason):
+            transform.apply(m, [d])
+
+    def test_compare_two_steps(self, tmp_path):
+        path = tmp_path / "skip.ir"
+        path.write_text(ROOT_SKIPS_THE_WEIGHT)
+        report = tmp_path / "c.json"
+        assert main(["compare", str(path), "--seed", "3", "--steps", "2", "--json", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert [d["decision"] for d in data["decisions"]] == ["keep"]
+        assert data["max_rel_diff"] == 0.0
+
+    @pytest.mark.parametrize("steps", ["1", "2"])
+    def test_compare_chains_a_single_array_root(self, tmp_path, steps):
+        # the root is one array: it is output 0 and feeds parameter 0
+        path = tmp_path / "single.ir"
+        path.write_text(SINGLE_ARRAY_ROOT)
+        report = tmp_path / "c.json"
+        assert main(["compare", str(path), "--seed", "3", "--steps", steps, "--json", str(report)]) == 0
+        assert json.loads(report.read_text())["max_rel_diff"] == 0.0
+
+
+SINGLE_ARRAY_ROOT = """module N=4 topology=ring {
+  entry computation main (%w: f32[8,8] {replica_equal}) -> f32[8,8] {
+    %w = f32[8,8] parameter(0) {replica_equal}
+    %g = f32[8,8] rng()
+    %ar = f32[8,8] all-reduce(%g), kind=add, groups=all
+    %lr = f32[] constant(0.01)
+    %lrb = f32[8,8] broadcast(%lr), dims=[]
+    %step = f32[8,8] mul(%ar, %lrb)
+    %wn = f32[8,8] sub(%w, %step)
+    return (%wn)
+  }
+}
+"""
 
 
 def test_every_shard_decision_becomes_a_reduce_scatter():

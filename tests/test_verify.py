@@ -17,11 +17,13 @@ from shardgraph.ir import (
     S32,
     Shape,
     TupleShape,
+    mesh_topology,
     modules_equal,
     ring_topology,
     scalar,
 )
 from shardgraph.generators import gen_module
+from shardgraph.sharding import build_reduce_scatter, choose_spec
 from shardgraph.simulator import SimulationError, Simulator
 from shardgraph.textfmt import ParseError, parse_module, print_module
 from shardgraph.verify import Diagnostic, verify
@@ -98,6 +100,38 @@ def test_all_reduce_unequal_groups():
     )
     m = module_of(gb.finish(ar), n=4)
     assert any("equal-sized" in d.message for d in verify(m))
+
+
+def _row_reduce_scatter() -> Module:
+    """A reduce-scatter fusion within the rows of a 2x4 mesh: 4 shards."""
+    topo = mesh_topology(2, 4)
+    gb = GraphBuilder("main")
+    x = gb.parameter(0, Shape((16, 16), F32), "x")
+    rid = gb.emit("replica-id", scalar(S32), id="rid")
+    spec = choose_spec(Shape((16, 16), F32), 4, group=topo.row_groups())
+    rs = build_reduce_scatter(spec, x, rid, gb, topo, reduce_kind="add", name_hint="rs")
+    return Module(gb.finish(rs), 8, topo)
+
+
+class TestSpecGroup:
+    """A sharding fusion's spec shards over the fusion's own group, one shard
+    per replica of the group; otherwise the simulator fails at run time."""
+
+    def test_a_spec_cut_for_rows_under_groups_all_from_a_file(self):
+        text = print_module(_row_reduce_scatter())
+        fused = 'spec="[16,16] slice0/4", groups={{0,1,2,3},{4,5,6,7}}'
+        assert text.count(fused) == 1
+        m = parse_module(text.replace(fused, 'spec="[16,16] slice0/4", groups=all'))
+        assert [(d.instruction, d.rule, d.message) for d in verify(m)] == [
+            ("rs", "fusion spec", "spec shard count 4 != group size 8")
+        ]
+
+    def test_groups_that_differ_from_the_spec_group(self):
+        m = _row_reduce_scatter()
+        m = _rebuilt(m, m.entry.root, groups=ALL_REPLICAS)
+        assert [(d.instruction, d.rule, d.message) for d in verify(m)] == [
+            ("rs", "fusion spec", "spec group {{0,1,2,3},{4,5,6,7}} != groups all")
+        ]
 
 
 def test_shared_groups_are_reported_on_every_instruction():
