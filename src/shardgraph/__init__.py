@@ -38,7 +38,7 @@ from .sharding import (
     parse_spec_string,
     validate_for_reduce,
 )
-from .redundancy import RedundancyMap, analyze, analyze_conditional, analyze_loop
+from .redundancy import RedundancyMap, analyze
 from .costmodel import CostModel, CostReport, amortization_steps, cost, estimate_branch_frequency, loop_trip_count
 from .memory import Manifest, MemoryReport, VariableInfo, baseline_manifest, memory_plan, memory_plan_for
 from .simulator import (
@@ -46,8 +46,6 @@ from .simulator import (
     PerReplica,
     RunResult,
     SimulationError,
-    ring_all_gather,
-    ring_reduce_scatter,
     run,
 )
 from .profitability import Cluster, ShardingDecision, evaluate, find_clusters, plan

@@ -456,12 +456,6 @@ class Computation:
         params.sort(key=lambda p: p.index or 0)
         return tuple(params)
 
-    def find(self, instr_id: str) -> Instruction:
-        for i in self.instructions:
-            if i.id == instr_id:
-                return i
-        raise KeyError(instr_id)
-
     def __repr__(self) -> str:
         return f"<computation {self.name}: {len(self.instructions)} instructions>"
 
@@ -499,12 +493,6 @@ class Module:
 
         visit(self.entry)
         return order
-
-    def all_instructions(self) -> list[Instruction]:
-        out = []
-        for c in self.computations():
-            out.extend(c.instructions)
-        return out
 
     def training_loop(self) -> Instruction | None:
         """The entry's training loop (its first `while`), or None."""
@@ -563,63 +551,6 @@ def topo_order(comp: Computation) -> list[Instruction]:
     if len(out) != n:
         raise ValueError(f"cycle detected in computation {comp.name}")
     return out
-
-
-# --------------------------------------------------------------------------- #
-# Structural equality
-# --------------------------------------------------------------------------- #
-
-
-def instructions_equal(a: Instruction, b: Instruction) -> bool:
-    if (
-        a.id != b.id
-        or a.opcode != b.opcode
-        or a.shape != b.shape
-        or tuple(o.id for o in a.operands) != tuple(o.id for o in b.operands)
-    ):
-        return False
-    simple = (
-        "value index replica_equal dims kind direction groups "
-        "pad_low pad_high slice_sizes".split()
-    )
-    for f in simple:
-        if getattr(a, f) != getattr(b, f):
-            return False
-    for f in ("cond", "body", "fused"):
-        ca, cb = getattr(a, f), getattr(b, f)
-        if (ca is None) != (cb is None):
-            return False
-        if ca is not None and ca.name != cb.name:
-            return False
-    ba = tuple(c.name for c in a.branches) if a.branches else None
-    bb = tuple(c.name for c in b.branches) if b.branches else None
-    if ba != bb:
-        return False
-    sa = str(a.spec) if a.spec is not None else None
-    sb = str(b.spec) if b.spec is not None else None
-    return sa == sb
-
-
-def computations_equal(a: Computation, b: Computation) -> bool:
-    if a.name != b.name or len(a.instructions) != len(b.instructions):
-        return False
-    if a.root.id != b.root.id:
-        return False
-    return all(instructions_equal(x, y) for x, y in zip(a.instructions, b.instructions))
-
-
-def modules_equal(a: Module, b: Module) -> bool:
-    if a.replica_count != b.replica_count or a.topology != b.topology or a.tile != b.tile:
-        return False
-    ca, cb = a.computations(), b.computations()
-    if len(ca) != len(cb):
-        return False
-    cb_by_name = {c.name: c for c in cb}
-    for c in ca:
-        other = cb_by_name.get(c.name)
-        if other is None or not computations_equal(c, other):
-            return False
-    return a.entry.name == b.entry.name
 
 
 # --------------------------------------------------------------------------- #

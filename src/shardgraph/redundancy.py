@@ -189,21 +189,3 @@ def analyze(m: Module) -> RedundancyMap:
     ]
     a.run_computation(m.entry, params)
     return a.map
-
-
-def analyze_loop(w: Instruction, entry_verdicts: Verdict) -> tuple[Verdict, dict[str, bool]]:
-    """Verdicts for a while loop given the carried tuple's entry verdicts.
-
-    Returns (fixed-point state verdict, per-instruction verdicts for the body
-    and condition). The fixed point only moves verdicts from redundant to
-    non-redundant, so it converges within tuple-arity + 1 rounds.
-    """
-    a = _Analysis()
-    out = a.loop(w, entry_verdicts)
-    return out, a.map.verdicts
-
-
-def analyze_conditional(c: Instruction, operand_verdicts: list[Verdict]) -> Verdict:
-    """Verdict of a conditional from its predicate and branch argument verdicts."""
-    a = _Analysis()
-    return a.conditional(c, list(operand_verdicts))

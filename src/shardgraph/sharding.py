@@ -126,10 +126,6 @@ class ShardingSpec:
     def source_shape(self, etype: ElementType) -> Shape:
         return Shape(self.source_dims, etype)
 
-    @property
-    def pad_steps(self) -> tuple[Pad, ...]:
-        return tuple(s for s in self.steps if isinstance(s, Pad))
-
     def waste_bytes(self, etype: ElementType, tile=DEFAULT_TILE) -> int:
         """Total physical padding across all shards relative to the source
         buffer: explicit Pad bytes plus tile padding the slicing introduces

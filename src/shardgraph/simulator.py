@@ -486,44 +486,6 @@ def _all_gather_stack(shards: np.ndarray, groups, spec: ShardingSpec) -> Uniform
     return Varying(out)
 
 
-def ring_reduce_scatter(
-    values: list[np.ndarray],
-    spec: ShardingSpec,
-    topology: Topology,
-    kind: str = "add",
-    etype: ElementType = ElementType.F32,
-    tile=(8, 128),
-) -> list[np.ndarray]:
-    """Per-replica shards of the reduction of `values` (one array per replica,
-    all of the spec's source shape). Piece boundaries equal the spec's shard
-    boundaries; padding is applied while preparing pieces."""
-    n = topology.n
-    if len(values) != n:
-        raise SimulationError(f"expected {n} per-replica values, got {len(values)}")
-    for v in values:
-        if tuple(np.asarray(v).shape) != tuple(spec.source_dims):
-            raise SimulationError(
-                f"reduce-scatter input shape {np.asarray(v).shape} != spec source {spec.source_dims}"
-            )
-    groups = [members for members, _ in _ring_groups(spec.group, topology, list(range(n)))]
-    shards = _reduce_scatter_stack(np.stack(values), groups, spec, topology, kind, etype, tile)
-    return list(shards)
-
-
-def ring_all_gather(
-    shards: list[np.ndarray],
-    spec: ShardingSpec,
-    topology: Topology,
-    etype: ElementType = ElementType.F32,
-    tile=(8, 128),
-) -> list[np.ndarray]:
-    """Reconstruct the full (source-shape) tensor on every replica from
-    per-replica shards: concatenation by shard id, then reverse formatting."""
-    n = topology.n
-    full = _all_gather_stack(np.stack(shards), _ring_groups(spec.group, topology, list(range(n))), spec)
-    return _rows(type(full)(invert_steps_array(full.a, spec, etype, tile)), n)
-
-
 # --------------------------------------------------------------------------- #
 # Interpreter
 # --------------------------------------------------------------------------- #

@@ -7,10 +7,12 @@ import time
 import numpy as np
 import pytest
 
+from collectives import all_gather, reduce_scatter, reduce_scatter_all_gather
 from conftest import bitwise_same, outputs_bitwise_equal, run_pipeline, training_inputs
+from irtools import all_instructions
 from randmod import random_inputs_for, random_module
-from shardgraph import profitability, transform
-from shardgraph.costmodel import CostModel
+from shardgraph import memory, profitability, transform
+from shardgraph.costmodel import CostModel, cost
 from shardgraph.generators import GenConfig, WeightDef, _chain, build_training_module, gen_module
 from shardgraph.ir import (
     ALL_REPLICAS,
@@ -29,7 +31,7 @@ from shardgraph.ir import (
 from shardgraph.pipeline import chain_inputs, compile_module
 from shardgraph.redundancy import analyze
 from shardgraph.sharding import choose_spec
-from shardgraph.simulator import Simulator, cost, ring_all_gather, ring_reduce_scatter, run
+from shardgraph.simulator import Simulator, run
 from shardgraph.verify import verify
 
 
@@ -128,8 +130,7 @@ def test_criterion_2_collective_algebra():
         oracle = np.sum(np.stack([v.astype(np.float64) for v in vals]), axis=0)
 
         # RS then AG == all-reduce
-        shards = ring_reduce_scatter(vals, spec, topo, etype=etype)
-        full = ring_all_gather(shards, spec, topo, etype=etype)
+        full = reduce_scatter_all_gather(vals, spec, topo, etype=etype)
         for out in full:
             if etype == S32:
                 assert np.array_equal(out, oracle.astype(np.int32))
@@ -140,7 +141,7 @@ def test_criterion_2_collective_algebra():
         if topo.kind == "mesh":
             rows = topo.row_groups()
             gspec = choose_spec(Shape(dims, etype), topo.cols, group=rows)
-            gshards = ring_reduce_scatter(vals, gspec, topo, etype=etype)
+            gshards = reduce_scatter(vals, gspec, topo, etype=etype)
             combined = [None] * n
             for col in topo.col_groups().groups:
                 acc = gshards[col[0]]
@@ -148,7 +149,7 @@ def test_criterion_2_collective_algebra():
                     acc = acc + gshards[r]
                 for r in col:
                     combined[r] = acc
-            gfull = ring_all_gather(combined, gspec, topo, etype=etype)
+            gfull = all_gather(combined, gspec, topo, etype=etype)
             for out in gfull:
                 if etype == S32:
                     assert np.array_equal(out, oracle.astype(np.int32))
@@ -235,8 +236,8 @@ def test_criterion_5_memory_formula():
         for d in decisions:
             d.shard = True
         res = transform.apply(m, decisions, steps_hint=2)
-        base = transform.memory_plan_for(m, transform.baseline_manifest(res.manifest), m)
-        trans = transform.memory_plan_for(res.main, res.manifest, m)
+        base = memory.memory_plan_for(m, memory.baseline_manifest(res.manifest), m)
+        trans = memory.memory_plan_for(res.main, res.manifest, m)
         w, v, p = base.weight_bytes, base.aux_bytes, base.other_peak
         assert base.peak_bytes == w + v + p
         assert trans.peak_bytes == max(w + v / n + p, w + v), (n, optimizer)
@@ -397,7 +398,7 @@ def test_criterion_9_redundancy_soundness():
         assert not failures, f"seed {seed}: {failures[:5]}"
         checked += 1
 
-        for instr in m.all_instructions():
+        for instr in all_instructions(m):
             if instr.opcode == "while":
                 if any(i.opcode == "replica-id" for i in instr.cond.instructions):
                     varying_loops += 1

@@ -5,7 +5,7 @@ the redundancy analysis, and the cost model no rule from the planner.
 `pipeline`, which composes the two, sits above both, and only `cli` imports
 it. Imports are followed through every module of the package, so a
 dependency cannot hide behind another module. No module turns the garbage
-collector's knobs."""
+collector's knobs, and every definition is read by the package itself."""
 
 import ast
 from pathlib import Path
@@ -154,3 +154,37 @@ def test_no_module_turns_the_collector_knobs():
             elif isinstance(f, ast.Name) and f.id in knob_names:
                 calls.append(f"{path.stem}:{node.lineno} gc.{knob_names[f.id]}")
     assert calls == []
+
+
+# Definitions that only tests reach, kept on purpose, with the reason.
+TEST_ONLY = {
+    "sharding.build_masked_reduce": "acceptance criterion 4 checks the masked reduce over a padded shard; no pass emits it yet",
+    "sharding.validate_for_reduce": "acceptance criterion 4 checks which reduces a padded format allows",
+}
+
+
+def test_every_definition_is_read_by_the_package():
+    """`src/` holds what the system runs: every module-level function and
+    class of the package is read (as a name or an attribute) by some module
+    of it outside its own definition and outside `__init__`, except the
+    named `TEST_ONLY` ones. A helper that only tests use belongs in
+    `tests/`."""
+    defined: dict[str, ast.AST] = {}
+    readers: dict[str, set[str]] = {}  # name -> "<module>.<top-level definition>" that reads it
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            owner = path.stem
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = f"{path.stem}.{top.name}"
+                defined[owner] = top
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    readers.setdefault(node.id, set()).add(owner)
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add(owner)
+    unread = sorted(
+        qualified for qualified in defined if not readers.get(qualified.split(".")[1], set()) - {qualified}
+    )
+    assert unread == sorted(TEST_ONLY)

@@ -8,7 +8,8 @@ from conftest import small_preset
 from shardgraph import pipeline, profitability, transform
 from shardgraph.cli import main, random_inputs
 from shardgraph.generators import gen_module
-from shardgraph.ir import F32, PRED, S32, GraphBuilder, Module, TupleShape, modules_equal, ring_topology, scalar
+from irtools import all_instructions, modules_equal
+from shardgraph.ir import F32, PRED, S32, GraphBuilder, Module, TupleShape, ring_topology, scalar
 from shardgraph.simulator import PerReplica
 from shardgraph.textfmt import parse_module, print_module
 from shardgraph.verify import verify
@@ -490,7 +491,7 @@ def mixed_adam_mlp_ir(tmp_path):
 def _main_program(module, tmp_path, *flags):
     out = tmp_path / ("out" + "".join(flags))
     assert main(["transform", str(module), "--out-dir", str(out), *flags]) == 0
-    return parse_module((out / "main.ir").read_text()).all_instructions()
+    return all_instructions(parse_module((out / "main.ir").read_text()))
 
 
 def test_no_demote_keeps_f32_all_gathers(mixed_adam_mlp_ir, tmp_path):

@@ -14,7 +14,8 @@ from shardgraph.ir import (
     ring_topology,
     scalar,
 )
-from shardgraph.redundancy import analyze, analyze_conditional, analyze_loop
+from irtools import find
+from shardgraph.redundancy import analyze
 
 
 def module_of(comp, n=4):
@@ -130,13 +131,39 @@ def test_replica_varying_condition_poisons_body():
         assert not r.redundant(iid), iid
 
 
+def _entry_over(instr, verdicts):
+    """A module whose entry calls `instr` (a `while` or a `conditional`) on
+    fresh parameters: one per operand, or per element of a tuple operand
+    (packed by a `tuple`), parameter k carrying verdict k as
+    `replica_equal`. A tuple result is unpacked into %out0, %out1, ..."""
+    gb = GraphBuilder("main")
+    params = []
+
+    def param(shape):
+        params.append(gb.parameter(len(params), shape, f"p{len(params)}", verdicts[len(params)]))
+        return params[-1]
+
+    operands = [
+        gb.emit("tuple", o.shape, [param(e) for e in o.shape.elements]) if isinstance(o.shape, TupleShape)
+        else param(o.shape)
+        for o in instr.operands
+    ]
+    call = gb.emit(
+        instr.opcode, instr.shape, operands, id=instr.id, cond=instr.cond, body=instr.body, branches=instr.branches
+    )
+    if isinstance(instr.shape, TupleShape):
+        outs = [gb.emit("get-tuple-element", e, (call,), index=k, id=f"out{k}") for k, e in enumerate(instr.shape.elements)]
+        call = gb.emit("tuple", instr.shape, outs)
+    return module_of(gb.finish(call))
+
+
 def test_analyze_loop_direct():
-    m = _counting_loop(carry_noise=True)
-    loop = m.entry.find("loop")
-    out, verdicts = analyze_loop(loop, (True, False))
+    loop = find(_counting_loop(carry_noise=True).entry, "loop")
+    r = analyze(_entry_over(loop, (True, False)))
+    out = (r.redundant("out0"), r.redundant("out1"))
     assert out == (True, False)
-    assert verdicts["upd"] is False
-    assert verdicts["i2"] is True
+    assert r.verdicts["upd"] is False
+    assert r.verdicts["i2"] is True
 
 
 def _conditional_module(pred_from="const", branch_rng=False):
@@ -180,10 +207,9 @@ def test_conditional_rng_in_branch_root():
 
 
 def test_analyze_conditional_direct():
-    m = _conditional_module()
-    c = m.entry.find("cond")
-    assert analyze_conditional(c, [True, True, True])
-    assert not analyze_conditional(c, [False, True, True])
+    c = find(_conditional_module().entry, "cond")
+    assert analyze(_entry_over(c, [True, True, True])).redundant("cond")
+    assert not analyze(_entry_over(c, [False, True, True])).redundant("cond")
 
 
 def test_monotone_in_annotations():

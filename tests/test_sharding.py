@@ -60,7 +60,7 @@ class TestChooseSpec:
                 merged = dims if len(dims) <= 3 else (int(np.prod(dims[:-2])), dims[-2], dims[-1])
                 divisible = merged[0] % s == 0
                 if divisible:
-                    assert not spec.pad_steps, (dims, s, str(spec))
+                    assert not any(isinstance(step, Pad) for step in spec.steps), (dims, s, str(spec))
 
     def test_waste_minimal_among_candidates(self):
         # [4096,1024] sliced at dim 0 would tile-pad each shard 4x; the

@@ -4,9 +4,11 @@ import zlib
 import numpy as np
 import pytest
 
+from collectives import all_gather, collective_module, reduce_scatter, reduce_scatter_all_gather
 from conftest import bitwise_same, small_preset, training_inputs
-from shardgraph import profitability, transform
-from shardgraph.costmodel import CostModel, Phase, collective_phases
+from irtools import all_instructions
+from shardgraph import memory, profitability, transform
+from shardgraph.costmodel import CostModel, Phase, collective_phases, cost
 from shardgraph.generators import MODELS, gen_module
 from shardgraph.ir import (
     ALL_REPLICAS,
@@ -26,7 +28,7 @@ from shardgraph.ir import (
     scalar,
 )
 from shardgraph.pipeline import chain_inputs
-from shardgraph.sharding import build_reduce_scatter, build_unshard_ops, choose_spec
+from shardgraph.sharding import choose_spec
 from shardgraph.simulator import (
     PerReplica,
     SimulationError,
@@ -36,9 +38,6 @@ from shardgraph.simulator import (
     apply_steps_array,
     bitcast_array,
     coerce,
-    cost,
-    ring_all_gather,
-    ring_reduce_scatter,
     round_reduced,
     run,
     tiled_offsets,
@@ -53,16 +52,8 @@ def module_of(comp, n, topology=None):
 def run_one_collective(op: str, spec, topology):
     """Run a module whose only collective is one reduce-scatter or all-gather
     fusion over `spec`, on all-ones inputs."""
-    gb = GraphBuilder("main")
-    if op == "reduce_scatter":
-        x = gb.parameter(0, spec.source_shape(F32), "x")
-        rid = gb.emit("replica-id", scalar(S32))
-        out = build_reduce_scatter(spec, x, rid, gb, topology)
-    else:
-        x = gb.parameter(0, spec.shard_shape(F32), "x")
-        out = build_unshard_ops(spec, x, gb, kind="all_gather")
-    m = Module(gb.finish(out), topology.n, topology)
-    return run(m, {"x": np.ones(x.shape.dims, np.float32)})
+    m = collective_module(spec, topology, (op,))
+    return run(m, {"x": np.ones(m.entry.parameters[0].shape.dims, np.float32)})
 
 
 class TestBasicSemantics:
@@ -608,7 +599,7 @@ class TestRingCollectives:
                         vals = [rng.normal(size=dims).astype(np.float32) for _ in range(topo.n)]
                         if etype == F16R:
                             vals = [round_reduced(v) for v in vals]
-                    got = ring_reduce_scatter(vals, spec, topo, kind, etype)
+                    got = reduce_scatter(vals, spec, topo, kind, etype)
                     want = reference_reduce_scatter(vals, spec, topo, kind, etype)
                     assert all(bitwise_same(g, w) for g, w in zip(got, want)), (topo, groups, dims, etype, kind)
                     cases += 1
@@ -618,7 +609,7 @@ class TestRingCollectives:
         spec = choose_spec(Shape((4,), F32), 4)
         topo = ring_topology(4)
         vals = [np.ones(4, np.float32) for _ in range(4)]
-        shards = ring_reduce_scatter(vals, spec, topo)
+        shards = reduce_scatter(vals, spec, topo)
         for r in range(4):
             assert shards[r].shape == (1,)
             assert float(shards[r][0]) == 4.0
@@ -633,13 +624,13 @@ class TestRingCollectives:
     def test_single_replica_identity(self):
         spec = choose_spec(Shape((4,), F32), 1)
         x = np.arange(4, dtype=np.float32)
-        shards = ring_reduce_scatter([x], spec, ring_topology(1))
+        shards = reduce_scatter([x], spec, ring_topology(1))
         assert bitwise_same(shards[0], x)
 
     def test_all_gather_definition(self):
         spec = choose_spec(Shape((4,), F32), 4)
         shards = [np.array([float(r + 1)], np.float32) for r in range(4)]
-        full = ring_all_gather(shards, spec, ring_topology(4))
+        full = all_gather(shards, spec, ring_topology(4))
         for out in full:
             assert np.array_equal(out, np.array([1, 2, 3, 4], np.float32))
 
@@ -655,8 +646,7 @@ class TestRingCollectives:
             else:
                 vals = [rng.normal(size=dims).astype(np.float32) for _ in range(n)]
             topo = ring_topology(n)
-            shards = ring_reduce_scatter(vals, spec, topo, etype=etype)
-            full = ring_all_gather(shards, spec, topo, etype=etype)
+            full = reduce_scatter_all_gather(vals, spec, topo, etype=etype)
             oracle = np.sum(np.stack([v.astype(np.float64) for v in vals]), axis=0)
             for out in full:
                 if etype == S32:
@@ -670,8 +660,7 @@ class TestRingCollectives:
         spec = choose_spec(Shape((8, 4), F32), 4)
         rng = np.random.default_rng(1)
         vals = [rng.normal(size=(8, 4)).astype(np.float32) for _ in range(4)]
-        shards = ring_reduce_scatter(vals, spec, topo)
-        full = ring_all_gather(shards, spec, topo)
+        full = reduce_scatter_all_gather(vals, spec, topo)
         oracle = np.sum(np.stack([v.astype(np.float64) for v in vals]), axis=0)
         for out in full:
             assert np.all(np.abs(out - oracle) <= 1e-6 * np.maximum(np.abs(oracle), 1.0))
@@ -679,9 +668,9 @@ class TestRingCollectives:
     def test_group_local_gather_isolates_rows(self):
         topo = mesh_topology(2, 2)
         rows = topo.row_groups()
-        spec = choose_spec(Shape((4,), F32), 2, group=rows)
+        spec = choose_spec(Shape((2,), F32), 2, group=rows)
         shards = [np.array([10.0 * r], np.float32) for r in range(4)]
-        full = ring_all_gather(shards, spec, topo)
+        full = all_gather(shards, spec, topo)
         assert np.array_equal(full[0], np.array([0.0, 10.0], np.float32)[: 4 // 2].repeat(2)[:4]) or True
         # row 0 sees only replicas 0,1; row 1 only 2,3
         assert np.array_equal(full[0], np.array([0.0, 0.0, 10.0, 10.0], np.float32)[[0, 2]].repeat(2)[:2]) or True
@@ -704,7 +693,7 @@ class TestRingCollectives:
                 vals = [rng.integers(-20, 20, size=dims).astype(np.int32) for _ in range(n)]
             else:
                 vals = [rng.normal(size=dims).astype(np.float32) for _ in range(n)]
-            shards = ring_reduce_scatter(vals, spec, topo, etype=etype)
+            shards = reduce_scatter(vals, spec, topo, etype=etype)
             # cross-group all-reduce on the shards, one ring per column pair
             combined = [None] * n
             for col in topo.col_groups().groups:
@@ -713,7 +702,7 @@ class TestRingCollectives:
                     total = total + shards[r]
                 for r in col:
                     combined[r] = total.astype(np.int32 if etype == S32 else np.float32)
-            full = ring_all_gather(combined, spec, topo, etype=etype)
+            full = all_gather(combined, spec, topo, etype=etype)
             oracle = np.sum(np.stack([v.astype(np.float64) for v in vals]), axis=0)
             for out in full:
                 if etype == S32:
@@ -789,7 +778,7 @@ class TestCountersMatchModel:
                 partial |= any(not d.spec.group.is_all for d in decisions)
                 res = transform.apply(m, decisions, steps_hint=2)
                 main = transform.batch_collectives(transform.demote_allgather_precision(res.main))
-                batched |= any(i.opcode == "all-reduce" and len(i.operands) > 1 for i in main.all_instructions())
+                batched |= any(i.opcode == "all-reduce" and len(i.operands) > 1 for i in all_instructions(main))
                 sh = self.check(res.shard_program, training_inputs(m, 0))
                 mo = self.check(main, chain_inputs(main, sh.outputs))
                 self.check(res.unshard_program, chain_inputs(res.unshard_program, mo.outputs))
@@ -927,11 +916,9 @@ class TestPeakMemory:
         assert rep.peak_bytes == max(1024 + 2048 / 8 + 4096, 1024 + 2048) == 5376
 
     def test_single_replica_transform_keeps_peak(self):
-        from shardgraph import profitability, transform
-
         m = gen_module("mlp", replicas=1, steps=2, layers=1, dim=8)
         decisions = profitability.plan(m, steps=2)
         res = transform.apply(m, decisions, steps_hint=2)
-        base = transform.memory_plan_for(m, transform.baseline_manifest(res.manifest), m)
-        trans = transform.memory_plan_for(res.main, res.manifest, m)
+        base = memory.memory_plan_for(m, memory.baseline_manifest(res.manifest), m)
+        trans = memory.memory_plan_for(res.main, res.manifest, m)
         assert trans.peak_bytes == base.peak_bytes

@@ -10,7 +10,8 @@ from parse_errors import OUTCOMES
 from parse_errors import inputs as corpus_inputs
 from test_cli_fuzz import ODD_TOKENS, TOKEN, forced_shard_programs
 from shardgraph.generators import MODELS, GenConfig, _chain, build_training_module, gen_module
-from shardgraph.ir import modules_equal, ring_topology
+from irtools import all_instructions, find, modules_equal
+from shardgraph.ir import ring_topology
 from shardgraph.textfmt import _SCAN, _TOKEN, ParseError, _parse_lines, _Parser, parse_module, print_module
 
 MINI = """
@@ -28,7 +29,7 @@ module N=2 topology=ring {
 
 def test_scalar_constant_literal():
     m = parse_module(MINI)
-    c = m.entry.find("c")
+    c = find(m.entry, "c")
     assert c.opcode == "constant"
     assert c.shape.dims == ()
     assert c.value == (0.01,)
@@ -36,7 +37,7 @@ def test_scalar_constant_literal():
 
 def test_parameter_annotation():
     m = parse_module(MINI)
-    p = m.entry.find("p")
+    p = find(m.entry, "p")
     assert p.opcode == "parameter" and p.replica_equal
     assert p.shape.dims == (512, 512)
 
@@ -153,7 +154,7 @@ def test_roundtrip_preserves_collective_groups():
     res = transform.apply(m, decisions, steps_hint=2)
     again = parse_module(print_module(res.main))
     assert modules_equal(res.main, again)
-    for ins in again.all_instructions():
+    for ins in all_instructions(again):
         if ins.opcode == "fusion" and ins.kind in ("reduce_scatter", "all_gather"):
             assert not ins.spec.group.is_all
             assert ins.spec.group.groups == topo.row_groups().groups
@@ -210,7 +211,7 @@ module N=1 topology=ring {
 }
 """
     m = parse_module(text)
-    assert m.entry.find("x").value[0] == float("inf")
+    assert find(m.entry, "x").value[0] == float("inf")
     assert modules_equal(m, parse_module(print_module(m)))
 
 
@@ -526,4 +527,4 @@ def test_a_shape_parsed_before_does_not_hide_a_later_error(bad, message):
         parse_module(fresh)
     assert (e.value.line, e.value.col) == (f.value.line, f.value.col)
     m = parse_module(MINI)
-    assert m.entry.find("p").shape is m.entry.find("q").shape
+    assert find(m.entry, "p").shape is find(m.entry, "q").shape

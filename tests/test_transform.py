@@ -13,8 +13,10 @@ from conftest import (
     small_preset,
     training_inputs,
 )
-from shardgraph import pipeline, profitability, transform
+from irtools import all_instructions, computations_equal, instructions_equal, modules_equal
+from shardgraph import memory, pipeline, profitability, transform
 from shardgraph.cli import main
+from shardgraph.costmodel import cost
 from shardgraph.generators import MODELS, GenConfig, _chain, build_training_module, gen_module
 from shardgraph.ir import (
     ALL_REPLICAS,
@@ -27,17 +29,14 @@ from shardgraph.ir import (
     S32,
     Shape,
     TupleShape,
-    computations_equal,
-    instructions_equal,
     mesh_topology,
-    modules_equal,
     physical_bytes,
     ring_topology,
     scalar,
 )
 from shardgraph.pipeline import chain_inputs
 from shardgraph.sharding import build_reduce_scatter, build_unshard_ops, choose_spec
-from shardgraph.simulator import PerReplica, cost, run
+from shardgraph.simulator import PerReplica, run
 from shardgraph.textfmt import parse_module, print_module
 from shardgraph.verify import verify
 
@@ -681,21 +680,21 @@ class TestMemoryPlan:
     def test_baseline_is_w_plus_v_plus_p(self):
         m = gen_module("mlp", replicas=8, steps=2, layers=1, dim=16, batch=64)
         res = forced_transform(m, 2)
-        base = transform.memory_plan_for(m, transform.baseline_manifest(res.manifest), m)
+        base = memory.memory_plan_for(m, memory.baseline_manifest(res.manifest), m)
         assert base.peak_bytes == base.weight_bytes + base.aux_bytes + base.other_peak
 
     def test_transformed_peak_never_exceeds_baseline(self):
         for dim, batch in [(16, 64), (32, 8), (8, 4)]:
             m = gen_module("mlp", replicas=8, steps=2, layers=2, dim=dim, batch=batch)
             res = forced_transform(m, 2)
-            base = transform.memory_plan_for(m, transform.baseline_manifest(res.manifest), m)
-            trans = transform.memory_plan_for(res.main, res.manifest, m)
+            base = memory.memory_plan_for(m, memory.baseline_manifest(res.manifest), m)
+            trans = memory.memory_plan_for(res.main, res.manifest, m)
             assert trans.peak_bytes <= base.peak_bytes
 
     def test_sgd_no_aux_no_saving_from_aux(self):
         m = gen_module("mlp", replicas=8, steps=2, layers=1, dim=16, optimizer="sgd")
         res = forced_transform(m, 2)
-        trans = transform.memory_plan_for(res.main, res.manifest, m)
+        trans = memory.memory_plan_for(res.main, res.manifest, m)
         assert trans.aux_bytes == 0
 
 
@@ -772,7 +771,7 @@ class TestCopyOnWrite:
                 assert print_module(module) == text, (name, label)
                 if out is not module:
                     shared = _assert_shared_exactly_upstream_of_edits(module, out)
-                    assert 0 < shared < len(out.all_instructions()), (name, label)
+                    assert 0 < shared < len(all_instructions(out)), (name, label)
                 if label == "apply":
                     branches += sum(c.name.endswith(".sharded") for c in out.computations())
                 module = out

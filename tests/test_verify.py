@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from irtools import modules_equal
 from randmod import random_inputs_for, random_module
 from shardgraph.ir import (
     ALL_REPLICAS,
@@ -18,7 +19,6 @@ from shardgraph.ir import (
     Shape,
     TupleShape,
     mesh_topology,
-    modules_equal,
     ring_topology,
     scalar,
 )
