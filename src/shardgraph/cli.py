@@ -344,11 +344,7 @@ def cmd_compare(args) -> int:
     cm = _cost_model(args)
     seed = _seed(args)
     compiled = _split(m, cm, args, steps)
-    report: dict = {
-        "replicas": m.replica_count,
-        "topology": str(m.topology),
-        "decisions": [d.to_dict() for d in compiled.decisions],
-    }
+    report: dict = {}
     if not args.cost_only:
         aux = {v.name for v in compiled.result.manifest.variables if v.kind == "aux"}
         inputs = random_inputs(m, seed, aux_names=aux)
@@ -365,8 +361,9 @@ def cmd_compare(args) -> int:
     report["transformed_memory"] = model.transformed_memory.to_dict()
     report["memory_saving_ratio"] = model.memory_saving
 
-    if args.json:
-        _emit_json(report, args.json)
+    if args.json:  # only the JSON report lists the decisions
+        decisions = [d.to_dict() for d in compiled.decisions]
+        _emit_json({"replicas": m.replica_count, "topology": str(m.topology), "decisions": decisions, **report}, args.json)
     _print_compare_table(report, args.cost_only)
     return 0 if args.cost_only or report["max_rel_diff"] <= args.tolerance else 1
 

@@ -353,9 +353,12 @@ def _rewrite_branch(branch: Computation, arg_shape, specs_by_slot: dict[int, Sha
 def apply(m: Module, decisions: list[ShardingDecision], steps_hint: int | None = None) -> TransformResult:
     """Rewrite `m` according to the sharding decisions.
 
-    Produces the three-program split. Every `shard` decision is emitted; one
-    whose anchor or members are not in the step computation, or whose state
-    cannot stay sharded (`profitability.state_veto`), raises TransformError.
+    Produces the three-program split. Two forms that verify clean are not
+    emitted and raise TransformError before anything is built: a loop whose
+    state is one array rather than a tuple, and an entry parameter that is a
+    tuple. Every `shard` decision is emitted; one whose anchor or members
+    are not in the step computation, or whose state cannot stay sharded
+    (`profitability.state_veto`), raises TransformError.
     The state slots of the `shard` decisions' clusters are the sharded state.
     When no decision shards anything, the main program is structurally
     identical to the input and the sharding and unsharding programs are
@@ -363,6 +366,11 @@ def apply(m: Module, decisions: list[ShardingDecision], steps_hint: int | None =
     """
     check(m)
     loop = m.training_loop()
+    if loop is not None and not isinstance(loop.shape, TupleShape):
+        raise TransformError(f"the state of loop %{loop.id} is one array, not a tuple")
+    for p in m.entry.parameters:
+        if isinstance(p.shape, TupleShape):
+            raise TransformError(f"entry parameter %{p.id} is a tuple, not an array")
     body = loop.body if loop is not None else m.entry
 
     body_ids = {i.id for i in body.instructions}

@@ -5,6 +5,12 @@ parameters, full-group all-reduces) with replica-varying taint (rng,
 replica-id, plain parameters, subgrouped all-reduces), plus optional counted
 or replica-varying while loops and conditionals. Loops with replica-varying
 conditions never contain collectives, so they stay simulatable.
+
+Seeds from `FORM_SEEDS` on may also draw two forms that `verify` accepts and
+the seeds below it never draw: a loop whose state is one array (it runs
+until the state's largest element is at most 1, with no counter), and a loop
+state that enters as a tuple entry parameter. Seeds below it draw the
+modules they always drew.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from shardgraph.ir import (
 from shardgraph.simulator import PerReplica
 
 SHAPE_POOL = [(), (4,), (2, 3), (3, 4)]
+FORM_SEEDS = 1000
 
 
 def _rand_value_producer(gb, rng, shape, n, idx):
@@ -118,12 +125,15 @@ def random_module(seed: int, n: int | None = None) -> Module:
 
     # sometimes a loop carrying (i, value); condition either counted or
     # replica-varying (collective-free body by construction)
-    if rng.random() < 0.5 and shape:
+    forms = seed >= FORM_SEEDS
+    if (forms or rng.random() < 0.5) and shape:
         carried = next(
             (v for v in reversed(values) if isinstance(v.shape, Shape) and v.shape.dims == shape),
             None,
         )
-        if carried is not None:
+        if carried is not None and forms and rng.random() < 0.5:
+            values.append(_one_array_loop(gb, carried))
+        elif carried is not None:
             state = TupleShape((scalar(S32), Shape(shape, F32)))
             body = GraphBuilder(gb.fresh_id("body"), id_prefix="b.")
             bp = body.parameter(0, state, body.fresh_id("state"))
@@ -146,7 +156,10 @@ def random_module(seed: int, n: int | None = None) -> Module:
             cflag = cond.emit("compare", scalar(PRED), (ci, bound), direction="lt")
             ccomp = cond.finish(cflag)
 
-            init = gb.emit("tuple", state, (gb.constant(0, S32), carried))
+            if forms and rng.random() < 0.5:
+                init = gb.parameter(idx[0], state, f"p{idx[0]}")
+            else:
+                init = gb.emit("tuple", state, (gb.constant(0, S32), carried))
             values.append(gb.emit("while", state, (init,), cond=ccomp, body=bcomp,
                                   id=gb.fresh_id("loop")))
 
@@ -155,12 +168,28 @@ def random_module(seed: int, n: int | None = None) -> Module:
     return Module(gb.finish(root), n, ring_topology(n))
 
 
+def _one_array_loop(gb, carried):
+    """A `while` over `carried` itself: the body halves the state until its
+    largest element is at most 1."""
+    shape = carried.shape
+    body = GraphBuilder(gb.fresh_id("body"), id_prefix="b.")
+    bp = body.parameter(0, shape, body.fresh_id("state"))
+    bcomp = body.finish(body.emit("mul", shape, (bp, body.broadcast_scalar(body.constant(0.5), shape))))
+    cond = GraphBuilder(gb.fresh_id("cond_c"), id_prefix="c.")
+    cp = cond.parameter(0, shape, cond.fresh_id("state"))
+    top = cond.emit("reduce", scalar(F32), (cp, cond.constant(float("-inf"))), dims=tuple(range(shape.rank)), kind="max")
+    ccomp = cond.finish(cond.emit("compare", scalar(PRED), (top, cond.constant(1.0)), direction="gt"))
+    return gb.emit("while", shape, (carried,), cond=ccomp, body=bcomp, id=gb.fresh_id("loop"))
+
+
 def random_inputs_for(m: Module, seed: int) -> dict:
     rng = np.random.default_rng(seed + 10_000)
     inputs = {}
     for p in m.entry.parameters:
-        def draw():
-            return rng.normal(size=p.shape.dims).astype(np.float32)
+        def draw(shape=p.shape):
+            if isinstance(shape, TupleShape):
+                return tuple(draw(e) for e in shape.elements)
+            return rng.normal(size=shape.dims).astype(np.float32 if shape.etype == F32 else np.int32)
 
         if p.replica_equal:
             inputs[p.id] = draw()

@@ -581,3 +581,78 @@ def test_random_inputs_match_one_draw_per_replica(model):
                 pairs = [(ours[k], want)]
             for x, y in pairs:
                 assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+ONE_ARRAY_LOOP = """\
+module N=4 topology=ring {
+  computation cond (%c: f32[8]) -> pred[] {
+    %c = f32[8] parameter(0)
+    %t = pred[] constant(0)
+    return (%t)
+  }
+  computation body (%b: f32[8]) -> f32[8] {
+    %b = f32[8] parameter(0)
+    %n = f32[8] add(%b, %b)
+    return (%n)
+  }
+  entry computation main (%x: f32[8]) -> f32[8] {
+    %x = f32[8] parameter(0)
+    %loop = f32[8] while(%x), cond=cond, body=body
+    return (%loop)
+  }
+}
+"""
+
+TUPLE_PARAMETER = """\
+module N=4 topology=ring {
+  computation cond (%c: (s32[], f32[8])) -> pred[] {
+    %c = (s32[], f32[8]) parameter(0)
+    %ci = s32[] get-tuple-element(%c), index=0
+    %bound = s32[] constant(2)
+    %go = pred[] compare(%ci, %bound), direction=lt
+    return (%go)
+  }
+  computation body (%b: (s32[], f32[8])) -> (s32[], f32[8]) {
+    %b = (s32[], f32[8]) parameter(0)
+    %i = s32[] get-tuple-element(%b), index=0
+    %w = f32[8] get-tuple-element(%b), index=1
+    %one = s32[] constant(1)
+    %i2 = s32[] add(%i, %one)
+    %g = f32[8] rng()
+    %ar = f32[8] all-reduce(%g), kind=add, groups=all
+    %wn = f32[8] sub(%w, %ar)
+    %next = (s32[], f32[8]) tuple(%i2, %wn)
+    return (%next)
+  }
+  entry computation main (%init: (s32[], f32[8])) -> (s32[], f32[8]) {
+    %init = (s32[], f32[8]) parameter(0)
+    %loop = (s32[], f32[8]) while(%init), cond=cond, body=body
+    return (%loop)
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(ONE_ARRAY_LOOP, "the state of loop %loop is one array, not a tuple"),
+     (TUPLE_PARAMETER, "entry parameter %init is a tuple, not an array")],
+    ids=["one-array-loop-state", "tuple-entry-parameter"],
+)
+def test_forms_apply_does_not_emit_are_one_transform_line(text, message, tmp_path, capsys):
+    """Two forms that verify clean but that `apply` does not emit are refused
+    when it reads the module, before any builder runs: `compare` and
+    `transform` exit 2 with one `[transform]` line and write nothing, while
+    `analyze` and `cost`, which do not rewrite, still run."""
+    assert verify(parse_module(text)) == []
+    path = tmp_path / "m.ir"
+    path.write_text(text)
+    out_dir = tmp_path / "out"
+    for args in (["compare", str(path), "--cost-only"], ["compare", str(path), "--seed", "1"],
+                 ["transform", str(path), "--out-dir", str(out_dir)]):
+        capsys.readouterr()
+        assert main(args) == 2, args
+        assert capsys.readouterr().err == f"[transform] {message}\n", args
+    assert not out_dir.exists()
+    for args in (["analyze", str(path), "--profit"], ["cost", str(path)]):
+        assert main(args) == 0, args

@@ -1,19 +1,23 @@
 """Error-contract property test: random modules and token-level mutations of
 their text, fed to every module-reading subcommand, end in exit 0, 1 or 2
-and never in an uncaught exception."""
+and never in an uncaught exception. The seeds from `randmod.FORM_SEEDS` on
+add loops whose state is one array and loop states that enter as a tuple
+entry parameter, which `compare` and `transform` refuse in one line."""
 
 import contextlib
 import io
+import itertools
 import re
 
 import numpy as np
 import pytest
 
+import randmod
 from randmod import random_module
 from shardgraph import profitability, transform
 from shardgraph.cli import main
 from shardgraph.generators import gen_module
-from shardgraph.ir import mesh_topology
+from shardgraph.ir import TupleShape, mesh_topology
 from shardgraph.textfmt import print_module
 
 SUBCOMMANDS = {
@@ -25,6 +29,7 @@ SUBCOMMANDS = {
 }
 TOKEN = re.compile(r"%?[\w.\-]+|\s+|.", re.S)
 ODD_TOKENS = ["0", "-1", "7", "1e", "99999", "f32[]", "s32", "pred", "{", "}", ",", "=", "%x", "all"]
+FORM_SEEDS = range(randmod.FORM_SEEDS, randmod.FORM_SEEDS + 16)
 
 
 def mutate(text: str, rng) -> str:
@@ -88,7 +93,8 @@ def test_no_subcommand_ends_in_a_traceback(tmp_path):
     path = tmp_path / "m.ir"
     codes = {}
     accepted_mutants = 0
-    for label, text in texts():
+    code_of = {}
+    for label, text in itertools.chain(texts(), texts(FORM_SEEDS)):
         path.write_text(text)
         for cmd, extra in SUBCOMMANDS.items():
             argv = [cmd, str(path)] + [a.format(dir=tmp_path / "out") for a in extra]
@@ -99,9 +105,22 @@ def test_no_subcommand_ends_in_a_traceback(tmp_path):
             assert code in (0, 1, 2), (cmd, label, code)
             codes[code] = codes.get(code, 0) + 1
             accepted_mutants += code == 0 and "mutant" in label
+            code_of[cmd, label] = code
     # the mix must exercise accepted modules, mutants among them, and
     # rejected ones
     assert codes.get(0, 0) > 100 and codes.get(2, 0) > 100 and accepted_mutants > 20, (codes, accepted_mutants)
+    # each form is drawn, and refused by the two subcommands that rewrite
+    reached = {"one-array loop state": 0, "tuple entry parameter": 0}
+    for seed in FORM_SEEDS:
+        m = random_module(seed)
+        loop = m.training_loop()
+        one_array = loop is not None and not isinstance(loop.shape, TupleShape)
+        tuple_param = any(isinstance(p.shape, TupleShape) for p in m.entry.parameters)
+        reached["one-array loop state"] += one_array
+        reached["tuple entry parameter"] += tuple_param
+        if one_array or tuple_param:
+            assert code_of["compare", f"randmod {seed}"] == code_of["transform", f"randmod {seed}"] == 2, seed
+    assert min(reached.values()) >= 3, reached
 
 
 def test_spec_bearing_programs_end_in_no_traceback(tmp_path):
