@@ -520,7 +520,10 @@ def topo_order(comp: Computation) -> list[Instruction]:
 
     Operands precede users; among ready instructions the smallest id goes
     first, so the order is stable across calls and platforms. The ids are
-    ranked once, and the walk runs on positions and ranks.
+    ranked once, and the walk runs on positions and ranks. The def-use
+    edges are held in flat integer lists: the users of position j are
+    `users[start[j]:start[j + 1]]`, in instruction order, so the walk builds
+    no list per instruction.
     """
     instrs = comp.instructions
     n = len(instrs)
@@ -530,13 +533,24 @@ def topo_order(comp: Computation) -> list[Instruction]:
     for r, k in enumerate(by_rank):
         rank[k] = r
     indegree = [0] * n
-    users: list[list[int]] = [[] for _ in range(n)]
+    start = [0] * (n + 1)  # user counts, shifted by one, then offsets
+    edge_from: list[int] = []
+    edge_to: list[int] = []
     for k, ins in enumerate(instrs):
         for o in ins.operands:
             j = position.get(o)
             if j is not None:  # operands from outside the computation are ready
                 indegree[k] += 1
-                users[j].append(k)
+                start[j + 1] += 1
+                edge_from.append(j)
+                edge_to.append(k)
+    for j in range(n):
+        start[j + 1] += start[j]
+    users = [0] * len(edge_to)
+    fill = start[:n]
+    for j, k in zip(edge_from, edge_to):
+        users[fill[j]] = k
+        fill[j] += 1
 
     ready = [rank[k] for k in range(n) if not indegree[k]]
     heapq.heapify(ready)
@@ -544,7 +558,8 @@ def topo_order(comp: Computation) -> list[Instruction]:
     while ready:
         k = by_rank[heapq.heappop(ready)]
         out.append(instrs[k])
-        for u in users[k]:
+        for e in range(start[k], start[k + 1]):
+            u = users[e]
             indegree[u] -= 1
             if not indegree[u]:
                 heapq.heappush(ready, rank[u])

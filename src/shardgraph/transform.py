@@ -41,7 +41,6 @@ from .ir import (
     TupleShape,
     scalar,
     S32,
-    users_map,
 )
 from .memory import Manifest, VariableInfo, baseline_manifest, memory_plan_for  # the last two are re-exported
 from .profitability import ShardingDecision, plan, state_veto  # `plan` is re-exported as `transform.plan`
@@ -627,14 +626,22 @@ def demote_allgather_precision(m: Module) -> Module:
     demotable: dict[str, tuple[list[Instruction], set[str]]] = {}
     touched: set[str] = set()  # names of the computations to rewrite
     for comp in m.computations():
-        users = None  # built on the first f32 all-gather
+        # one forward pass: the users of each f32 all-gather and of the
+        # formatting (`_TRANSPARENT`) that reads one of those values
+        users: dict[str, list[Instruction]] = {}
+        gathers = []
         for ins in comp.instructions:
-            if ins.opcode != "fusion" or ins.kind != "all_gather":
-                continue
-            if ins.shape.etype != ElementType.F32:
-                continue
-            if users is None:
-                users = users_map(comp)
+            if users:
+                for o in ins.operands:
+                    readers = users.get(o.id)
+                    if readers is not None:
+                        readers.append(ins)
+                        if ins.opcode in _TRANSPARENT:
+                            users.setdefault(ins.id, [])
+            if ins.opcode == "fusion" and ins.kind == "all_gather" and ins.shape.etype == ElementType.F32:
+                users[ins.id] = []
+                gathers.append(ins)
+        for ins in gathers:
             found = _all_consumers_convert(ins, users)
             if found is not None:
                 demotable[ins.id] = found
