@@ -362,8 +362,8 @@ def cmd_compare(args) -> int:
     report["memory_saving_ratio"] = model.memory_saving
 
     if args.json:  # only the JSON report lists the decisions
-        decisions = [d.to_dict() for d in compiled.decisions]
-        _emit_json({"replicas": m.replica_count, "topology": str(m.topology), "decisions": decisions, **report}, args.json)
+        header = {"replicas": m.replica_count, "topology": str(m.topology)}
+        _emit_json({**header, "decisions": [d.to_dict() for d in compiled.decisions], **report}, args.json)
     _print_compare_table(report, args.cost_only)
     return 0 if args.cost_only or report["max_rel_diff"] <= args.tolerance else 1
 

@@ -177,7 +177,9 @@ def _one_array_loop(gb, carried):
     bcomp = body.finish(body.emit("mul", shape, (bp, body.broadcast_scalar(body.constant(0.5), shape))))
     cond = GraphBuilder(gb.fresh_id("cond_c"), id_prefix="c.")
     cp = cond.parameter(0, shape, cond.fresh_id("state"))
-    top = cond.emit("reduce", scalar(F32), (cp, cond.constant(float("-inf"))), dims=tuple(range(shape.rank)), kind="max")
+    top = cond.emit(
+        "reduce", scalar(F32), (cp, cond.constant(float("-inf"))), dims=tuple(range(shape.rank)), kind="max"
+    )
     ccomp = cond.finish(cond.emit("compare", scalar(PRED), (top, cond.constant(1.0)), direction="gt"))
     return gb.emit("while", shape, (carried,), cond=ccomp, body=bcomp, id=gb.fresh_id("loop"))
 

@@ -8,7 +8,7 @@ from conftest import small_preset
 from shardgraph import pipeline, profitability, transform
 from shardgraph.cli import main, random_inputs
 from shardgraph.generators import gen_module
-from irtools import all_instructions, modules_equal
+from irtools import all_instructions
 from shardgraph.ir import F32, PRED, S32, GraphBuilder, Module, TupleShape, ring_topology, scalar
 from shardgraph.simulator import PerReplica
 from shardgraph.textfmt import parse_module, print_module

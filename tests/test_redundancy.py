@@ -1,5 +1,6 @@
 import numpy as np
 
+from irtools import find
 from shardgraph.ir import (
     ALL_REPLICAS,
     Computation,
@@ -14,7 +15,6 @@ from shardgraph.ir import (
     ring_topology,
     scalar,
 )
-from irtools import find
 from shardgraph.redundancy import analyze
 
 
@@ -152,7 +152,8 @@ def _entry_over(instr, verdicts):
         instr.opcode, instr.shape, operands, id=instr.id, cond=instr.cond, body=instr.body, branches=instr.branches
     )
     if isinstance(instr.shape, TupleShape):
-        outs = [gb.emit("get-tuple-element", e, (call,), index=k, id=f"out{k}") for k, e in enumerate(instr.shape.elements)]
+        elements = enumerate(instr.shape.elements)
+        outs = [gb.emit("get-tuple-element", e, (call,), index=k, id=f"out{k}") for k, e in elements]
         call = gb.emit("tuple", instr.shape, outs)
     return module_of(gb.finish(call))
 
