@@ -507,7 +507,8 @@ class Module:
 def users_map(comp: Computation) -> dict[str, list[Instruction]]:
     """The users of each value in `comp`, keyed by the value's id, in
     instruction order; a user that reads a value twice is listed twice.
-    Passes build it once and look users up in it."""
+    The planner builds it once per step computation and looks users up in
+    it."""
     users: dict[str, list[Instruction]] = {}
     for ins in comp.instructions:
         for o in ins.operands:
